@@ -202,7 +202,8 @@ def r_functional_numeric(
     if up.is_finite:
         b_edge = up.value - h_max
         if g.fstar_domain_closed:
-            if dpsi(b_edge) <= 0.0:
+            d_hi = dpsi(b_edge)
+            if d_hi <= 0.0:
                 # Derivative never crosses zero inside the domain; the
                 # boundary itself minimizes.
                 return psi(b_edge), b_edge
@@ -212,7 +213,8 @@ def r_functional_numeric(
             gap = 1.0
             for _ in range(80):
                 cand = b_edge - gap
-                if dpsi(cand) >= 0.0:
+                d_hi = dpsi(cand)
+                if d_hi >= 0.0:
                     hi = cand
                     break
                 gap *= 0.5
@@ -224,7 +226,8 @@ def r_functional_numeric(
         hi = None
         b = max(1.0, b_hint + 1.0 if b_hint is not None else 1.0)
         while True:
-            if dpsi(b) >= 0.0:
+            d_hi = dpsi(b)
+            if d_hi >= 0.0:
                 hi = b
                 break
             if b >= B_BOX:
@@ -234,14 +237,15 @@ def r_functional_numeric(
     lo = None
     b = min(-1.0, b_hint - 1.0 if b_hint is not None else -1.0, hi - 1.0)
     while True:
-        if dpsi(b) <= 0.0:
+        d_lo = dpsi(b)
+        if d_lo <= 0.0:
             lo = b
             break
         if b <= -B_BOX:
             raise Unbounded(f"derivative still positive at b = {-B_BOX}")
         b = max(b * 2.0, -B_BOX)
 
-    b_star = bisect_sign_change(dpsi, lo, hi, tol=tol_b)
+    b_star = bisect_sign_change(dpsi, lo, hi, tol=tol_b, d_lo=d_lo, d_hi=d_hi, guess=b_hint)
     value = psi(b_star)
     if up.is_finite and g.fstar_domain_closed:
         # A closed boundary can undercut the interior bisection point.

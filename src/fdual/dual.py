@@ -12,15 +12,20 @@ strictly inside the support of Q, so the divergence term never leaves
 its domain.
 
 Because any feasible P' evaluates to an upper bound on the true
-infimum, the solver also scores structural candidates: Q itself, P
-when dominated, the moment-matching projection (optimal whenever the
-penalty pins the optimum at the moment-matched kink, where
-diminishing-step subgradient descent is provably slow), a compass
-search over the conjugate-slope tilt family that contains every
-stationary point of G, and a damped Newton pass in softmax
-coordinates for boundary optima. The reported value is the best
-unsmoothed evaluation seen; it is a certified upper bound regardless
-of which route produced it.
+infimum, the solver scores structural candidates first, in this order:
+Q itself and P when dominated; the conjugate-slope tilt
+``p'_i ~ q_i f*'(a . phi_i + b)`` at the supremum side's slope a,
+when the caller passes it (at the saddle point this tilt is the
+optimal P', so ``duality_gap`` usually certifies here and stops); the
+moment-matching projection (optimal whenever the penalty pins the
+optimum at the moment-matched kink, where diminishing-step
+subgradient descent is provably slow); a compass search over the
+conjugate-slope tilt family that contains every stationary point of
+G; and a damped Newton pass in softmax coordinates for boundary
+optima. Each later stage runs only while the best value is not yet
+certified against the supremum side's value, and mirror descent runs
+last. The reported value is the best unsmoothed evaluation seen; it
+is a certified upper bound regardless of which route produced it.
 
 ``moment_projection`` solves the infinite-radius case: the closest
 dominated distribution with prescribed feature means. For the KL
@@ -174,13 +179,19 @@ def restricted_div_dual(
     spec: DiscriminatorSpec | RegularizerSpec,
     cfg: DualConfig | None = None,
     primal_value: float | None = None,
+    coefficients: np.ndarray | None = None,
 ) -> SolveReport:
     """Restricted/regularized divergence from the intermediate-distribution side.
 
     ``primal_value``, when supplied, acts as a certificate reference:
-    iteration stops once the best feasible evaluation is within
-    ``cfg.tol`` (relative) of it. The returned ``value_log`` records the
-    best upper bound at every logged iteration.
+    the search stops once the best feasible evaluation is within
+    ``cfg.tol`` (relative) of it. ``coefficients``, when supplied, is the
+    supremum side's discriminator slope; its conjugate-slope tilt of Q
+    is scored before any other candidate, and when it certifies, no
+    moment projection, pattern search or descent runs at all. Without
+    it the moment-projection candidate is scored first. The returned
+    ``value_log`` records the best upper bound at every logged
+    iteration.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -214,19 +225,26 @@ def restricted_div_dual(
         if v < best_val:
             best_val, best_ps = v, cand.copy()
 
-    # At large radii the optimum sits exactly at the moment-matched kink
-    # that diminishing-step subgradient descent crawls toward, so the
-    # projection point is scored up front, followed by a pass of
-    # conjugate-slope tilt refinement for boundary optima.
     def certified(v: float) -> bool:
         return primal_value is not None and (v - primal_value) <= cfg.tol * max(1.0, abs(v))
 
+    is_ball = isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall)
+    polish_phi = reg.spec.phi if is_ball else reg.phi
+    # The optimal discriminator slope a and the optimal P' are tied by
+    # p'_i ~ q_i f*'(a . phi_i + b), so the supremum side's slope is the
+    # first start of the tilt search, which returns at once when it
+    # certifies.
+    if coefficients is not None:
+        best_val, best_ps = _tilt_polish(
+            g, Q, polish_phi, obj, best_val, best_ps, theta0=coefficients, stop_when=certified
+        )
+    # At large radii the optimum sits exactly at the moment-matched kink
+    # that diminishing-step subgradient descent crawls toward, so the
+    # projection point is scored next, followed by a pass of
+    # conjugate-slope tilt refinement for boundary optima.
     theta_mp = None
-    if isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall):
+    if is_ball and not certified(best_val):
         best_val, best_ps, theta_mp = _try_mp_candidate(g, P, Q, reg, obj, best_val, best_ps, mask)
-        polish_phi = reg.spec.phi
-    else:
-        polish_phi = reg.phi
     if not certified(best_val):
         best_val, best_ps = _tilt_polish(
             g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
@@ -465,8 +483,6 @@ def _try_mp_candidate(g, P, Q, reg, obj, best_val, best_ps, mask):
     objective, so the returned value stays a certified upper bound even
     when the projection stopped short of exact moment match.
     """
-    if not (isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall)):
-        return best_val, best_ps, None
     mp = moment_projection(g, P, Q, reg.spec.phi, DualConfig())
     if mp.value.is_finite and mp.pprime is not None:
         ps = mp.pprime.p[mask]
@@ -695,7 +711,8 @@ def duality_gap(
     else:
         p_rep = restricted_div_primal(g, P, Q, p_spec, primal_cfg)
     ref = float(p_rep.value) if p_rep.value.is_finite else None
-    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal_value=ref)
+    coef = p_rep.coefficients if ref is not None else None
+    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal_value=ref, coefficients=coef)
 
     pv, dv = p_rep.value, d_rep.value
     if pv.is_finite and dv.is_finite:

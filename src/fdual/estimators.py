@@ -256,7 +256,8 @@ def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -mat
 
     Keeps the best (value, theta) pair; among near-equal optima the
     lexicographically smallest parameter wins, which keeps reports
-    reproducible when the objective has flat stretches.
+    reproducible when the objective has flat stretches. Also returns
+    how many starts ran to ``cfg.max_iters`` without stopping.
     """
     rng_root = np.random.SeedSequence([int(cfg.seed), dim])
     children = rng_root.spawn(max(cfg.starts - 1, 0))
@@ -266,6 +267,7 @@ def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -mat
 
     results = []
     total_iters = 0
+    capped = 0
     for theta0 in starts:
         theta = theta0.copy()
         val = fun(theta)
@@ -309,6 +311,8 @@ def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -mat
             else:
                 tiny_gains = 0
             step = min(s * 2.0, 8.0)
+        else:
+            capped += 1
         total_iters += it
         results.append((val, tuple(theta), theta))
 
@@ -317,7 +321,7 @@ def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -mat
     contenders.sort(key=lambda r: r[1])
     _, _, best_theta = contenders[0]
     distinct = len({r[1] for r in contenders}) > 1
-    return best_theta, best_val, total_iters, [r[0] for r in results], distinct
+    return best_theta, best_val, total_iters, [r[0] for r in results], distinct, capped
 
 
 def fit_gmm(
@@ -363,7 +367,7 @@ def fit_gmm(
         d = target - feature_means(member, phi)
         return 0.5 * float(d @ d)
 
-    theta, _, iters, per_start, distinct = _multistart_descend(fun, dim, cfg, value_floor=1e-24)
+    theta, _, iters, per_start, distinct, _ = _multistart_descend(fun, dim, cfg, value_floor=1e-24)
     q_star = family_member(fam, theta)
     objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
     notes = ()
@@ -417,13 +421,20 @@ def fit_linear_fgan(
         rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
         return float(rep.value)
 
-    theta, val, iters, per_start, distinct = _multistart_descend(fun, dim, cfg)
+    theta, val, iters, per_start, distinct, capped = _multistart_descend(fun, dim, cfg)
     q_star = family_member(fam, theta)
     rep = restricted_div_primal(g, Pdata, q_star, spec, inner_cfg)
     ctx = CrossContext(generator=g, phi=phi, radius=radius)
     notes = ()
     if distinct:
         notes = ("multiple near-optimal parameters; lexicographically smallest reported",)
+    if capped == len(per_start):
+        # Typical when the objective has no minimiser and keeps falling
+        # along a ray: the reported theta then moves with the cap.
+        notes += (
+            f"every start ran to max_iters={cfg.max_iters}; theta is where the "
+            "descent stopped, not a located minimiser",
+        )
     return FitReport(
         estimator="fgan",
         q_star=q_star,

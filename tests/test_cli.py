@@ -13,6 +13,7 @@ from fdual.cli import (
     validate_report,
 )
 from fdual.errors import ParseError, ValidationError
+from fdual.space import random_instance
 
 
 @pytest.fixture
@@ -131,6 +132,28 @@ def test_not_converged_exit_code(tmp_path, instance_doc):
     doc = _load(out)  # value still reported
     assert doc["results"]["status"] == "not_converged"
     assert float(doc["results"]["value"]) >= 0.0
+
+
+def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
+    # The KL ascent stops on its float-resolution floor (residual ~8e-8,
+    # above tol 1e-8) while the gap is certified to ~1e-14.
+    P, Q, phi = random_instance(40, 6, 2)
+    doc = {
+        "space": {"labels": list(P.space.labels)},
+        "dists": {"P": P.p.tolist(), "Q": Q.p.tolist()},
+        "features": {"phi": phi.values.tolist()},
+        "generator": "kl",
+        "discriminator": {"variant": "linear_ball", "features": "phi", "p": 2, "radius": 0.1},
+        "p": "P",
+        "q": "Q",
+    }
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "stall_report.json")
+    assert main(["gap", "--instance", str(path), "--out", out]) == 0
+    results = _load(out)["results"]
+    assert results["primal"]["status"] == "not_converged"
+    assert float(results["rel_gap"]) <= 1e-4
 
 
 def test_byte_identical_reports(instance_path, tmp_path, capsys):

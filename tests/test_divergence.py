@@ -12,7 +12,7 @@ from fdual.divergence import (
 )
 from fdual.errors import Unbounded
 from fdual.fgen import builtin, builtin_names
-from fdual.optim1d import golden_max, ladder_bracket
+from fdual.optim1d import bisect_sign_change, golden_max, golden_max_batch, ladder_bracket
 from fdual.space import FunctionOnSpace, OutcomeSpace, make_dist, random_instance
 
 KL = builtin("kl")
@@ -221,3 +221,85 @@ def test_variational_penalizes_zero_p_coordinate(space2):
         assert closed.value.sign == var.value.sign
         if closed.value.is_finite:
             assert abs(float(var.value) - float(closed.value)) <= 1e-6
+
+
+def _counting(fun):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return fun(x)
+
+    return counted, calls
+
+
+def test_bisect_endpoint_values_keep_the_bisection_point():
+    # The regula falsi narrowing only decides which midpoints need a
+    # call: the returned point must be the plain bisection's, bit for bit.
+    rng = np.random.default_rng(11)
+    for name in ("js_gan", "squared_hellinger", "reverse_kl", "pearson_chi2", "total_variation"):
+        g = builtin(name)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            qs = rng.dirichlet(np.ones(n))
+            hs = rng.normal(size=n)
+            if g.fstar_domain_upper.is_finite:
+                hs += g.fstar_domain_upper.value - hs.max() - rng.uniform(0.05, 2.0)
+            hi = 1.0 if not g.fstar_domain_upper.is_finite else g.fstar_domain_upper.value - hs.max() - 1e-3
+
+            def dpsi(b, g=g, qs=qs, hs=hs):
+                return float(qs @ g.fstar_prime_vec(hs + b)) - 1.0
+
+            lo = -20.0
+            d_lo, d_hi = dpsi(lo), dpsi(hi)
+            if not d_lo <= 0.0 < d_hi:
+                continue
+            expected = bisect_sign_change(dpsi, lo, hi)
+            assert bisect_sign_change(dpsi, lo, hi, d_lo=d_lo, d_hi=d_hi) == expected
+            for guess in (float(rng.uniform(lo, hi)), expected + 1e-3 * float(rng.normal())):
+                assert bisect_sign_change(dpsi, lo, hi, d_lo=d_lo, d_hi=d_hi, guess=guess) == expected
+
+
+def test_r_functional_numeric_warm_start_needs_few_derivative_calls(monkeypatch):
+    # A slowly moving discriminator with the previous intercept as hint,
+    # as the primal ascent calls it. Plain bisection needs about 35
+    # derivative calls per solve to reach the 1e-10 bracket.
+    import fdual.divergence as divergence
+
+    calls = [0]
+    original = divergence.bisect_sign_change
+
+    def counting(dfun, *args, **kwargs):
+        def counted(b):
+            calls[0] += 1
+            return dfun(b)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(divergence, "bisect_sign_change", counting)
+    P, Q, phi = random_instance(3, 6, 1)
+    for name in ("js_gan", "squared_hellinger", "reverse_kl", "pearson_chi2"):
+        g = builtin(name)
+        calls[0] = 0
+        hint = None
+        for t in range(30):
+            h = FunctionOnSpace(P.space, (0.2 + 0.02 * t) * phi.values[0])
+            _, hint = r_functional_numeric(g, Q, h, b_hint=hint)
+        assert calls[0] / 30 <= 15, name
+
+
+def test_golden_max_batch_one_call_per_step():
+    peaks = np.array([-3.0, 0.25, 7.5])
+    curv = np.array([1.0, 40.0, 0.01])
+
+    def fun(t):
+        return -curv * (t - peaks) ** 2
+
+    counted, calls = _counting(fun)
+    lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+    x, v = golden_max_batch(counted, lo, hi, tol=1e-12)
+    n_iter = math.ceil(math.log(1e-12 / 20.0) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+    # Two opening points, one new point per further step, one final value.
+    assert calls[0] == n_iter + 2
+    assert np.max(np.abs(x - peaks)) <= 1e-10
+    assert np.array_equal(v, fun(x))

@@ -10,6 +10,7 @@ from fdual.discriminator import (
     QuadraticCoefficientPenalty,
 )
 from fdual.divergence import df_closed
+import fdual.dual as dual_module
 from fdual.dual import DualConfig, duality_gap, moment_projection, restricted_div_dual
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
@@ -22,6 +23,7 @@ from fdual.space import (
     make_dist,
     random_instance,
 )
+from fdual.verify import duality_instance
 
 KL = builtin("kl")
 
@@ -181,3 +183,60 @@ def test_dual_config_validation():
         DualConfig(tol=-1.0)
     with pytest.raises(Exception):
         DualConfig(smoothing_eps=1.0)
+
+
+def _count_moment_projections(monkeypatch):
+    calls = []
+    original = dual_module.moment_projection
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dual_module, "moment_projection", counted)
+    return calls
+
+
+def test_duality_gap_dropped_outcome_hellinger_certified():
+    # squared_hellinger, n=5, k=3, R=10, last outcome of Q dropped: mirror
+    # descent alone ends at its iteration cap with a 2e-2 relative gap.
+    name, P, Q, phi, radius = duality_instance(1, 14)
+    gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, finite(radius)))
+    assert gr.dual.status == "converged"
+    assert gr.rel_gap <= 1e-3
+
+
+def test_duality_gap_certifies_from_primal_tilt(monkeypatch):
+    calls = _count_moment_projections(monkeypatch)
+    for i in range(20):
+        name, P, Q, phi, radius = duality_instance(2025, i)
+        gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, finite(radius)))
+        assert gr.rel_gap <= 1e-3
+        assert gr.dual.status == "converged"
+        assert gr.dual.iterations == 0
+        assert float(np.sum(gr.dual.pprime.p)) == pytest.approx(1.0, abs=1e-12)
+        assert absolutely_continuous(gr.dual.pprime, Q)
+    assert calls == []
+
+
+def test_duality_gap_quadratic_penalty_certifies_from_primal_tilt():
+    P, Q, phi = random_instance(31, 6, 2)
+    for name in ("kl", "pearson_chi2", "squared_hellinger", "js_gan"):
+        gr = duality_gap(builtin(name), P, Q, QuadraticCoefficientPenalty(phi, 0.3))
+        assert gr.rel_gap <= 1e-3
+        assert gr.dual.status == "converged"
+        assert gr.dual.iterations == 0
+
+
+def test_duality_gap_nonsmooth_conjugate_falls_back(monkeypatch):
+    # f* of total variation is piecewise linear, so the primal slope's
+    # tilt does not certify and the projection and descent still run.
+    calls = _count_moment_projections(monkeypatch)
+    P, Q, phi = random_instance(7, 6, 2)
+    gr = duality_gap(
+        builtin("total_variation"), P, Q, LinearBall(phi, 2, finite(1.0)),
+        dual_cfg=DualConfig(max_iters=2000),
+    )
+    assert len(calls) == 1
+    assert gr.dual.iterations > 0
+    assert float(gr.dual_value) >= float(gr.primal_value) - 1e-9

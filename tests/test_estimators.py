@@ -193,6 +193,25 @@ def test_fgan_mismatch_instance_cross_table(three_point):
     assert tv_dist(rep.q_star, rep_g.q_star) >= 1e-3
 
 
+def test_fgan_iteration_cap_noted(three_point):
+    # No minimiser on the README mismatch instance: the objective keeps
+    # falling as theta -> -inf, so every start stops at the cap.
+    space, base = three_point
+    fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 0.0]]))
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    data = make_dist(space, [0.2, 0.5, 0.3])
+    rep = fit_linear_fgan(fam, data, KL, phi, finite(1.0), FitConfig(starts=2, max_iters=20))
+    assert any("max_iters=20" in note for note in rep.notes)
+
+
+def test_fgan_converged_fit_has_no_cap_note():
+    space = OutcomeSpace.of_size(2)
+    phi = FeatureMap(space, [[0.0, 1.0]])
+    fam = ExpFamily(make_dist(space, [3, 1]), phi)
+    rep = fit_linear_fgan(fam, make_dist(space, [0.3, 0.7]), KL, phi, POS_INF)
+    assert not any("max_iters" in note for note in rep.notes)
+
+
 def test_fit_reports_deterministic():
     space = OutcomeSpace.of_size(3)
     base = make_dist(space, [1, 1, 1])
