@@ -12,6 +12,15 @@ with a backtracking (Armijo) line search; the gradient is
 the optimal intercept, and it is cross-checked against central finite
 differences every 50 iterations. The KL generator short-circuits to
 the log-partition closed form.
+
+KL on a finite 2-ball takes a second-order path instead: R is the log
+partition function, so one exponential per iterate gives the value,
+the gradient ``E_P[phi] - E_{Q_a}[phi]`` and the Hessian
+``-Cov_{Q_a}(phi)`` of the tilt Q_a of Q. Each step maximizes the
+quadratic model over the ball by solving the secular equation of its
+Lagrange multiplier, then backtracks on the exact value. The stopping
+rule, the value log and the finite-difference cross-check are the
+ascent's.
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ class SolveReport:
         return self.status == "converged"
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, as np.linalg.norm computes it."""
+    return math.sqrt(float(v @ v))
+
+
 def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Euclidean projection onto the p-norm ball, p in {1, 2, inf}."""
     if math.isinf(radius):
@@ -98,7 +112,7 @@ def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
     if math.isinf(p):
         return np.clip(a, -radius, radius)
     if p == 2.0:
-        nrm = float(np.linalg.norm(a))
+        nrm = _norm(a)
         return a if nrm <= radius else a * (radius / nrm)
     if p == 1.0:
         if float(np.sum(np.abs(a))) <= radius:
@@ -157,6 +171,24 @@ class _ReducedObjective:
         val = float(a @ self.m_p) - r_val - self.quad_weight * float(a @ a)
         return val, grad, b
 
+    def kl_moments(self, a: np.ndarray):
+        """KL only: (J(a), grad J(a), Cov_{Q_a}(phi), intercept, size).
+
+        ``size`` is the magnitude of the two terms of J, the scale of
+        its rounding error.
+        """
+        hs = a @ self.phi_s
+        m = float(hs.max())
+        e = self.qs * np.exp(hs - m)
+        z = float(e.sum())
+        w = e / z
+        lse = m + math.log(z)
+        lin = float(a @ self.m_p)
+        mean = self.phi_s @ w
+        centered = self.phi_s - mean[:, None]
+        cov = (centered * w) @ centered.T
+        return lin - lse, self.m_p - mean, cov, 1.0 - lse, abs(lin) + abs(lse)
+
     def fd_gradient(self, a: np.ndarray, step: float = 1e-6) -> np.ndarray:
         out = np.empty_like(a)
         for j in range(a.size):
@@ -184,12 +216,12 @@ def _ascend(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool
     it = 0
     for it in range(1, cfg.max_iters + 1):
         moved = project(a + grad)
-        residual = float(np.linalg.norm(moved - a))
+        residual = _norm(moved - a)
         if residual <= cfg.tol:
             status = "converged"
             break
-        if detect_ray and float(np.linalg.norm(a)) > RAY_NORM:
-            if float(grad @ a) / float(np.linalg.norm(a)) > 1e-12:
+        if detect_ray and _norm(a) > RAY_NORM:
+            if float(grad @ a) / _norm(a) > 1e-12:
                 status = "unbounded"
                 break
         s = step
@@ -219,10 +251,105 @@ def _ascend(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool
         if it % LOG_EVERY == 0:
             log.append(val)
             fd = obj.fd_gradient(a)
-            denom = max(1.0, float(np.linalg.norm(grad)))
-            fd_worst = max(fd_worst, float(np.linalg.norm(fd - grad)) / denom)
+            denom = max(1.0, _norm(grad))
+            fd_worst = max(fd_worst, _norm(fd - grad) / denom)
     moved = project(a + grad)
-    residual = float(np.linalg.norm(moved - a))
+    residual = _norm(moved - a)
+    if residual <= cfg.tol:
+        status = "converged"
+    log.append(val)
+    return a, val, b, it, residual, status, tuple(log), fd_worst
+
+
+def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarray:
+    """argmax over ||x||_2 <= radius of rhs . x - x . cov . x / 2.
+
+    ``cov`` is positive semidefinite. The maximizer solves
+    (cov + lam I) x = rhs with lam >= 0 and lam (||x|| - radius) = 0.
+    In the eigenbasis of cov, 1/||x(lam)|| - 1/radius is increasing and
+    concave in lam, so Newton steps from a lam left of the root climb to
+    it monotonically. Eigen-directions with no curvature and no rhs
+    component are left out (the model is flat along them), which keeps
+    the step free of rounding noise there.
+    """
+    eps = np.finfo(float).eps
+    mu, vecs = np.linalg.eigh(cov)
+    mu = np.where(mu > 64.0 * eps * mu.size * max(float(mu[-1]), 1e-300), mu, 0.0)
+    r = vecs.T @ rhs
+    flat = mu == 0.0
+    r[flat & (np.abs(r) <= 64.0 * eps * (1.0 + float(np.abs(rhs).max())))] = 0.0
+    r_flat = _norm(r[flat])
+    if r_flat == 0.0:
+        coef = np.divide(r, mu, out=np.zeros_like(r), where=~flat)
+        if _norm(coef) <= radius:
+            return vecs @ coef
+    lam = r_flat / radius
+    for _ in range(100):
+        denom = mu + lam
+        coef = np.divide(r, denom, out=np.zeros_like(r), where=denom > 0.0)
+        nrm = _norm(coef)
+        if nrm <= radius:
+            break
+        slope = float((coef**2 / np.where(denom > 0.0, denom, np.inf)).sum()) / nrm**3
+        step = (1.0 / radius - 1.0 / nrm) / slope
+        if not step > 1e-15 * lam:
+            break
+        lam += step
+    return project_ball(vecs @ coef, 2.0, radius)
+
+
+def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
+    """Projected Newton ascent for KL on the 2-ball of ``radius``.
+
+    Same return tuple, stopping rule, value log and finite-difference
+    cross-check as :func:`_ascend`. The Armijo test allows a few ulps of
+    the objective's terms as slack: near the optimum the true gain of a
+    Newton step is below the rounding error of J, and without the slack
+    backtracking rejects steps that are in fact exact.
+    """
+
+    def project(x):
+        return project_ball(x, 2.0, radius)
+
+    a = np.zeros(obj.m_p.shape[0])
+    val, grad, cov, b, size = obj.kl_moments(a)
+    log = [val]
+    fd_worst = 0.0
+    status = "not_converged"
+    stagnant = 0
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        if _norm(project(a + grad) - a) <= cfg.tol:
+            status = "converged"
+            break
+        d = _ball_model_max(cov, grad + cov @ a, radius) - a
+        gain = float(grad @ d)
+        slack = 8.0 * np.finfo(float).eps * (1.0 + size)
+        s = 1.0
+        while s > 1e-15:
+            cand = project(a + s * d)
+            cand_out = obj.kl_moments(cand)
+            if cand_out[0] >= val + 1e-4 * s * gain - slack:
+                break
+            s *= 0.5
+        else:
+            # No ascent left at float resolution.
+            break
+        if cand_out[0] - val <= 1e-15 * max(1.0, abs(val)):
+            stagnant += 1
+            if stagnant >= 30:
+                # Progress is below float resolution.
+                break
+        else:
+            stagnant = 0
+        a = cand
+        val, grad, cov, b, size = cand_out
+        if it % LOG_EVERY == 0:
+            log.append(val)
+            fd = obj.fd_gradient(a)
+            denom = max(1.0, _norm(grad))
+            fd_worst = max(fd_worst, _norm(fd - grad) / denom)
+    residual = _norm(project(a + grad) - a)
     if residual <= cfg.tol:
         status = "converged"
     log.append(val)
@@ -305,8 +432,11 @@ def restricted_div_primal(
     def project(x):
         return project_ball(x, spec.p, radius)
 
-    scale = radius if spec.radius.is_finite else 1.0
-    out, notes = _solve_starts(obj, project, cfg, not spec.radius.is_finite, g, scale)
+    if obj._is_kl and spec.p == 2.0 and spec.radius.is_finite:
+        out, notes = _newton_kl_ball(obj, radius, cfg), ()
+    else:
+        scale = radius if spec.radius.is_finite else 1.0
+        out, notes = _solve_starts(obj, project, cfg, not spec.radius.is_finite, g, scale)
     a, val, b, it, residual, status, log, fd_worst = out
     if status == "unbounded":
         return SolveReport(

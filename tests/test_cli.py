@@ -119,10 +119,12 @@ def test_unknown_generator_in_instance(tmp_path, instance_doc):
 
 
 def test_not_converged_exit_code(tmp_path, instance_doc):
-    # One iteration with an absurd tolerance cannot converge.
+    # One iteration with an absurd tolerance cannot converge. The
+    # optimum is interior: on one feature a Newton step lands exactly on
+    # a boundary optimum, where the residual is exactly zero.
     instance_doc["p"] = "P"
     instance_doc["q"] = "Q"
-    instance_doc["discriminator"]["radius"] = 0.5
+    instance_doc["discriminator"]["radius"] = 5.0
     instance_doc["primal_config"] = {"max_iters": 1, "tol": 1e-300}
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(instance_doc))
@@ -135,8 +137,8 @@ def test_not_converged_exit_code(tmp_path, instance_doc):
 
 
 def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
-    # The KL ascent stops on its float-resolution floor (residual ~8e-8,
-    # above tol 1e-8) while the gap is certified to ~1e-14.
+    # One primal iteration leaves the solve short of tol (residual
+    # ~3e-5) while the dual certifies the gap to ~3e-9.
     P, Q, phi = random_instance(40, 6, 2)
     doc = {
         "space": {"labels": list(P.space.labels)},
@@ -146,6 +148,7 @@ def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
         "discriminator": {"variant": "linear_ball", "features": "phi", "p": 2, "radius": 0.1},
         "p": "P",
         "q": "Q",
+        "primal_config": {"max_iters": 1},
     }
     path = tmp_path / "stall.json"
     path.write_text(json.dumps(doc))

@@ -204,6 +204,17 @@ def test_fgan_iteration_cap_noted(three_point):
     assert any("max_iters=20" in note for note in rep.notes)
 
 
+def test_fgan_inner_solve_converges_on_finite_ball(three_point):
+    # The KL 2-ball Newton path reaches FitConfig.inner_tol, which the
+    # first-order ascent could not.
+    space, base = three_point
+    fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 0.0]]))
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    data = make_dist(space, [0.2, 0.5, 0.3])
+    rep = fit_linear_fgan(fam, data, KL, phi, finite(1.0), FitConfig(starts=2, max_iters=20))
+    assert rep.trajectory["inner_status"] == "converged"
+
+
 def test_fgan_converged_fit_has_no_cap_note():
     space = OutcomeSpace.of_size(2)
     phi = FeatureMap(space, [[0.0, 1.0]])

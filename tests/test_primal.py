@@ -10,12 +10,14 @@ from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
 from fdual.primal import (
     PrimalConfig,
+    _ascend,
     _ReducedObjective,
     project_ball,
     regularized_div_primal,
     restricted_div_primal,
 )
-from fdual.space import FeatureMap, OutcomeSpace, make_dist, random_instance, feature_means
+from fdual.space import Dist, FeatureMap, OutcomeSpace, make_dist, random_instance, feature_means
+from fdual.verify import brute_force_primal
 
 KL = builtin("kl")
 
@@ -209,3 +211,57 @@ def test_value_log_monotone_enough():
     rep = restricted_div_primal(builtin("js_gan"), P, Q, LinearBall(phi, 2, finite(1.0)))
     log = rep.value_log
     assert log[-1] == max(log)
+
+
+def _kl_ball_cases():
+    # Random KL instances on 2-balls: full-support Q, and Q with its last
+    # outcome dropped (a feature direction P can push along unboundedly).
+    for seed in range(6):
+        for n, k in ((3, 1), (5, 2), (8, 2)):
+            P, Q, phi = random_instance(300 + seed, n, k)
+            q = Q.p.copy()
+            if seed % 2:
+                q[-1] = 0.0
+                Q = Dist(Q.space, q / q.sum())
+            for radius in (0.1, 1.0, 10.0):
+                yield P, Q, phi, radius
+
+
+def test_kl_newton_matches_ascent_and_grid():
+    interior = boundary = 0
+    for P, Q, phi, radius in _kl_ball_cases():
+        spec = LinearBall(phi, 2, finite(radius))
+        rep = restricted_div_primal(KL, P, Q, spec, PrimalConfig(tol=1e-10))
+        v = float(rep.value)
+        assert rep.status == "converged"
+        assert rep.iterations <= 20
+        nrm = float(np.linalg.norm(rep.coefficients))
+        assert nrm <= radius * (1 + 1e-12)
+        if nrm < radius * (1 - 1e-6):
+            interior += 1
+        else:
+            boundary += 1
+        obj = _ReducedObjective(KL, P, Q, phi)
+        ascent = _ascend(obj, lambda x: project_ball(x, 2.0, radius), PrimalConfig(), False)
+        assert v == pytest.approx(ascent[1], abs=1e-9)
+        if phi.k == 1:
+            bf = brute_force_primal(KL, P, Q, spec, radius / 200.0)
+            assert bf.value <= v + 1e-9
+            assert v <= bf.value + bf.error_bound
+    assert interior >= 10 and boundary >= 10
+
+
+def test_kl_newton_accepts_steps_within_rounding():
+    # Near the optimum the true gain of a Newton step is below the
+    # rounding error of J; an Armijo test without slack rejects exact
+    # steps there and the solve stops short of tol.
+    space = OutcomeSpace.of_size(3)
+    P = make_dist(space, [0.2, 0.5, 0.3])
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    spec = LinearBall(phi, 2, finite(1.0))
+    qs = [[0.47885051, 0.04229898, 0.47885051]]
+    qs += [[1.0, math.exp(t), 1.0] for t in np.linspace(-4.0, 1.0, 201)]
+    for q in qs:
+        rep = restricted_div_primal(KL, P, make_dist(space, q), spec, PrimalConfig(tol=1e-10))
+        assert rep.status == "converged"
+        assert rep.iterations < 20
