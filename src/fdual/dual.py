@@ -29,7 +29,8 @@ is a certified upper bound regardless of which route produced it.
 
 ``moment_projection`` solves the infinite-radius case: the closest
 dominated distribution with prescribed feature means. For the KL
-generator this is an exponential tilt found by damped Newton on the
+generator this is the exponential tilt of Q at the infinite-radius
+primal discriminator, found by the primal's Newton solve on the
 log-partition function; other generators run an augmented-Lagrangian
 loop with entropic inner descents.
 """
@@ -49,13 +50,27 @@ from .discriminator import (
     QuadraticCoefficientPenalty,
     RegularizerSpec,
     dual_exponent,
+    holder_extremal,
 )
-from .divergence import df_closed
-from .errors import EmptyFeasible, ValidationError
+from .divergence import df_closed, r_functional
+from .errors import EmptyFeasible, Unbounded, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator
-from .primal import PrimalConfig, SolveReport, restricted_div_primal
-from .space import Dist, FeatureMap, _require_same_space, absolutely_continuous, feature_means
+from .primal import (
+    PrimalConfig,
+    SolveReport,
+    project_ball,
+    regularized_div_primal,
+    restricted_div_primal,
+)
+from .space import (
+    Dist,
+    FeatureMap,
+    FunctionOnSpace,
+    _require_same_space,
+    absolutely_continuous,
+    feature_means,
+)
 
 __all__ = [
     "DualConfig",
@@ -66,7 +81,6 @@ __all__ = [
 ]
 
 LOG_EVERY = 50
-THETA_BOX = 1e3
 
 
 @dataclass(frozen=True)
@@ -327,12 +341,6 @@ def _tilt_polish(
     scored through the exact objective, so the tracked best value is a
     certified upper bound no matter how the search terminates.
     """
-    from .discriminator import holder_extremal
-    from .divergence import r_functional
-    from .errors import Unbounded
-    from .primal import project_ball
-    from .space import FunctionOnSpace
-
     state = {"best_val": float(best_val), "best_ps": best_ps, "b_hint": None}
 
     def tilt_value(theta: np.ndarray) -> float:
@@ -502,89 +510,40 @@ def moment_projection(
     Returns status ``infeasible`` with value +inf (and the runaway tilt
     direction as certificate coefficients) when the target means fall
     outside the achievable hull.
+
+    For KL the projection is the tilt of Q at the optimal coefficients
+    of the infinite-radius linear discriminator, and its value is that
+    discriminator's supremum, so the primal Newton solve gives both; a
+    supremum that grows along a ray means the target is unreachable.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
     _require_same_space(P, phi)
-    target = feature_means(P, phi)
-    if g.name == "kl":
-        return _kl_moment_projection(g, Q, phi, target)
-    return _generic_moment_projection(g, Q, phi, target, cfg)
-
-
-def _kl_moment_projection(g, Q: Dist, phi: FeatureMap, target: np.ndarray) -> SolveReport:
+    if g.name != "kl":
+        return _generic_moment_projection(g, Q, phi, feature_means(P, phi), cfg)
+    pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(tol=1e-10))
+    a = pr.coefficients
+    if pr.status == "unbounded":
+        return SolveReport(
+            value=POS_INF,
+            coefficients=a / float(np.linalg.norm(a)),
+            iterations=pr.iterations,
+            residual=pr.residual,
+            status="infeasible",
+            attained=False,
+            notes=("target means outside the achievable hull",),
+        )
     mask = Q.p > 0.0
-    qs = Q.p[mask]
-    phis = phi.values[:, mask]
-    k = phis.shape[0]
-    logq = np.log(qs)
-    theta = np.zeros(k)
-
-    def parts(th):
-        logw = logq + th @ phis
-        m = float(np.max(logw))
-        w = np.exp(logw - m)
-        z = float(w.sum())
-        ps = w / z
-        a_val = m + math.log(z)  # log-partition
-        return ps, a_val
-
-    ps, a_val = parts(theta)
-    obj = a_val - float(theta @ target)
-    it = 0
-    for it in range(1, 201):
-        grad = phis @ ps - target
-        if float(np.max(np.abs(grad))) <= 1e-10:
-            value = float(theta @ target) - a_val
-            # value equals KL(P'||Q) at matched moments
-            return SolveReport(
-                value=finite(max(value, 0.0)),
-                coefficients=theta,
-                pprime=_embed(Q.space, mask, ps),
-                iterations=it,
-                residual=float(np.max(np.abs(grad))),
-                status="converged",
-                attained=True,
-                value_log=(max(value, 0.0),),
-            )
-        if float(np.linalg.norm(theta)) > THETA_BOX and float(np.linalg.norm(grad)) > 1e-8:
-            direction = theta / float(np.linalg.norm(theta))
-            return SolveReport(
-                value=POS_INF,
-                coefficients=direction,
-                iterations=it,
-                residual=float(np.max(np.abs(grad))),
-                status="infeasible",
-                attained=False,
-                notes=("target means outside the achievable hull",),
-            )
-        centered = phis - (phis @ ps)[:, None]
-        cov = (centered * ps) @ centered.T + 1e-12 * np.eye(k)
-        step = np.linalg.solve(cov, -grad)
-        # Damped Newton: halve the step until the objective decreases.
-        t = 1.0
-        accepted = False
-        while t > 1e-14:
-            cand = theta + t * step
-            ps_c, a_c = parts(cand)
-            obj_c = a_c - float(cand @ target)
-            if obj_c < obj:
-                theta, ps, a_val, obj = cand, ps_c, a_c, obj_c
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    grad = phis @ ps - target
-    res = float(np.max(np.abs(grad)))
-    value = float(theta @ target) - a_val
+    hs = a @ phi.values[:, mask]
+    w = Q.p[mask] * np.exp(hs - np.max(hs))
+    value = max(float(pr.value), 0.0)
     return SolveReport(
         value=finite(value),
-        coefficients=theta,
-        pprime=_embed(Q.space, mask, ps),
-        iterations=it,
-        residual=res,
-        status="converged" if res <= 1e-8 else "not_converged",
+        coefficients=a,
+        pprime=_embed(Q.space, mask, w / w.sum()),
+        iterations=pr.iterations,
+        residual=pr.residual,
+        status=pr.status,
         attained=True,
         value_log=(value,),
     )
@@ -691,22 +650,14 @@ def duality_gap(
     below every logged dual value; the worst pairwise violation is
     reported alongside the final gap.
     """
-    if isinstance(spec, LinearBall) and not spec.intercept:
-        return GapReport(
-            primal=None, dual=None, primal_value=finite(0.0), dual_value=finite(0.0),
-            abs_gap=math.nan, rel_gap=math.nan, weak_duality_worst=math.nan,
-            status="not_applicable",
-        )
-    if isinstance(spec, IndicatorOf) and isinstance(spec.spec, LinearBall) and not spec.spec.intercept:
-        return GapReport(
-            primal=None, dual=None, primal_value=finite(0.0), dual_value=finite(0.0),
-            abs_gap=math.nan, rel_gap=math.nan, weak_duality_worst=math.nan,
-            status="not_applicable",
-        )
     p_spec = spec.spec if isinstance(spec, IndicatorOf) else spec
+    if isinstance(p_spec, LinearBall) and not p_spec.intercept:
+        return GapReport(
+            primal=None, dual=None, primal_value=finite(0.0), dual_value=finite(0.0),
+            abs_gap=math.nan, rel_gap=math.nan, weak_duality_worst=math.nan,
+            status="not_applicable",
+        )
     if isinstance(p_spec, QuadraticCoefficientPenalty):
-        from .primal import regularized_div_primal
-
         p_rep = regularized_div_primal(g, P, Q, p_spec, primal_cfg)
     else:
         p_rep = restricted_div_primal(g, P, Q, p_spec, primal_cfg)

@@ -27,9 +27,10 @@ import numpy as np
 
 from .discriminator import LinearBall
 from .divergence import kl_bar
+from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
 from .extreal import ExtReal, POS_INF, finite
-from .fgen import FGenerator
+from .fgen import FGenerator, builtin
 from .primal import PrimalConfig, restricted_div_primal
 from .space import (
     Dist,
@@ -156,60 +157,6 @@ def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext, inner_tol: float)
     return out
 
 
-def _tilt_newton(base: Dist, psi: FeatureMap, target: np.ndarray, tol: float = 1e-10):
-    """Newton solve for the tilt matching the target psi-means.
-
-    Returns (theta, member_mass_vector, converged). The log-partition
-    objective is strictly convex when the features are independent on
-    the support; near-degenerate covariance is ridge-regularized. The
-    final verdict is based on the achieved moment gap (1e-8 scale),
-    since the last Newton steps improve the objective by less than
-    float resolution.
-    """
-    qs = base.p
-    phis = psi.values
-    k = phis.shape[0]
-    theta = np.zeros(k)
-    logq = np.log(qs)
-
-    def parts(th):
-        logw = logq + th @ phis
-        m = float(np.max(logw))
-        w = np.exp(logw - m)
-        z = float(w.sum())
-        return w / z, m + math.log(z)
-
-    ps, a_val = parts(theta)
-    obj = a_val
-    runaway = False
-    for _ in range(200):
-        grad = phis @ ps - target
-        if float(np.max(np.abs(grad))) <= tol:
-            break
-        if float(np.linalg.norm(theta)) > 1e3:
-            runaway = True
-            break
-        centered = phis - (phis @ ps)[:, None]
-        cov = (centered * ps) @ centered.T + 1e-12 * np.eye(k)
-        step = np.linalg.solve(cov, -grad)
-        t = 1.0
-        moved = False
-        while t > 1e-14:
-            cand = theta + t * step
-            ps_c, a_c = parts(cand)
-            obj_c = a_c - float(cand @ target)
-            if obj_c < obj:
-                theta, ps, obj = cand, ps_c, obj_c
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    gap = float(np.max(np.abs(phis @ ps - target)))
-    converged = (not runaway) and gap <= max(tol, 1e-8)
-    return theta, ps, converged
-
-
 def fit_mle(
     fam: GeneratorFamily,
     Pdata: Dist,
@@ -219,8 +166,8 @@ def fit_mle(
     """Maximum likelihood: minimize KL(data || member).
 
     On the full simplex the optimum is the data itself. For an
-    exponential family the optimum matches the data's psi-means, found
-    by damped Newton on the log-partition function.
+    exponential family the optimum matches the data's psi-means: it is
+    the KL moment projection of the base onto those means.
     """
     cfg = cfg or FitConfig()
     ctx = cross_context or CrossContext()
@@ -236,14 +183,14 @@ def fit_mle(
         )
     if not absolutely_continuous(Pdata, fam.base):
         raise SupportViolation("data is not dominated by the family base")
-    target = feature_means(Pdata, fam.psi)
-    theta, ps, converged = _tilt_newton(fam.base, fam.psi, target)
-    q_star = Dist(fam.space, ps)
+    mp = moment_projection(builtin("kl"), Pdata, fam.base, fam.psi)
+    converged = mp.status == "converged"
+    q_star = mp.pprime
     objective = float(kl_bar(Pdata, q_star).value)
     return FitReport(
         estimator="mle",
         q_star=q_star,
-        theta=theta,
+        theta=mp.coefficients,
         objective=objective,
         cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
         trajectory={"starts": 1, "converged": converged},
@@ -334,7 +281,8 @@ def fit_gmm(
     """Moment matching: minimize || E_data[phi] - E_member[phi] ||_2.
 
     The full simplex admits many moment-matched members; the maximum
-    entropy one (minimum KL to uniform) is returned for determinism.
+    entropy one (the KL moment projection of the uniform distribution)
+    is returned for determinism.
     Exponential families are fit by multistart descent on the squared
     gap, which is smooth in the tilt parameter.
     """
@@ -347,16 +295,16 @@ def fit_gmm(
 
     if isinstance(fam, FullSimplex):
         uniform = make_dist(fam.space, np.ones(fam.space.n))
-        theta, ps, converged = _tilt_newton(uniform, phi, target)
-        q_star = Dist(fam.space, ps)
+        mp = moment_projection(builtin("kl"), Pdata, uniform, phi)
+        q_star = mp.pprime
         objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
         return FitReport(
             estimator="gmm",
             q_star=q_star,
-            theta=theta,
+            theta=mp.coefficients,
             objective=objective,
             cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
-            trajectory={"starts": 1, "converged": converged},
+            trajectory={"starts": 1, "converged": mp.status == "converged"},
             notes=("maximum entropy representative of the moment-matched face",),
         )
 
@@ -397,9 +345,8 @@ def fit_linear_fgan(
     The outer landscape over family parameters is generally nonconvex,
     so seeded multistart descent with central-difference gradients is
     used; the inner discriminator problem is solved to high accuracy
-    per evaluation. For the KL generator with an unconstrained
-    coefficient set the inner value reduces to a moment projection and
-    is computed by the Newton tilt directly.
+    per evaluation (for KL on a 2-ball or an unconstrained coefficient
+    set, by the primal's Newton solve).
     """
     cfg = cfg or FitConfig()
     if not isinstance(radius, ExtReal):
@@ -408,16 +355,9 @@ def fit_linear_fgan(
     dim = family_dim(fam)
     spec = LinearBall(phi, 2, radius)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
-    target = feature_means(Pdata, phi)
-    use_tilt_shortcut = g.name == "kl" and not radius.is_finite
 
     def fun(theta):
         member = family_member(fam, theta)
-        if use_tilt_shortcut:
-            th, ps, converged = _tilt_newton(Dist(member.space, member.p), phi, target)
-            if not converged:
-                return math.inf
-            return float(th @ target) - _log_partition(member, phi, th)
         rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
         return float(rep.value)
 
@@ -450,8 +390,3 @@ def fit_linear_fgan(
         notes=notes,
     )
 
-
-def _log_partition(base: Dist, phi: FeatureMap, theta: np.ndarray) -> float:
-    logw = np.log(np.maximum(base.p, 1e-300)) + theta @ phi.values
-    m = float(np.max(logw))
-    return m + math.log(float(np.sum(np.exp(logw - m))))

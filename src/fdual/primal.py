@@ -10,17 +10,22 @@ with R the intercept-optimized conjugate term from
 with a backtracking (Armijo) line search; the gradient is
 ``E_P[phi] - E_Q~[phi]`` where Q~ reweights Q by the conjugate slope at
 the optimal intercept, and it is cross-checked against central finite
-differences every 50 iterations. The KL generator short-circuits to
-the log-partition closed form.
+differences every 50 iterations.
 
-KL on a finite 2-ball takes a second-order path instead: R is the log
-partition function, so one exponential per iterate gives the value,
-the gradient ``E_P[phi] - E_{Q_a}[phi]`` and the Hessian
-``-Cov_{Q_a}(phi)`` of the tilt Q_a of Q. Each step maximizes the
-quadratic model over the ball by solving the secular equation of its
-Lagrange multiplier, then backtracks on the exact value. The stopping
-rule, the value log and the finite-difference cross-check are the
-ascent's.
+KL on a 2-ball, and KL at infinite radius for any p, takes a
+second-order path instead: R is the log partition function, so one
+exponential per iterate gives the value, the gradient
+``E_P[phi] - E_{Q_a}[phi]`` and the Hessian ``-Cov_{Q_a}(phi)`` of the
+tilt Q_a of Q. Each step maximizes the quadratic model over the ball
+(at infinite radius, over a trust ball around the iterate) by solving
+the secular equation of its Lagrange multiplier, then backtracks on the
+exact value. The stopping rule, the value log and the finite-difference
+cross-check are the ascent's; at infinite radius an iterate that
+separates E_P[phi] from the features on supp Q certifies the value
+unbounded. This is the only Newton loop on the KL log partition
+function: the KL moment projection of :mod:`fdual.dual`, and through it
+the exponential-family fits of :mod:`fdual.estimators`, call it at
+infinite radius.
 """
 
 from __future__ import annotations
@@ -290,12 +295,31 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
         nrm = _norm(coef)
         if nrm <= radius:
             break
+        if not nrm < 1e100:
+            # Curvature this far below rhs is rounding: the model is linear,
+            # and the secular equation would overflow.
+            return vecs @ (r * (radius / _norm(r)))
         slope = float((coef**2 / np.where(denom > 0.0, denom, np.inf)).sum()) / nrm**3
         step = (1.0 / radius - 1.0 / nrm) / slope
         if not step > 1e-15 * lam:
             break
         lam += step
     return project_ball(vecs @ coef, 2.0, radius)
+
+
+def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
+    """Whether a . E_P[phi] exceeds a . phi on all of supp Q.
+
+    Then J(t a) >= t (a . E_P[phi] - max a . phi) grows without bound,
+    so ``a`` certifies that the KL supremum is infinite: E_P[phi] lies
+    outside the hull of the features on supp Q. The margin must clear
+    the rounding of E_P[phi] (a sum over n outcomes) and of the two dot
+    products (k terms each).
+    """
+    margin = float(a @ obj.m_p) - float(np.max(a @ obj.phi_s))
+    k, n = obj.phi.values.shape
+    scale = float(np.abs(a) @ np.max(np.abs(obj.phi.values), axis=1))
+    return margin > 8.0 * (n + k) * np.finfo(float).eps * scale
 
 
 def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
@@ -306,11 +330,28 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
     the objective's terms as slack: near the optimum the true gain of a
     Newton step is below the rounding error of J, and without the slack
     backtracking rejects steps that are in fact exact.
+
+    At infinite radius the step maximizes the model over a trust ball
+    around ``a`` instead, of radius ``RAY_NORM`` at first and then twice
+    the last accepted step. Where the tilt of Q has collapsed onto few
+    atoms the model's curvature is at rounding level, and where the
+    model is flat along a gradient direction it has no maximizer at
+    all; the trust ball keeps either from throwing the iterate far off.
+    The solve stops ``unbounded`` as soon as ``a`` certifies it
+    (:func:`_separates`).
     """
 
     def project(x):
         return project_ball(x, 2.0, radius)
 
+    infinite = math.isinf(radius)
+
+    def residual_at(a, grad):
+        # Without a ball the projected step is the gradient itself, and
+        # forming (a + grad) - a would lose it once a has grown large.
+        return _norm(grad) if infinite else _norm(project(a + grad) - a)
+
+    trust = RAY_NORM
     a = np.zeros(obj.m_p.shape[0])
     val, grad, cov, b, size = obj.kl_moments(a)
     log = [val]
@@ -319,11 +360,20 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
     stagnant = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        if _norm(project(a + grad) - a) <= cfg.tol:
+        if residual_at(a, grad) <= cfg.tol:
             status = "converged"
             break
-        d = _ball_model_max(cov, grad + cov @ a, radius) - a
+        if infinite:
+            if _separates(obj, a):
+                status = "unbounded"
+                break
+            d = _ball_model_max(cov, grad, trust)
+        else:
+            d = _ball_model_max(cov, grad + cov @ a, radius) - a
         gain = float(grad @ d)
+        if infinite and not gain > 0.0:
+            # The model has no ascent left at float resolution.
+            break
         slack = 8.0 * np.finfo(float).eps * (1.0 + size)
         s = 1.0
         while s > 1e-15:
@@ -344,12 +394,13 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
             stagnant = 0
         a = cand
         val, grad, cov, b, size = cand_out
+        trust = 2.0 * s * _norm(d)
         if it % LOG_EVERY == 0:
             log.append(val)
             fd = obj.fd_gradient(a)
             denom = max(1.0, _norm(grad))
             fd_worst = max(fd_worst, _norm(fd - grad) / denom)
-    residual = _norm(project(a + grad) - a)
+    residual = residual_at(a, grad)
     if residual <= cfg.tol:
         status = "converged"
     log.append(val)
@@ -432,7 +483,7 @@ def restricted_div_primal(
     def project(x):
         return project_ball(x, spec.p, radius)
 
-    if obj._is_kl and spec.p == 2.0 and spec.radius.is_finite:
+    if obj._is_kl and (spec.p == 2.0 or not spec.radius.is_finite):
         out, notes = _newton_kl_ball(obj, radius, cfg), ()
     else:
         scale = radius if spec.radius.is_finite else 1.0

@@ -22,7 +22,7 @@ from .errors import TooManyFeatures, UnknownSuite, ValidationError
 from .estimators import FullSimplex, fit_linear_fgan
 from .extreal import POS_INF, finite
 from .fgen import builtin, builtin_names, check_generator
-from .primal import PrimalConfig, restricted_div_primal
+from .primal import restricted_div_primal
 from .space import (
     Dist,
     FeatureMap,
@@ -266,18 +266,23 @@ def _suite_moment_projection(seed: int, count: int) -> SuiteResult:
             k = 1 + (i % 3)
             P, Q, phi = random_instance(seed * 6029 + i, n, k)
             mp = moment_projection(kl, P, Q, phi)
-            target = feature_means(P, phi)
-            res = float(np.max(np.abs(feature_means(mp.pprime, phi) - target)))
-            # Near-degenerate feature covariance makes first-order ascent
-            # crawl; the route comparison buys the iterations it needs.
-            pr = restricted_div_primal(
-                kl, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(max_iters=200_000)
-            )
+            gap = feature_means(mp.pprime, phi) - feature_means(P, phi)
+            res = float(np.max(np.abs(gap)))
+            pr = restricted_div_primal(kl, P, Q, LinearBall(phi, 2, POS_INF))
             dv = abs(float(mp.value) - float(pr.value))
-            ok = res <= 1e-8 and dv <= 1e-5
-            viol = max(res, dv)
+            # Both routes run the same Newton solver, so the closed form
+            # checks them independently. By Donsker-Varadhan, KL(P'||Q)
+            # bounds a . E_P'[phi] - log E_Q[exp(a . phi)] from above, which
+            # is the discriminator value at a up to a . (E_P'[phi] - E_P[phi]).
+            kl_pprime = float(df_closed(kl, mp.pprime, Q).value)
+            bound = kl_pprime - float(pr.value)
+            slack = float(np.linalg.norm(pr.coefficients)) * float(np.linalg.norm(gap))
+            slack += 1e-12 * max(1.0, kl_pprime)
+            ok = res <= 1e-8 and dv <= 1e-5 and -slack <= bound <= 1e-5
+            viol = max(res, dv, abs(bound))
             records.append(
-                {"i": i, "kind": "feasible", "n": n, "k": k, "residual": res, "value_dev": dv, "ok": ok}
+                {"i": i, "kind": "feasible", "n": n, "k": k, "residual": res, "value_dev": dv,
+                 "closed_form_excess": bound, "ok": ok}
             )
         passes += ok
         worst = max(worst, viol)

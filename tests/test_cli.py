@@ -159,6 +159,22 @@ def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
     assert float(results["rel_gap"]) <= 1e-4
 
 
+def test_primal_exit_code_on_face_of_feature_hull(tmp_path, instance_doc):
+    # At infinite radius the supremum (log 3) is only approached along a
+    # ray; the solve still converges on the gradient residual.
+    instance_doc["space"] = {"labels": ["x1", "x2", "x3"]}
+    instance_doc["dists"] = {"P": [1.0, 0.0, 0.0], "Q": [1.0, 1.0, 1.0]}
+    instance_doc["features"] = {"phi": [[0.0, 1.0, 2.0]]}
+    del instance_doc["family"], instance_doc["data"]
+    path = tmp_path / "face.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "face_report.json")
+    assert main(["primal", "--instance", str(path), "--out", out]) == 0
+    results = _load(out)["results"]
+    assert results["status"] == "converged"
+    assert float(results["value"]) == pytest.approx(math.log(3.0), abs=1e-8)
+
+
 def test_byte_identical_reports(instance_path, tmp_path, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -107,6 +107,27 @@ def test_moment_projection_residual_and_primal_match():
         assert abs(float(mp.value) - float(pr.value)) <= 1e-5
 
 
+@pytest.mark.parametrize("p", [[0.1, 0.3, 0.6], [1.0, 0.0, 0.0]])
+def test_kl_moment_projection_invariant_to_feature_scale(p):
+    # Shrinking the features stretches the optimal tilt coefficients past
+    # any fixed norm; reachable means must still converge, to the same
+    # value up to the absolute moment tolerance. P = (1, 0, 0) sits on a
+    # vertex of the hull: the value log 3 is approached along a ray and
+    # never attained.
+    space = OutcomeSpace.of_size(3)
+    P = make_dist(space, p)
+    Q = make_dist(space, [1.0, 1.0, 1.0])
+    values = []
+    for scale in (1.0, 1e-2, 1e-4):
+        phi = FeatureMap(space, [[0.0, scale, 2.0 * scale]])
+        mp = moment_projection(KL, P, Q, phi)
+        assert mp.status == "converged"
+        gap = feature_means(mp.pprime, phi) - feature_means(P, phi)
+        assert float(np.max(np.abs(gap))) <= 1e-8
+        values.append(float(mp.value))
+    assert max(values) - min(values) <= 1e-6
+
+
 def test_generic_moment_projection_matches_primal():
     for name in ("pearson_chi2", "squared_hellinger", "js_gan"):
         g = builtin(name)

@@ -223,27 +223,30 @@ def _kl_ball_cases():
             if seed % 2:
                 q[-1] = 0.0
                 Q = Dist(Q.space, q / q.sum())
-            for radius in (0.1, 1.0, 10.0):
+            for radius in (0.1, 1.0, 10.0, math.inf):
                 yield P, Q, phi, radius
 
 
 def test_kl_newton_matches_ascent_and_grid():
     interior = boundary = 0
     for P, Q, phi, radius in _kl_ball_cases():
-        spec = LinearBall(phi, 2, finite(radius))
+        unbounded = math.isinf(radius)
+        spec = LinearBall(phi, 2, POS_INF if unbounded else finite(radius))
         rep = restricted_div_primal(KL, P, Q, spec, PrimalConfig(tol=1e-10))
         v = float(rep.value)
         assert rep.status == "converged"
         assert rep.iterations <= 20
+        obj = _ReducedObjective(KL, P, Q, phi)
+        ascent = _ascend(obj, lambda x: project_ball(x, 2.0, radius), PrimalConfig(), unbounded)
+        assert v == pytest.approx(ascent[1], abs=1e-9)
+        if unbounded:
+            continue
         nrm = float(np.linalg.norm(rep.coefficients))
         assert nrm <= radius * (1 + 1e-12)
         if nrm < radius * (1 - 1e-6):
             interior += 1
         else:
             boundary += 1
-        obj = _ReducedObjective(KL, P, Q, phi)
-        ascent = _ascend(obj, lambda x: project_ball(x, 2.0, radius), PrimalConfig(), False)
-        assert v == pytest.approx(ascent[1], abs=1e-9)
         if phi.k == 1:
             bf = brute_force_primal(KL, P, Q, spec, radius / 200.0)
             assert bf.value <= v + 1e-9
@@ -265,3 +268,17 @@ def test_kl_newton_accepts_steps_within_rounding():
         rep = restricted_div_primal(KL, P, make_dist(space, q), spec, PrimalConfig(tol=1e-10))
         assert rep.status == "converged"
         assert rep.iterations < 20
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_kl_infinite_radius_face_of_feature_hull(p):
+    # P sits on a vertex of Q's feature hull: the supremum log 3 is
+    # approached as a -> -inf and never attained.
+    space = OutcomeSpace.of_size(3)
+    P = make_dist(space, [1.0, 0.0, 0.0])
+    Q = make_dist(space, [1.0, 1.0, 1.0])
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    rep = restricted_div_primal(KL, P, Q, LinearBall(phi, p, POS_INF))
+    assert rep.status == "converged"
+    assert rep.iterations <= 25
+    assert float(rep.value) == pytest.approx(math.log(3.0), abs=1e-8)
