@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -588,7 +589,9 @@ def _cmd_verify_suite(args) -> int:
     return 0 if res.ok else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fdual",
         description="Restricted divergence duality toolkit on finite spaces.",

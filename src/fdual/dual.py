@@ -28,11 +28,11 @@ last. The reported value is the best unsmoothed evaluation seen; it
 is a certified upper bound regardless of which route produced it.
 
 ``moment_projection`` solves the infinite-radius case: the closest
-dominated distribution with prescribed feature means. For the KL
-generator this is the exponential tilt of Q at the infinite-radius
-primal discriminator, found by the primal's Newton solve on the
-log-partition function; other generators run an augmented-Lagrangian
-loop with entropic inner descents.
+dominated distribution with prescribed feature means. It is the
+conjugate-slope tilt of Q at the infinite-radius primal discriminator,
+found by the primal's Newton solve for every smooth generator. Total
+variation, whose conjugate has kinks, runs an augmented-Lagrangian loop
+with entropic inner descents.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def restricted_div_dual(
         if not reg.spec.intercept:
             raise ValidationError("intercept-free linear classes are not dual-representable")
         if not reg.spec.radius.is_finite:
-            return moment_projection(g, P, Q, reg.spec.phi, cfg)
+            return moment_projection(g, P, Q, reg.spec.phi)
 
     obj = _DualObjective(g, P, Q, reg, cfg.smoothing_eps)
     space, mask, qs = obj.space, obj.mask, obj.qs
@@ -258,7 +258,13 @@ def restricted_div_dual(
     # conjugate-slope tilt refinement for boundary optima.
     theta_mp = None
     if is_ball and not certified(best_val):
-        best_val, best_ps, theta_mp = _try_mp_candidate(g, P, Q, reg, obj, best_val, best_ps, mask)
+        # Scored on the unsmoothed objective: an upper bound even off the moments.
+        mp = moment_projection(g, P, Q, reg.spec.phi)
+        if mp.value.is_finite:
+            theta_mp, ps = mp.coefficients, mp.pprime.p[mask]
+            v = obj.value(ps)
+            if v < best_val:
+                best_val, best_ps = v, ps.copy()
     if not certified(best_val):
         best_val, best_ps = _tilt_polish(
             g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
@@ -484,75 +490,55 @@ def _newton_polish(obj: "_DualObjective", best_val: float, best_ps: np.ndarray, 
     return best_val, best_ps
 
 
-def _try_mp_candidate(g, P, Q, reg, obj, best_val, best_ps, mask):
-    """Score the moment-projection point as a feasible dual candidate.
-
-    The candidate is re-evaluated through the full (unsmoothed) dual
-    objective, so the returned value stays a certified upper bound even
-    when the projection stopped short of exact moment match.
-    """
-    mp = moment_projection(g, P, Q, reg.spec.phi, DualConfig())
-    if mp.value.is_finite and mp.pprime is not None:
-        ps = mp.pprime.p[mask]
-        v = obj.value(ps)
-        if v < best_val:
-            return v, ps.copy(), mp.coefficients
-        return best_val, best_ps, mp.coefficients
-    return best_val, best_ps, None
-
-
-def moment_projection(
-    g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, cfg: DualConfig | None = None
-) -> SolveReport:
+def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> SolveReport:
     """Closest dominated distribution with the feature means of P.
 
     Minimizes D(P'||Q) over P' << Q subject to E_P'[phi] = E_P[phi].
-    Returns status ``infeasible`` with value +inf (and the runaway tilt
-    direction as certificate coefficients) when the target means fall
-    outside the achievable hull.
-
-    For KL the projection is the tilt of Q at the optimal coefficients
-    of the infinite-radius linear discriminator, and its value is that
-    discriminator's supremum, so the primal Newton solve gives both; a
-    supremum that grows along a ray means the target is unreachable.
+    It is the conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q
+    at the optimal infinite-radius linear discriminator, whose supremum
+    is its value. A supremum growing along a ray means the target is
+    unreachable: status ``infeasible``, value +inf, and the unit ray
+    direction as certificate. On a face of the achievable hull
+    ``attained`` is false. ``converged`` needs a moment residual of at
+    most 1e-8. Where f* has kinks (total variation) the slope is not
+    unique and the tilt misses the moments, so an augmented-Lagrangian
+    loop solves the projection instead.
     """
-    cfg = cfg or DualConfig()
     _require_same_space(P, Q)
     _require_same_space(P, phi)
-    if g.name != "kl":
-        return _generic_moment_projection(g, Q, phi, feature_means(P, phi), cfg)
+    if not g.conjugate_smooth:
+        return _lagrangian_moment_projection(g, Q, phi, feature_means(P, phi))
     pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(tol=1e-10))
     a = pr.coefficients
     if pr.status == "unbounded":
         return SolveReport(
-            value=POS_INF,
-            coefficients=a / float(np.linalg.norm(a)),
-            iterations=pr.iterations,
-            residual=pr.residual,
-            status="infeasible",
-            attained=False,
-            notes=("target means outside the achievable hull",),
+            value=POS_INF, coefficients=a / float(np.linalg.norm(a)), iterations=pr.iterations,
+            residual=pr.residual, status="infeasible", attained=False,
+            notes=("target means unreachable at finite divergence",),
         )
     mask = Q.p > 0.0
-    hs = a @ phi.values[:, mask]
-    w = Q.p[mask] * np.exp(hs - np.max(hs))
+    with np.errstate(over="ignore"):  # PIN entries of h_opt give slopes of exactly 0
+        w = Q.p[mask] * g.fstar_prime_vec(pr.h_opt.values[mask])
+    pprime = _embed(Q.space, mask, w / w.sum())
+    residual = float(np.linalg.norm(feature_means(pprime, phi) - feature_means(P, phi)))
     value = max(float(pr.value), 0.0)
     return SolveReport(
         value=finite(value),
         coefficients=a,
-        pprime=_embed(Q.space, mask, w / w.sum()),
+        pprime=pprime,
         iterations=pr.iterations,
-        residual=pr.residual,
-        status=pr.status,
-        attained=True,
+        residual=residual,
+        status=pr.status if residual <= 1e-8 else "not_converged",
+        attained=pr.attained,
         value_log=(value,),
+        notes=pr.notes,
     )
 
 
-def _generic_moment_projection(
-    g: FGenerator, Q: Dist, phi: FeatureMap, target: np.ndarray, cfg: DualConfig
+def _lagrangian_moment_projection(
+    g: FGenerator, Q: Dist, phi: FeatureMap, target: np.ndarray
 ) -> SolveReport:
-    """Augmented-Lagrangian moment projection for non-KL generators.
+    """Augmented-Lagrangian moment projection, for generators whose f* has kinks.
 
     Inner subproblems (divergence plus multiplier and quadratic terms)
     are smooth on the support simplex and solved by entropic descent

@@ -185,16 +185,20 @@ def fit_mle(
         raise SupportViolation("data is not dominated by the family base")
     mp = moment_projection(builtin("kl"), Pdata, fam.base, fam.psi)
     converged = mp.status == "converged"
+    notes = () if converged else ("tilt Newton stopped before matching psi-means",)
+    if not mp.attained:
+        notes += ("data psi-means lie on a face of the family's hull: no maximum-likelihood "
+                  "parameter exists, and q_star is the limit member on that face",)
     q_star = mp.pprime
     objective = float(kl_bar(Pdata, q_star).value)
     return FitReport(
         estimator="mle",
         q_star=q_star,
-        theta=mp.coefficients,
+        theta=mp.coefficients if mp.attained else None,
         objective=objective,
         cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
         trajectory={"starts": 1, "converged": converged},
-        notes=() if converged else ("tilt Newton stopped before matching psi-means",),
+        notes=notes,
     )
 
 
@@ -298,14 +302,18 @@ def fit_gmm(
         mp = moment_projection(builtin("kl"), Pdata, uniform, phi)
         q_star = mp.pprime
         objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
+        notes = ("maximum entropy representative of the moment-matched face",)
+        if not mp.attained:
+            notes += ("data phi-means lie on a face of the features' hull: no tilt of the "
+                      "uniform distribution matches them, and q_star is the limit on that face",)
         return FitReport(
             estimator="gmm",
             q_star=q_star,
-            theta=mp.coefficients,
+            theta=mp.coefficients if mp.attained else None,
             objective=objective,
             cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
             trajectory={"starts": 1, "converged": mp.status == "converged"},
-            notes=("maximum entropy representative of the moment-matched face",),
+            notes=notes,
         )
 
     dim = family_dim(fam)
@@ -345,8 +353,8 @@ def fit_linear_fgan(
     The outer landscape over family parameters is generally nonconvex,
     so seeded multistart descent with central-difference gradients is
     used; the inner discriminator problem is solved to high accuracy
-    per evaluation (for KL on a 2-ball or an unconstrained coefficient
-    set, by the primal's Newton solve).
+    per evaluation (for a smooth generator on a 2-ball or an
+    unconstrained coefficient set, by the primal's Newton solve).
     """
     cfg = cfg or FitConfig()
     if not isinstance(radius, ExtReal):

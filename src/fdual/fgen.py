@@ -12,18 +12,19 @@ and are enforced by :func:`check_generator`:
 * ``f*`` is non-decreasing (because ``f`` is infinite left of zero);
 * ``sup_t (t - f*(t)) = 0`` (because ``f(1) = 0``).
 
-Closed-form conjugates used here, all derived under ``x >= 0``:
+Closed-form conjugates used here, all derived under ``x >= 0``, with
+the second derivative of each smooth conjugate:
 
-==================  ===========================  ==========================
-name                f(x), x >= 0                 f*(t)
-==================  ===========================  ==========================
-kl                  x ln x                       e^(t-1)
-reverse_kl          -ln x                        -1 - ln(-t)   for t < 0
-js_gan              x ln x - (x+1) ln((x+1)/2)   -ln(2 - e^t)  for t < ln 2
-pearson_chi2        (x - 1)^2                    t + t^2/4 for t >= -2, else -1
-squared_hellinger   (sqrt(x) - 1)^2              t / (1 - t)   for t < 1
-total_variation     |x - 1| / 2                  max(t, -1/2)  for t <= 1/2
-==================  ===========================  ==========================
+==================  ===========================  ===============================  ====================
+name                f(x), x >= 0                 f*(t)                            f*''(t)
+==================  ===========================  ===============================  ====================
+kl                  x ln x                       e^(t-1)                          e^(t-1)
+reverse_kl          -ln x                        -1 - ln(-t)   for t < 0          1 / t^2
+js_gan              x ln x - (x+1) ln((x+1)/2)   -ln(2 - e^t)  for t < ln 2       2 e^t / (2 - e^t)^2
+pearson_chi2        (x - 1)^2                    t + t^2/4 for t >= -2, else -1   1/2 [t > -2]
+squared_hellinger   (sqrt(x) - 1)^2              t / (1 - t)   for t < 1          2 / (1 - t)^3
+total_variation     |x - 1| / 2                  max(t, -1/2)  for t <= 1/2       none (kink at -1/2)
+==================  ===========================  ===============================  ====================
 
 ``js_gan`` is the classic adversarial-game generator
 ``x ln x - (x+1) ln(x+1)`` normalized by the affine offset
@@ -67,6 +68,8 @@ class FGenerator:
     ever takes the value -infinity). ``fstar_prime`` is a non-decreasing
     subgradient selection of ``f*``, valid wherever ``f*`` is finite,
     and ``f_prime`` likewise for ``f`` on the open positive axis.
+    ``fstar_second_vec`` is the second derivative of ``f*`` (Pearson's
+    one-sided at its kink t = -2); it is ``None`` when ``f*`` has kinks.
     """
 
     name: str
@@ -78,9 +81,12 @@ class FGenerator:
     fstar_domain_closed: bool
     fprime_at_infinity: ExtReal
     f_at_zero: ExtReal
-    # False when f* has kinks: stationarity of a subgradient selection
-    # then certifies nothing, and first-order solvers need multistart.
-    conjugate_smooth: bool = True
+    fstar_second_vec: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def conjugate_smooth(self) -> bool:
+        """False when f* has kinks, where first-order solvers need multistart."""
+        return self.fstar_second_vec is not None
 
     def f(self, x: float) -> ExtReal:
         vals, fin = self.f_vec(np.array([float(x)]))
@@ -140,6 +146,7 @@ def _kl() -> FGenerator:
         fstar_domain_closed=False,
         fprime_at_infinity=POS_INF,
         f_at_zero=finite(0.0),
+        fstar_second_vec=lambda t: np.exp(np.minimum(t, 700.0) - 1.0),
     )
 
 
@@ -160,6 +167,7 @@ def _reverse_kl() -> FGenerator:
         fstar_domain_closed=False,
         fprime_at_infinity=finite(0.0),
         f_at_zero=POS_INF,
+        fstar_second_vec=lambda t: (1.0 / np.minimum(t, -1e-300)) ** 2,
     )
 
 
@@ -195,6 +203,7 @@ def _js_gan() -> FGenerator:
         fstar_domain_closed=False,
         fprime_at_infinity=finite(LN2),
         f_at_zero=finite(LN2),
+        fstar_second_vec=lambda t: np.exp(t - LN2) / np.minimum(np.expm1(t - LN2), -1e-300) ** 2,
     )
 
 
@@ -217,6 +226,7 @@ def _pearson_chi2() -> FGenerator:
         fstar_domain_closed=False,
         fprime_at_infinity=POS_INF,
         f_at_zero=finite(1.0),
+        fstar_second_vec=lambda t: np.where(t > -2.0, 0.5, 0.0),
     )
 
 
@@ -237,6 +247,7 @@ def _squared_hellinger() -> FGenerator:
         fstar_domain_closed=False,
         fprime_at_infinity=finite(1.0),
         f_at_zero=finite(1.0),
+        fstar_second_vec=lambda t: 2.0 / np.maximum(1.0 - t, 1e-300) ** 3,
     )
 
 
@@ -258,7 +269,6 @@ def _total_variation() -> FGenerator:
         fstar_domain_closed=True,
         fprime_at_infinity=finite(0.5),
         f_at_zero=finite(0.5),
-        conjugate_smooth=False,
     )
 
 

@@ -6,32 +6,32 @@ exactly, leaving the reduced concave objective
     J(a) = a . E_P[phi] - R(a . phi)
 
 with R the intercept-optimized conjugate term from
-:mod:`fdual.divergence`. J is maximized by projected gradient ascent
-with a backtracking (Armijo) line search; the gradient is
-``E_P[phi] - E_Q~[phi]`` where Q~ reweights Q by the conjugate slope at
-the optimal intercept, and it is cross-checked against central finite
-differences every 50 iterations.
+:mod:`fdual.divergence`. Its gradient is ``E_P[phi] - E_Q~[phi]``,
+where Q~ reweights Q by the conjugate slope q_i f*'(a . phi_i + b*) at
+the optimal intercept b*, and its Hessian is ``-(sum w) Cov_w(phi)``
+with w_i = q_i f*''(a . phi_i + b*) (for KL, w = Q~).
 
-KL on a 2-ball, and KL at infinite radius for any p, takes a
-second-order path instead: R is the log partition function, so one
-exponential per iterate gives the value, the gradient
-``E_P[phi] - E_{Q_a}[phi]`` and the Hessian ``-Cov_{Q_a}(phi)`` of the
-tilt Q_a of Q. Each step maximizes the quadratic model over the ball
-(at infinite radius, over a trust ball around the iterate) by solving
-the secular equation of its Lagrange multiplier, then backtracks on the
-exact value. The stopping rule, the value log and the finite-difference
-cross-check are the ascent's; at infinite radius an iterate that
-separates E_P[phi] from the features on supp Q certifies the value
-unbounded. This is the only Newton loop on the KL log partition
-function: the KL moment projection of :mod:`fdual.dual`, and through it
-the exponential-family fits of :mod:`fdual.estimators`, call it at
-infinite radius.
+Every smooth generator is solved by one projected Newton loop, on a
+2-ball, at infinite radius for any p, and under the quadratic
+coefficient penalty. At infinite radius the loop also certifies an
+unbounded value, or a face of the feature hull along whose normal the
+supremum is approached; the moment projection of :mod:`fdual.dual`,
+and through it the exponential-family fits of :mod:`fdual.estimators`,
+read the conjugate-slope tilt of that solve. Total variation, whose
+conjugate has kinks, and p in {1, inf} balls of finite radius run
+projected gradient ascent with a backtracking (Armijo) line search.
+Both loops share the stopping rule, the value log and a
+finite-difference gradient check every 50 iterations. Smooth
+generators take the optimal intercept from a safeguarded Newton
+iteration, total variation from the bisection of ``r_functional``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,10 @@ __all__ = [
 
 LOG_EVERY = 50
 RAY_NORM = 1e3
+# h of an atom pinned off a face: f* there is -f(0) to the last bit.
+PIN = -1e300
+# Gap in a . phi that makes a split of supp Q a face candidate (see _face).
+FACE_GAP = 8.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,13 @@ def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
 
 
 class _ReducedObjective:
-    """J(a) = a . m_P - R(a . phi) - quad_weight * ||a||_2^2."""
+    """J(a) = a . m_P - R(a . phi) - quad_weight * ||a||_2^2.
+
+    ``pin`` (None, or 0 or ``PIN`` per atom of supp Q, added to h by
+    :meth:`_hs`) holds atoms off a face at h = -inf,
+    where f* = -f(0) and f*' = f*'' = 0 to the last bit: J is then the
+    objective on the face plus f(0) times the mass off it.
+    """
 
     def __init__(self, g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, quad_weight: float = 0.0):
         _require_same_space(P, Q)
@@ -140,9 +150,10 @@ class _ReducedObjective:
         self.g = g
         self.m_p = feature_means(P, phi)
         self.quad_weight = quad_weight
-        mask = Q.p > 0.0
-        self.qs = Q.p[mask]
-        self.phi_s = phi.values[:, mask]
+        self.mask = Q.p > 0.0
+        self.qs = Q.p[self.mask]
+        self.phi_s = phi.values[:, self.mask]
+        self.pin: np.ndarray | None = None
         self.Q = Q
         self.phi = phi
         self.space = P.space
@@ -156,6 +167,10 @@ class _ReducedObjective:
             m = float(np.max(hs))
             lse = m + math.log(float(self.qs @ np.exp(hs - m)))
             return lse, 1.0 - lse
+        if self.g.conjugate_smooth:
+            b = self._intercept(hs)
+            fs, _ = self.g.fstar_vec(hs + b)
+            return float(self.qs @ fs) - b, b
         h_full = FunctionOnSpace(self.space, a @ self.phi.values)
         val, b = r_functional(self.g, self.Q, h_full, b_hint=self._b_hint)
         self._b_hint = b
@@ -176,38 +191,101 @@ class _ReducedObjective:
         val = float(a @ self.m_p) - r_val - self.quad_weight * float(a @ a)
         return val, grad, b
 
-    def kl_moments(self, a: np.ndarray):
-        """KL only: (J(a), grad J(a), Cov_{Q_a}(phi), intercept, size).
-
-        ``size`` is the magnitude of the two terms of J, the scale of
-        its rounding error.
-        """
+    def _hs(self, a: np.ndarray) -> np.ndarray:
         hs = a @ self.phi_s
-        m = float(hs.max())
-        e = self.qs * np.exp(hs - m)
-        z = float(e.sum())
-        w = e / z
-        lse = m + math.log(z)
-        lin = float(a @ self.m_p)
-        mean = self.phi_s @ w
-        centered = self.phi_s - mean[:, None]
-        cov = (centered * w) @ centered.T
-        return lin - lse, self.m_p - mean, cov, 1.0 - lse, abs(lin) + abs(lse)
+        return hs if self.pin is None else hs + self.pin
 
-    def fd_gradient(self, a: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    def _intercept(self, hs: np.ndarray) -> float:
+        """b* with d(b) = E_Q[f*'(h + b)] - 1 = 0, by safeguarded Newton steps.
+
+        d is nondecreasing and convex, d(f'(1) - max h) <= 0 as f*'(f'(1))
+        = 1, and d -> +inf at the end U - max h of the domain of f*. Newton
+        steps land right of the root, then descend to it monotonically.
+        """
+        g, qs, top = self.g, self.qs, float(hs.max())
+        lo, hi = g.f_prime(1.0) - top, g.fstar_box_upper(math.inf, margin=0.0) - top
+        b = self._b_hint if self._b_hint is not None and lo < self._b_hint < hi else lo
+        for _ in range(200):
+            t = hs + b
+            excess = float(qs @ g.fstar_prime_vec(t)) - 1.0
+            lo, hi = (lo, b) if excess > 0.0 else (b, hi)
+            slope = float(qs @ g.fstar_second_vec(t))
+            nb = b - excess / slope if slope > 0.0 else hi
+            if excess == 0.0 or abs(nb - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)):
+                break
+            b = nb if lo < nb < hi else 0.5 * (lo + hi)
+        self._b_hint = b
+        return b
+
+    def moments(self, a: np.ndarray):
+        """(J(a), grad J(a), C, intercept, size), C = -Hessian of J.
+
+        ``size`` is the magnitude of the terms of J, the scale of its
+        rounding error.
+        """
+        hs = self._hs(a)
+        lin = float(a @ self.m_p)
+        if self._is_kl:
+            m = float(hs.max())
+            e = self.qs * np.exp(hs - m)
+            z = float(e.sum())
+            w = e / z
+            r = m + math.log(z)
+            b = 1.0 - r
+            size = abs(lin) + abs(r)
+            mean = mu = self.phi_s @ w
+        else:
+            g = self.g
+            # Pinned atoms overflow to slopes of exactly 0.
+            with np.errstate(over="ignore"):
+                b = self._intercept(hs)
+                t = hs + b
+                fs, _ = g.fstar_vec(t)
+                w = self.qs * g.fstar_second_vec(t)
+                mean = self.phi_s @ (self.qs * g.fstar_prime_vec(t))
+            r = float(self.qs @ fs) - b
+            size = abs(lin) + float(self.qs @ np.abs(fs)) + abs(b)
+            mu = self.phi_s @ w / float(w.sum())
+        centered = self.phi_s - mu[:, None]
+        cov = (centered * w) @ centered.T
+        val = lin - r
+        grad = self.m_p - mean
+        if self.quad_weight:
+            quad = self.quad_weight * float(a @ a)
+            val -= quad
+            size += quad
+            grad = grad - 2.0 * self.quad_weight * a
+            cov = cov + 2.0 * self.quad_weight * np.eye(a.size)
+        return val, grad, cov, b, size
+
+    def fd_gradient(self, a: np.ndarray, value=None, step: float = 1e-6) -> np.ndarray:
+        value = value or self.value
         out = np.empty_like(a)
         for j in range(a.size):
             e = np.zeros_like(a)
             e[j] = step
-            out[j] = (self.value(a + e) - self.value(a - e)) / (2.0 * step)
+            out[j] = (value(a + e) - value(a - e)) / (2.0 * step)
         return out
+
+
+class _Solve(NamedTuple):
+    """A solver's result; ``obj`` is the objective solved (pinned on a face)."""
+
+    a: np.ndarray
+    value: float
+    intercept: float
+    iterations: int
+    residual: float
+    status: str
+    log: tuple[float, ...]
+    fd_worst: float
+    obj: _ReducedObjective
 
 
 def _ascend(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool, a0=None):
     """Projected gradient ascent with Armijo backtracking.
 
-    Returns (a, value, intercept, iterations, residual, status, log,
-    fd_worst). Ray detection flags an objective that keeps improving
+    Returns a :class:`_Solve`. Ray detection flags an objective that keeps improving
     along an unbounded direction (only possible without a ball).
     """
     a = np.zeros(obj.m_p.shape[0]) if a0 is None else np.asarray(a0, dtype=float).copy()
@@ -263,7 +341,7 @@ def _ascend(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool
     if residual <= cfg.tol:
         status = "converged"
     log.append(val)
-    return a, val, b, it, residual, status, tuple(log), fd_worst
+    return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj)
 
 
 def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarray:
@@ -307,29 +385,70 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
     return project_ball(vecs @ coef, 2.0, radius)
 
 
-def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
-    """Whether a . E_P[phi] exceeds a . phi on all of supp Q.
-
-    Then J(t a) >= t (a . E_P[phi] - max a . phi) grows without bound,
-    so ``a`` certifies that the KL supremum is infinite: E_P[phi] lies
-    outside the hull of the features on supp Q. The margin must clear
-    the rounding of E_P[phi] (a sum over n outcomes) and of the two dot
-    products (k terms each).
-    """
-    margin = float(a @ obj.m_p) - float(np.max(a @ obj.phi_s))
+def _rounding(obj: _ReducedObjective, a: np.ndarray) -> float:
+    """Rounding bound of a . (phi_i - E_P[phi]), sums of n and k terms."""
     k, n = obj.phi.values.shape
     scale = float(np.abs(a) @ np.max(np.abs(obj.phi.values), axis=1))
-    return margin > 8.0 * (n + k) * np.finfo(float).eps * scale
+    return 8.0 * (n + k) * np.finfo(float).eps * scale
 
 
-def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
-    """Projected Newton ascent for KL on the 2-ball of ``radius``.
+def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
+    """Whether a . E_P[phi] exceeds a . phi on all unpinned atoms, beyond rounding.
 
-    Same return tuple, stopping rule, value log and finite-difference
-    cross-check as :func:`_ascend`. The Armijo test allows a few ulps of
-    the objective's terms as slack: near the optimum the true gain of a
-    Newton step is below the rounding error of J, and without the slack
-    backtracking rejects steps that are in fact exact.
+    Then J(t a) >= t (a . E_P[phi] - max a . phi) grows without bound:
+    E_P[phi] lies outside the hull of those features.
+    """
+    return float(a @ obj.m_p) - float(np.max(obj._hs(a))) > _rounding(obj, a)
+
+
+def _face(obj: _ReducedObjective, a: np.ndarray):
+    """(face mask over supp Q, unit normal) of a face of the feature hull
+    that E_P[phi] lies on, or None.
+
+    Along a face normal the iterate keeps the face atoms O(1) apart in
+    a . phi while the others fall O(||a||) below, so each split of the
+    unpinned atoms at a gap above ``FACE_GAP`` is a candidate. The part n
+    of ``a`` normal to the candidate features (relative to E_P[phi])
+    certifies it when n . (phi_i - E_P[phi]) is zero on them and negative
+    on the other unpinned atoms, beyond rounding. Then J(a + t n) tends to
+    the objective on the face plus f(0) times the mass off it, and as
+    f* >= -f(0) no a does better. Only generators with f'(0) = -inf get
+    here: where f*' vanishes below a finite f'(0), pinning takes a finite
+    step and the loop attains the face value itself.
+    """
+    u = a @ obj.phi_s
+    free = u if obj.pin is None else u[obj.pin == 0.0]
+    if float(free.max() - free.min()) <= FACE_GAP:
+        return None
+    with np.errstate(divide="ignore"):
+        if obj.g.f_prime(0.0) > -math.inf:
+            return None
+    free = np.arange(u.size) if obj.pin is None else np.flatnonzero(obj.pin == 0.0)
+    rel = obj.phi_s - obj.m_p[:, None]
+    order = free[np.argsort(-u[free], kind="stable")]
+    for cut in np.flatnonzero(u[order[:-1]] - u[order[1:]] > FACE_GAP):
+        on, off = order[: cut + 1], order[cut + 1 :]
+        basis, sing, _ = np.linalg.svd(rel[:, on], full_matrices=False)
+        basis = basis[:, sing > sing[0] * max(rel.shape) * np.finfo(float).eps]
+        normal = a - basis @ (basis.T @ a)
+        nrm = _norm(normal)
+        if nrm == 0.0:
+            continue
+        normal /= nrm
+        v, tol = normal @ rel, _rounding(obj, normal)
+        if np.all(np.abs(v[on]) <= tol) and np.all(v[off] < -tol):
+            return np.isin(np.arange(u.size), on), normal
+    return None
+
+
+def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _Solve:
+    """Projected Newton ascent on the 2-ball of ``radius``, any smooth f.
+
+    Same stopping rule, value log and finite-difference cross-check as
+    :func:`_ascend`. The Armijo test allows a few ulps of the objective's
+    terms as slack: near the optimum the true gain of a Newton step is
+    below the rounding error of J, and without the slack backtracking
+    rejects steps that are in fact exact.
 
     At infinite radius the step maximizes the model over a trust ball
     around ``a`` instead, of radius ``RAY_NORM`` at first and then twice
@@ -337,14 +456,19 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
     atoms the model's curvature is at rounding level, and where the
     model is flat along a gradient direction it has no maximizer at
     all; the trust ball keeps either from throwing the iterate far off.
-    The solve stops ``unbounded`` as soon as ``a`` certifies it
-    (:func:`_separates`).
+    Without a coefficient penalty the solve stops ``unbounded`` as soon
+    as ``a`` certifies it (:func:`_separates`). If f*' > 0 everywhere
+    (f'(0) = -inf) and ``a`` certifies a face (:func:`_face`), the
+    supremum is not attained: it is +inf if f(0) is, with the face normal
+    as certificate, and otherwise the loop goes on with the atoms off the
+    face pinned. Where f*' vanishes (Pearson), the plain loop attains it.
     """
 
     def project(x):
         return project_ball(x, 2.0, radius)
 
     infinite = math.isinf(radius)
+    rays = infinite and not obj.quad_weight
 
     def residual_at(a, grad):
         # Without a ball the projected step is the gradient itself, and
@@ -353,18 +477,30 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
 
     trust = RAY_NORM
     a = np.zeros(obj.m_p.shape[0])
-    val, grad, cov, b, size = obj.kl_moments(a)
+    val, grad, cov, b, size = obj.moments(a)
     log = [val]
     fd_worst = 0.0
     status = "not_converged"
     stagnant = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
+        face = _face(obj, a) if rays else None
+        if face is not None:
+            on, normal = face
+            if not obj.g.f_at_zero.is_finite:
+                return _Solve(normal, math.inf, b, it, residual_at(a, grad), "unbounded",
+                              tuple(log), fd_worst, obj)
+            on_face = copy.copy(obj)
+            on_face.pin = np.where(on, 0.0, PIN)
+            budget = replace(cfg, max_iters=cfg.max_iters - it + 1)
+            sub = _newton_ball(on_face, radius, budget)
+            return sub._replace(iterations=it - 1 + sub.iterations, log=tuple(log) + sub.log,
+                                fd_worst=max(fd_worst, sub.fd_worst))
         if residual_at(a, grad) <= cfg.tol:
             status = "converged"
             break
         if infinite:
-            if _separates(obj, a):
+            if rays and _separates(obj, a):
                 status = "unbounded"
                 break
             d = _ball_model_max(cov, grad, trust)
@@ -378,14 +514,14 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
         s = 1.0
         while s > 1e-15:
             cand = project(a + s * d)
-            cand_out = obj.kl_moments(cand)
+            cand_out = obj.moments(cand)
             if cand_out[0] >= val + 1e-4 * s * gain - slack:
                 break
             s *= 0.5
         else:
             # No ascent left at float resolution.
             break
-        if cand_out[0] - val <= 1e-15 * max(1.0, abs(val)):
+        if cand_out[0] - val <= max(1e-15 * max(1.0, abs(val)), slack):
             stagnant += 1
             if stagnant >= 30:
                 # Progress is below float resolution.
@@ -397,19 +533,17 @@ def _newton_kl_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig):
         trust = 2.0 * s * _norm(d)
         if it % LOG_EVERY == 0:
             log.append(val)
-            fd = obj.fd_gradient(a)
+            fd = obj.fd_gradient(a, lambda x: obj.moments(x)[0])
             denom = max(1.0, _norm(grad))
             fd_worst = max(fd_worst, _norm(fd - grad) / denom)
     residual = residual_at(a, grad)
     if residual <= cfg.tol:
         status = "converged"
     log.append(val)
-    return a, val, b, it, residual, status, tuple(log), fd_worst
+    return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj)
 
 
-def _solve_starts(
-    obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool, g: FGenerator, scale: float
-):
+def _solve_starts(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool, scale: float):
     """Run the ascent, adding seeded restarts for nonsmooth conjugates.
 
     A kink of f* can stall the subgradient selection at a
@@ -419,7 +553,7 @@ def _solve_starts(
     bounds; the concatenated log is reported.
     """
     notes: tuple[str, ...] = ()
-    if g.conjugate_smooth:
+    if obj.g.conjugate_smooth:
         out = _ascend(obj, project, cfg, detect_ray)
         return out, notes
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, obj.m_p.shape[0]]))
@@ -430,20 +564,45 @@ def _solve_starts(
     fd_worst = 0.0
     for a0 in starts:
         out = _ascend(obj, project, cfg, detect_ray, a0)
-        total_iters += out[3]
-        logs.extend(out[6])
-        fd_worst = max(fd_worst, out[7])
-        if out[5] == "unbounded":
+        total_iters += out.iterations
+        logs.extend(out.log)
+        fd_worst = max(fd_worst, out.fd_worst)
+        if out.status == "unbounded":
             best = out
             break
-        if best is None or out[1] > best[1]:
+        if best is None or out.value > best.value:
             best = out
-    a, val, b, _, residual, status, _, _ = best
     notes = (
         "nonsmooth conjugate: stationarity of a subgradient selection does "
         "not certify optimality; best of seeded multistart reported",
     )
-    return (a, val, b, total_iters, residual, status, tuple(logs), fd_worst), notes
+    return best._replace(iterations=total_iters, log=tuple(logs), fd_worst=fd_worst), notes
+
+
+def _report(out: _Solve, phi: FeatureMap, notes: tuple[str, ...]) -> SolveReport:
+    """SolveReport of a linear-class solve.
+
+    On a face the optimal discriminator is -inf off the face; ``h_opt``
+    holds ``PIN`` there, where f*' is 0 and f* is -f(0) to the last bit.
+    """
+    common = dict(coefficients=out.a, intercept=out.intercept, iterations=out.iterations,
+                  residual=out.residual, value_log=out.log, fd_gradient_worst=out.fd_worst)
+    if out.status == "unbounded":
+        return SolveReport(value=POS_INF, status="unbounded", attained=False, notes=notes, **common)
+    h = out.a @ phi.values + out.intercept
+    attained = out.obj.pin is None
+    if not attained:
+        h[out.obj.mask] += out.obj.pin
+        notes += ("supremum approached along a face normal of the feature hull, not attained; "
+                  "coefficients solve the problem restricted to that face",)
+    return SolveReport(
+        value=finite(out.value),
+        h_opt=FunctionOnSpace(phi.space, h),
+        status=out.status,
+        attained=attained,
+        notes=notes,
+        **common,
+    )
 
 
 def restricted_div_primal(
@@ -451,11 +610,13 @@ def restricted_div_primal(
 ) -> SolveReport:
     """Divergence restricted to a discriminator class, supremum side.
 
-    The full space delegates to the separable variational solver; a
-    linear ball runs the reduced ascent. An infinite-radius ball with
-    feature means unreachable inside the support of Q makes the
+    The full space delegates to the separable variational solver. A
+    linear ball runs the Newton loop for smooth generators on a 2-ball or
+    at infinite radius, and the reduced ascent otherwise. At infinite
+    radius, feature means unreachable inside the support of Q make the
     objective grow along a ray, reported as status ``unbounded`` with
-    value +inf.
+    value +inf, and means on a face of the features' hull give a
+    supremum that is not attained (``attained`` false).
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
@@ -480,41 +641,13 @@ def restricted_div_primal(
     radius = float(spec.radius)
     obj = _ReducedObjective(g, P, Q, spec.phi)
 
-    def project(x):
-        return project_ball(x, spec.p, radius)
-
-    if obj._is_kl and (spec.p == 2.0 or not spec.radius.is_finite):
-        out, notes = _newton_kl_ball(obj, radius, cfg), ()
+    if g.conjugate_smooth and (spec.p == 2.0 or math.isinf(radius)):
+        out, notes = _newton_ball(obj, radius, cfg), ()
     else:
         scale = radius if spec.radius.is_finite else 1.0
-        out, notes = _solve_starts(obj, project, cfg, not spec.radius.is_finite, g, scale)
-    a, val, b, it, residual, status, log, fd_worst = out
-    if status == "unbounded":
-        return SolveReport(
-            value=POS_INF,
-            coefficients=a,
-            intercept=b,
-            iterations=it,
-            residual=residual,
-            status="unbounded",
-            attained=False,
-            value_log=log,
-            fd_gradient_worst=fd_worst,
-            notes=notes,
-        )
-    return SolveReport(
-        value=finite(val),
-        coefficients=a,
-        intercept=b,
-        h_opt=FunctionOnSpace(P.space, a @ spec.phi.values + b),
-        iterations=it,
-        residual=residual,
-        status=status,
-        attained=True,
-        value_log=log,
-        fd_gradient_worst=fd_worst,
-        notes=notes,
-    )
+        project = lambda x: project_ball(x, spec.p, radius)
+        out, notes = _solve_starts(obj, project, cfg, math.isinf(radius), scale)
+    return _report(out, spec.phi, notes)
 
 
 def regularized_div_primal(
@@ -522,25 +655,15 @@ def regularized_div_primal(
 ) -> SolveReport:
     """Soft-regularized divergence: maximize J(a) - weight * ||a||_2^2.
 
-    Strongly concave and unconstrained, so plain backtracking ascent
-    converges from the zero start.
+    Strongly concave and unconstrained: smooth generators run the Newton
+    loop without a ball, total variation the seeded backtracking ascent.
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
     _require_same_space(P, reg.phi)
     obj = _ReducedObjective(g, P, Q, reg.phi, quad_weight=reg.weight)
-    out, notes = _solve_starts(obj, lambda x: x, cfg, False, g, 1.0)
-    a, val, b, it, residual, status, log, fd_worst = out
-    return SolveReport(
-        value=finite(val),
-        coefficients=a,
-        intercept=b,
-        h_opt=FunctionOnSpace(P.space, a @ reg.phi.values + b),
-        iterations=it,
-        residual=residual,
-        notes=notes,
-        status=status,
-        attained=True,
-        value_log=log,
-        fd_gradient_worst=fd_worst,
-    )
+    if g.conjugate_smooth:
+        out, notes = _newton_ball(obj, math.inf, cfg), ()
+    else:
+        out, notes = _solve_starts(obj, lambda x: x, cfg, False, 1.0)
+    return _report(out, reg.phi, notes)

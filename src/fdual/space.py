@@ -56,7 +56,8 @@ class OutcomeSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        # From a list: tuple(generator) resizes and fills CPython's tuple free lists.
+        labels = tuple([str(x) for x in self.labels])
         object.__setattr__(self, "labels", labels)
         if len(labels) < 1:
             raise DimensionMismatch("outcome space needs at least one outcome")
@@ -71,7 +72,7 @@ class OutcomeSpace:
     def of_size(n: int, prefix: str = "x") -> "OutcomeSpace":
         if n < 1:
             raise DimensionMismatch("outcome space needs at least one outcome")
-        return OutcomeSpace(tuple(f"{prefix}{i + 1}" for i in range(n)))
+        return OutcomeSpace(tuple([f"{prefix}{i + 1}" for i in range(n)]))
 
 
 def _require_same_space(a, b) -> None:

@@ -250,6 +250,7 @@ def _suite_moment_projection(seed: int, count: int) -> SuiteResult:
     passes = 0
     worst = 0.0
     kl = builtin("kl")
+    smooth = [name for name in builtin_names() if builtin(name).conjugate_smooth]
     for i in range(count):
         infeasible = i % 5 == 4
         if infeasible:
@@ -264,25 +265,26 @@ def _suite_moment_projection(seed: int, count: int) -> SuiteResult:
         else:
             n = 3 + (i % 8)
             k = 1 + (i % 3)
+            g = builtin(smooth[(i - i // 5) % len(smooth)])
             P, Q, phi = random_instance(seed * 6029 + i, n, k)
-            mp = moment_projection(kl, P, Q, phi)
+            mp = moment_projection(g, P, Q, phi)
             gap = feature_means(mp.pprime, phi) - feature_means(P, phi)
             res = float(np.max(np.abs(gap)))
-            pr = restricted_div_primal(kl, P, Q, LinearBall(phi, 2, POS_INF))
+            pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF))
             dv = abs(float(mp.value) - float(pr.value))
             # Both routes run the same Newton solver, so the closed form
-            # checks them independently. By Donsker-Varadhan, KL(P'||Q)
-            # bounds a . E_P'[phi] - log E_Q[exp(a . phi)] from above, which
-            # is the discriminator value at a up to a . (E_P'[phi] - E_P[phi]).
-            kl_pprime = float(df_closed(kl, mp.pprime, Q).value)
-            bound = kl_pprime - float(pr.value)
+            # checks them independently. By Fenchel-Young, D_f(P'||Q) bounds
+            # a . E_P'[phi] - R(a . phi) from above, which is the
+            # discriminator value at a up to a . (E_P'[phi] - E_P[phi]).
+            d_pprime = float(df_closed(g, mp.pprime, Q).value)
+            bound = d_pprime - float(pr.value)
             slack = float(np.linalg.norm(pr.coefficients)) * float(np.linalg.norm(gap))
-            slack += 1e-12 * max(1.0, kl_pprime)
+            slack += 1e-12 * max(1.0, d_pprime)
             ok = res <= 1e-8 and dv <= 1e-5 and -slack <= bound <= 1e-5
             viol = max(res, dv, abs(bound))
             records.append(
-                {"i": i, "kind": "feasible", "n": n, "k": k, "residual": res, "value_dev": dv,
-                 "closed_form_excess": bound, "ok": ok}
+                {"i": i, "kind": "feasible", "generator": g.name, "n": n, "k": k, "residual": res,
+                 "value_dev": dv, "closed_form_excess": bound, "ok": ok}
             )
         passes += ok
         worst = max(worst, viol)

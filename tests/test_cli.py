@@ -240,3 +240,17 @@ def test_quadratic_penalty_via_cli(tmp_path, instance_doc):
     grid = np.arange(-10.0, 10.0, 1e-4)
     oracle = np.max(grid * 0.5 - np.log(0.75 + 0.25 * np.exp(grid)) - grid**2)
     assert float(doc["results"]["value"]) == pytest.approx(float(oracle), abs=1e-6)
+
+
+def test_parser_built_once_per_process(instance_path, tmp_path, capsys):
+    # Requests reuse one parser; a rejected command line leaves it usable.
+    from fdual import cli
+
+    parser = cli._build_parser()
+    assert main(["primal", "--no-such-flag"]) == 1
+    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["primal", "--instance", instance_path, "--out", out1]) == 0
+    assert main(["dual", "--instance", instance_path, "--out", out2]) == 0
+    assert cli._build_parser() is parser
+    assert _load(out1)["command"] == "primal" and "primal_config" in _load(out1)["config"]
+    assert _load(out2)["command"] == "dual" and "dual_config" in _load(out2)["config"]

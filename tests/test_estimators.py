@@ -96,6 +96,19 @@ def test_mle_moment_matching(three_point):
     assert rep.objective == pytest.approx(float(kl_bar(data, rep.q_star).value), abs=1e-12)
 
 
+def test_mle_psi_means_on_face_report_limit_member(three_point):
+    # Data at the vertex psi = 0 of the family's hull: the likelihood keeps
+    # rising as theta -> -inf, so no parameter is reported, and q_star is
+    # the limit member, exactly.
+    space, base = three_point
+    fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 2.0]]))
+    rep = fit_mle(fam, make_dist(space, [1.0, 0.0, 0.0]))
+    assert rep.theta is None
+    assert any("no maximum-likelihood parameter" in note for note in rep.notes)
+    assert np.array_equal(rep.q_star.p, [1.0, 0.0, 0.0])
+    assert rep.objective == 0.0
+
+
 def test_gmm_feasible_moments_reach_zero(three_point):
     space, base = three_point
     phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
@@ -124,6 +137,19 @@ def test_gmm_full_simplex_maxent_representative(three_point):
     # entropy, hence at least the data's own entropy.
     ent = lambda p: -float(np.sum(p[p > 0] * np.log(p[p > 0])))
     assert ent(rep.q_star.p) >= ent(data.p) - 1e-9
+
+
+def test_gmm_full_simplex_means_on_face(three_point):
+    # Data at the vertex phi = 0 of the features' hull: no tilt of the
+    # uniform distribution matches it, so no parameter is reported, and
+    # q_star is the limit on that face, exactly.
+    space, _ = three_point
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    rep = fit_gmm(FullSimplex(space), make_dist(space, [1.0, 0.0, 0.0]), phi)
+    assert rep.theta is None
+    assert any("no tilt of the uniform distribution" in note for note in rep.notes)
+    assert np.array_equal(rep.q_star.p, [1.0, 0.0, 0.0])
+    assert rep.objective == 0.0
 
 
 def test_gmm_mean_outside_family_hull(three_point):

@@ -124,6 +124,22 @@ def test_conjugate_smoothness_flags():
     for name in ALL:
         g = builtin(name)
         assert g.conjugate_smooth is (name != "total_variation")
+        assert (g.fstar_second_vec is not None) is g.conjugate_smooth
+
+
+@pytest.mark.parametrize("name", [n for n in ALL if n != "total_variation"])
+def test_fstar_second_matches_central_differences(name):
+    # Interior grid of the conjugate domain, up to 0.05 short of an open
+    # upper end; Pearson's one-sided kink at t = -2 is skipped.
+    g = builtin(name)
+    ts = np.linspace(-6.0, g.fstar_box_upper(3.0, margin=0.05), 301)
+    if name == "pearson_chi2":
+        ts = ts[np.abs(ts + 2.0) > 1e-3]
+    step = 1e-6
+    fd = (g.fstar_prime_vec(ts + step) - g.fstar_prime_vec(ts - step)) / (2.0 * step)
+    second = g.fstar_second_vec(ts)
+    assert np.all(second >= 0.0)
+    assert np.max(np.abs(fd - second) / np.maximum(1.0, np.abs(second))) <= 1e-6
 
 
 def test_conjugate_domain_is_slope_at_infinity():

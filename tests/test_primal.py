@@ -282,3 +282,161 @@ def test_kl_infinite_radius_face_of_feature_hull(p):
     assert rep.status == "converged"
     assert rep.iterations <= 25
     assert float(rep.value) == pytest.approx(math.log(3.0), abs=1e-8)
+
+
+SMOOTH_NON_KL = ("pearson_chi2", "squared_hellinger", "js_gan", "reverse_kl")
+
+
+def test_hellinger_interior_optimum_converges():
+    # squared_hellinger, n=4, k=3, R=10, interior optimum with ||a|| = 7.85:
+    # first-order ascent stopped at its 10 000-iteration cap with a 2.6e-4
+    # relative gap to the dual.
+    from fdual.dual import duality_gap
+    from fdual.verify import duality_instance
+
+    name, P, Q, phi, radius = duality_instance(8, 2)
+    gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, finite(radius)))
+    assert gr.primal.status == "converged"
+    assert gr.primal.iterations <= 10
+    assert gr.rel_gap <= 1e-12
+
+
+def test_newton_on_duality_instances_converges():
+    # Every non-KL 2-ball solve of two duality batteries converges in a
+    # handful of Newton steps, never below the plain ascent's value.
+    from fdual.verify import duality_instance
+
+    for seed in (1, 8):
+        for i in range(50):
+            name, P, Q, phi, radius = duality_instance(seed, i)
+            if name == "kl":
+                continue
+            spec = LinearBall(phi, 2, finite(radius))
+            rep = restricted_div_primal(builtin(name), P, Q, spec, PrimalConfig(tol=1e-10))
+            assert rep.status == "converged"
+            assert rep.iterations <= 12
+            assert np.linalg.norm(rep.coefficients) <= radius * (1 + 1e-12)
+            # Any iterate of the ascent is an exact evaluation, a lower bound.
+            obj = _ReducedObjective(builtin(name), P, Q, phi)
+            ball = lambda x: project_ball(x, 2.0, radius)
+            ascent = _ascend(obj, ball, PrimalConfig(max_iters=200), False)
+            assert float(rep.value) >= ascent.value - 1e-12 * max(1.0, abs(ascent.value))
+
+
+@pytest.mark.parametrize("name", SMOOTH_NON_KL)
+def test_newton_matches_grid_oracle(name):
+    g = builtin(name)
+    for seed in range(3):
+        P, Q, phi = random_instance(700 + seed, 5, 1)
+        for radius in (0.3, 3.0):
+            spec = LinearBall(phi, 2, finite(radius))
+            rep = restricted_div_primal(g, P, Q, spec, PrimalConfig(tol=1e-10))
+            assert rep.status == "converged"
+            bf = brute_force_primal(g, P, Q, spec, radius / 200.0)
+            assert bf.value <= float(rep.value) + 1e-9
+            assert float(rep.value) <= bf.value + bf.error_bound
+
+
+@pytest.mark.parametrize("name", SMOOTH_NON_KL + ("kl",))
+def test_regularized_newton_converges(name):
+    # Instances on which the plain ascent stopped not_converged at the
+    # default tolerance (js_gan at weight 1e-3 after 1 851 iterations).
+    from fdual.verify import duality_instance
+
+    g = builtin(name)
+    for i in (2, 14, 23, 34):
+        _, P, Q, phi, _ = duality_instance(2, i)
+        for weight in (1e-3, 0.1, 10.0):
+            reg = QuadraticCoefficientPenalty(phi, weight)
+            rep = regularized_div_primal(g, P, Q, reg, PrimalConfig(tol=1e-10))
+            assert rep.status == "converged"
+            assert rep.iterations <= 25
+            obj = _ReducedObjective(g, P, Q, phi, quad_weight=weight)
+            ascent = _ascend(obj, lambda x: x, PrimalConfig(max_iters=200), False)
+            assert float(rep.value) >= ascent.value - 1e-12 * max(1.0, abs(ascent.value))
+
+
+@pytest.mark.parametrize("name", SMOOTH_NON_KL)
+def test_intercept_solves_its_equation_to_rounding(name):
+    # The gradient's weights q_i f*'(a . phi_i + b*) must sum to one at
+    # rounding level, or the gradient carries noise above tol = 1e-10.
+    g = builtin(name)
+    rng = np.random.default_rng(5)
+    P, Q, phi = random_instance(61, 9, 3)
+    obj = _ReducedObjective(g, P, Q, phi)
+    for scale in (0.1, 10.0, 1e4):
+        a = rng.normal(size=3) * scale
+        _, _, _, b, _ = obj.moments(a)
+        total = float(Q.p @ g.fstar_prime_vec(a @ phi.values + b))
+        assert abs(total - 1.0) <= 64.0 * np.finfo(float).eps * (1.0 + abs(b))
+
+
+def test_intercept_beyond_former_search_box():
+    # chi-square(P||Q) = 809 999.01 is reached at a = -1.8e5 with an
+    # intercept near 1.8e6; a bisection bracket limited to |b| <= 1e3
+    # raised Unbounded here.
+    space = OutcomeSpace.of_size(2)
+    P = make_dist(space, [0.9, 0.1])
+    Q = make_dist(space, [1e-6, 1.0 - 1e-6])
+    phi = FeatureMap(space, [[0.0, 10.0]])
+    g = builtin("pearson_chi2")
+    rep = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF))
+    expected = float(df_closed(g, P, Q).value)
+    assert rep.status == "converged"
+    assert float(rep.value) == pytest.approx(expected, rel=1e-12)
+    assert rep.iterations <= 20
+
+
+FACE_VALUES = {
+    "kl": math.log(1.5),
+    "squared_hellinger": 0.367006838,
+    "js_gan": 0.264608249,
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_infinite_radius_on_face_of_feature_hull(p):
+    # E_P[phi] = (1/2, 1/2) lies on the edge between the features of the
+    # second and third outcomes. Where f*' > 0 everywhere the supremum
+    # is approached along the edge's normal and is not attained; a
+    # gradient rule alone stopped "converged" short of it (Hellinger
+    # 0.366946) or at a finite value where it is infinite (reverse KL).
+    space = OutcomeSpace.of_size(3)
+    P = make_dist(space, [0.0, 0.5, 0.5])
+    Q = make_dist(space, [1.0, 1.0, 1.0])
+    phi = FeatureMap(space, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    from fdual.dual import moment_projection
+
+    spec = LinearBall(phi, p, POS_INF)
+    for name, expected in FACE_VALUES.items():
+        rep = restricted_div_primal(builtin(name), P, Q, spec)
+        assert rep.status == "converged"
+        assert not rep.attained
+        assert float(rep.value) == pytest.approx(expected, abs=1e-9)
+        # The projection lives on the face: the tilt puts no mass off it.
+        mp = moment_projection(builtin(name), P, Q, phi)
+        assert mp.converged and not mp.attained
+        assert mp.pprime.p[0] == 0.0
+        assert np.allclose(mp.pprime.p, P.p, atol=1e-12)
+    # Pearson's f*' vanishes below t = -2: the face is reached at finite a.
+    rep = restricted_div_primal(builtin("pearson_chi2"), P, Q, spec)
+    assert rep.status == "converged" and rep.attained
+    assert float(rep.value) == pytest.approx(0.5, abs=1e-9)
+    # f(0) = +inf: the mass off the face costs +inf.
+    rep = restricted_div_primal(builtin("reverse_kl"), P, Q, spec)
+    assert rep.status == "unbounded"
+    assert rep.value.is_pos_inf
+
+
+@pytest.mark.parametrize("name", ["kl", "squared_hellinger", "js_gan"])
+def test_face_solve_respects_iteration_cap(name):
+    # The solve on the face continues with what is left of max_iters;
+    # here it needs several steps of its own.
+    space = OutcomeSpace.of_size(3)
+    P = make_dist(space, [0.0, 0.2, 0.8])
+    Q = make_dist(space, [0.5, 0.3, 0.2])
+    spec = LinearBall(FeatureMap(space, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2, POS_INF)
+    for cap in range(1, 17):
+        rep = restricted_div_primal(builtin(name), P, Q, spec, PrimalConfig(max_iters=cap))
+        assert rep.iterations <= cap
+    assert rep.converged and not rep.attained
