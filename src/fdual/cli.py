@@ -251,7 +251,6 @@ class InstanceFile:
             tol=float(doc.get("tol", 1e-8)),
             seed=int(doc.get("seed", 0)),
             starts=int(doc.get("starts", 5)),
-            fd_step=float(doc.get("fd_step", 1e-5)),
             inner_tol=float(doc.get("inner_tol", 1e-10)),
         )
 
@@ -363,6 +362,7 @@ def _solve_report_payload(rep) -> dict:
         "iterations": rep.iterations,
         "residual": rep.residual if math.isfinite(rep.residual) else None,
         "status": rep.status,
+        "route": rep.route,
         "attained": rep.attained,
         "capped": rep.capped,
         "gap_estimate": rep.gap_estimate,

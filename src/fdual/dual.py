@@ -205,7 +205,11 @@ def restricted_div_dual(
     moment projection, pattern search or descent runs at all. Without
     it the moment-projection candidate is scored first. The returned
     ``value_log`` records the best upper bound at every logged
-    iteration.
+    iteration, and ``route`` names the stage whose candidate is
+    returned: ``q``, ``p``, ``primal_tilt``, ``moment_projection``,
+    ``tilt_search``, ``newton_polish``, ``mirror_descent``, or
+    ``closed_form`` on the full space. At infinite radius the moment
+    projection's own report is returned.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -219,8 +223,10 @@ def restricted_div_dual(
                 value=dv.value, pprime=P, iterations=0, residual=0.0,
                 status="converged", attained=dv.value.is_finite,
                 value_log=(float(dv.value),) if dv.value.is_finite else (),
+                route="closed_form",
             )
-        return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False)
+        return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False,
+                           route="closed_form")
 
     if isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall):
         if not reg.spec.intercept:
@@ -233,11 +239,18 @@ def restricted_div_dual(
 
     best_ps = qs.copy()
     best_val = obj.value(best_ps)
+    stage = "q"
     if absolutely_continuous(P, Q):
         cand = P.p[mask]
         v = obj.value(cand)
         if v < best_val:
-            best_val, best_ps = v, cand.copy()
+            best_val, best_ps, stage = v, cand.copy(), "p"
+
+    def take(name: str, result) -> None:
+        # Keep a stage's (value, P') if it improves the bound.
+        nonlocal best_val, best_ps, stage
+        if result[0] < best_val:
+            (best_val, best_ps), stage = result, name
 
     def certified(v: float) -> bool:
         return primal_value is not None and (v - primal_value) <= cfg.tol * max(1.0, abs(v))
@@ -249,9 +262,9 @@ def restricted_div_dual(
     # first start of the tilt search, which returns at once when it
     # certifies.
     if coefficients is not None:
-        best_val, best_ps = _tilt_polish(
+        take("primal_tilt", _tilt_polish(
             g, Q, polish_phi, obj, best_val, best_ps, theta0=coefficients, stop_when=certified
-        )
+        ))
     # At large radii the optimum sits exactly at the moment-matched kink
     # that diminishing-step subgradient descent crawls toward, so the
     # projection point is scored next, followed by a pass of
@@ -262,15 +275,13 @@ def restricted_div_dual(
         mp = moment_projection(g, P, Q, reg.spec.phi)
         if mp.value.is_finite:
             theta_mp, ps = mp.coefficients, mp.pprime.p[mask]
-            v = obj.value(ps)
-            if v < best_val:
-                best_val, best_ps = v, ps.copy()
+            take("moment_projection", (obj.value(ps), ps.copy()))
     if not certified(best_val):
-        best_val, best_ps = _tilt_polish(
+        take("tilt_search", _tilt_polish(
             g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
-        )
+        ))
     if not certified(best_val):
-        best_val, best_ps = _newton_polish(obj, best_val, best_ps)
+        take("newton_polish", _newton_polish(obj, best_val, best_ps))
 
     log = [best_val]
     z = np.log(qs)
@@ -292,6 +303,7 @@ def restricted_div_dual(
             if v < best_val - 1e-15:
                 best_val = v
                 best_ps = ps.copy()
+                stage = "mirror_descent"
                 stall = 0
             else:
                 stall += 1
@@ -306,10 +318,10 @@ def restricted_div_dual(
         else:
             it = cfg.max_iters
         if status == "not_converged":
-            best_val, best_ps = _tilt_polish(
+            take("tilt_search", _tilt_polish(
                 g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
-            )
-            best_val, best_ps = _newton_polish(obj, best_val, best_ps)
+            ))
+            take("newton_polish", _newton_polish(obj, best_val, best_ps))
             if certified(best_val):
                 status = "converged"
     log.append(best_val)
@@ -323,6 +335,7 @@ def restricted_div_dual(
         attained=True,
         gap_estimate=gap_est,
         value_log=tuple(log),
+        route=stage,
     )
 
 
@@ -514,7 +527,7 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
         return SolveReport(
             value=POS_INF, coefficients=a / float(np.linalg.norm(a)), iterations=pr.iterations,
             residual=pr.residual, status="infeasible", attained=False,
-            notes=("target means unreachable at finite divergence",),
+            notes=("target means unreachable at finite divergence",), route="newton",
         )
     mask = Q.p > 0.0
     with np.errstate(over="ignore"):  # PIN entries of h_opt give slopes of exactly 0
@@ -532,6 +545,7 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
         attained=pr.attained,
         value_log=(value,),
         notes=pr.notes,
+        route="newton",
     )
 
 
@@ -605,6 +619,7 @@ def _lagrangian_moment_projection(
                 status="infeasible",
                 attained=False,
                 notes=("penalty weight diverged; target means unreachable",),
+                route="lagrangian",
             )
     c = phis @ ps - target
     res = float(np.max(np.abs(c)))
@@ -618,6 +633,7 @@ def _lagrangian_moment_projection(
         status="converged" if res <= 1e-8 else "not_converged",
         attained=True,
         value_log=(value,),
+        route="lagrangian",
     )
 
 

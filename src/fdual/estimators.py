@@ -11,11 +11,11 @@ observed distribution:
   distribution pays a per-unit price R for moving the feature means
   and the member pays KL beyond that.
 
-Families are either the full simplex (parameterized by softmax
-coordinates) or an exponential tilt family over a full-support base.
-Every report carries the cross-table of all three criteria evaluated
-at the fitted member, so the estimators can be compared on equal
-footing.
+Families are either the full simplex (softmax coordinates) or an
+exponential tilt family over a full-support base; the outer descents
+run on exact gradients. Every report carries the cross-table of all
+three criteria at the fitted member, so the estimators can be
+compared on equal footing.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class FitConfig:
     tol: float = 1e-8
     seed: int = 0
     starts: int = 5
-    fd_step: float = 1e-5
     inner_tol: float = 1e-10
 
     def __post_init__(self):
@@ -202,8 +201,14 @@ def fit_mle(
     )
 
 
+def _mean_gradient(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
+    """d/dtheta E_member[v], v held fixed: Cov(psi, v), or q (v - E_q v) for softmax."""
+    c = member.p * (v - float(member.p @ v))
+    return c if isinstance(fam, FullSimplex) else fam.psi.values @ c
+
+
 def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -math.inf):
-    """Seeded multistart descent with central-difference gradients.
+    """Seeded multistart descent on ``fun(theta) = (value, gradient)``.
 
     Keeps the best (value, theta) pair; among near-equal optima the
     lexicographically smallest parameter wins, which keeps reports
@@ -221,46 +226,31 @@ def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -mat
     capped = 0
     for theta0 in starts:
         theta = theta0.copy()
-        val = fun(theta)
+        val, grad = fun(theta)
         step = 1.0
         it = 0
         tiny_gains = 0
         for it in range(1, cfg.max_iters + 1):
-            if not math.isfinite(val):
+            if not (math.isfinite(val) and val > value_floor and np.all(np.isfinite(grad))):
                 break
-            if val <= value_floor:
-                break
-            grad = np.empty(dim)
-            for j in range(dim):
-                e = np.zeros(dim)
-                e[j] = cfg.fd_step
-                grad[j] = (fun(theta + e) - fun(theta - e)) / (2.0 * cfg.fd_step)
-            if not np.all(np.isfinite(grad)):
-                break  # probing an infinite wall; no usable direction
-            gnorm = float(np.max(np.abs(grad)))
-            if gnorm <= cfg.tol:
+            if float(np.max(np.abs(grad))) <= cfg.tol:
                 break
             s = step
-            moved = False
             while s > 1e-14:
                 cand = theta - s * grad
-                v_c = fun(cand)
+                v_c, g_c = fun(cand)
                 if v_c < val - 1e-4 * s * float(grad @ grad):
                     gain = val - v_c
-                    theta, val = cand, v_c
-                    moved = True
+                    theta, val, grad = cand, v_c, g_c
                     break
                 s *= 0.5
-            if not moved:
+            else:
                 break
             # Objectives whose infimum is only approached along a ray
             # keep yielding vanishing gains; cut the march short.
-            if gain <= 1e-12 * max(1.0, abs(val)):
-                tiny_gains += 1
-                if tiny_gains >= 10:
-                    break
-            else:
-                tiny_gains = 0
+            tiny_gains = tiny_gains + 1 if gain <= 1e-12 * max(1.0, abs(val)) else 0
+            if tiny_gains >= 10:
+                break
             step = min(s * 2.0, 8.0)
         else:
             capped += 1
@@ -318,10 +308,10 @@ def fit_gmm(
 
     dim = family_dim(fam)
 
-    def fun(theta):
+    def fun(theta):  # the gap's Jacobian is -Cov(phi, psi)
         member = family_member(fam, theta)
         d = target - feature_means(member, phi)
-        return 0.5 * float(d @ d)
+        return 0.5 * float(d @ d), -_mean_gradient(fam, member, d @ phi.values)
 
     theta, _, iters, per_start, distinct, _ = _multistart_descend(fun, dim, cfg, value_floor=1e-24)
     q_star = family_member(fam, theta)
@@ -351,10 +341,11 @@ def fit_linear_fgan(
     """Adversarial fit: minimize the ball-restricted divergence.
 
     The outer landscape over family parameters is generally nonconvex,
-    so seeded multistart descent with central-difference gradients is
-    used; the inner discriminator problem is solved to high accuracy
-    per evaluation (for a smooth generator on a 2-ball or an
-    unconstrained coefficient set, by the primal's Newton solve).
+    so seeded multistart descent is used; the inner discriminator
+    problem is solved to high accuracy per evaluation (for a smooth
+    generator on a 2-ball or an unconstrained coefficient set, by the
+    primal's Newton solve), and by Danskin's theorem its optimal h*
+    gives the gradient -Cov_member(psi, f*(h*)).
     """
     cfg = cfg or FitConfig()
     if not isinstance(radius, ExtReal):
@@ -364,15 +355,16 @@ def fit_linear_fgan(
     spec = LinearBall(phi, 2, radius)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
 
-    def fun(theta):
+    def fun(theta):  # Danskin: h* held fixed; f*(PIN) = -f(0) off a face
         member = family_member(fam, theta)
         rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
-        return float(rep.value)
+        if rep.h_opt is None:  # unbounded: no gradient
+            return float(rep.value), np.full(dim, math.nan)
+        return float(rep.value), -_mean_gradient(fam, member, g.fstar_vec(rep.h_opt.values)[0])
 
     theta, val, iters, per_start, distinct, capped = _multistart_descend(fun, dim, cfg)
     q_star = family_member(fam, theta)
     rep = restricted_div_primal(g, Pdata, q_star, spec, inner_cfg)
-    ctx = CrossContext(generator=g, phi=phi, radius=radius)
     notes = ()
     if distinct:
         notes = ("multiple near-optimal parameters; lexicographically smallest reported",)
@@ -388,7 +380,8 @@ def fit_linear_fgan(
         q_star=q_star,
         theta=theta,
         objective=float(rep.value),
-        cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
+        cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi), cfg.inner_tol),
+               "fgan": float(rep.value)},
         trajectory={
             "starts": cfg.starts,
             "iterations": iters,

@@ -87,6 +87,10 @@ class SolveReport:
     plus status, never raised. ``value_log`` holds exact objective
     evaluations at logged iterates (every 50 iterations plus the last):
     each entry is a valid one-sided bound on the true optimum.
+    ``route`` names what produced the result: the primal's ``newton``,
+    ``ascent``, ``multistart`` or ``closed_form``, the moment
+    projection's ``newton`` or ``lagrangian``, or the dual stage whose
+    candidate was returned.
     """
 
     value: ExtReal
@@ -103,6 +107,7 @@ class SolveReport:
     value_log: tuple[float, ...] = ()
     fd_gradient_worst: float = 0.0
     notes: tuple[str, ...] = ()
+    route: str = ""
 
     @property
     def converged(self) -> bool:
@@ -153,6 +158,7 @@ class _ReducedObjective:
         self.mask = Q.p > 0.0
         self.qs = Q.p[self.mask]
         self.phi_s = phi.values[:, self.mask]
+        self.phi_top = np.abs(self.phi_s).max(axis=1, initial=0.0)
         self.pin: np.ndarray | None = None
         self.Q = Q
         self.phi = phi
@@ -218,10 +224,10 @@ class _ReducedObjective:
         return b
 
     def moments(self, a: np.ndarray):
-        """(J(a), grad J(a), C, intercept, size), C = -Hessian of J.
+        """(J(a), grad J(a), C, intercept, size, gerr), C = -Hessian of J.
 
         ``size`` is the magnitude of the terms of J, the scale of its
-        rounding error.
+        rounding error; ``gerr`` bounds the gradient's rounding error.
         """
         hs = self._hs(a)
         lin = float(a @ self.m_p)
@@ -250,13 +256,18 @@ class _ReducedObjective:
         cov = (centered * w) @ centered.T
         val = lin - r
         grad = self.m_p - mean
+        # Sums of n terms up to |E_P[phi]| or max |phi| (slopes sum to one), and
+        # slopes moved by f*'' times the rounding of t = a . phi + b (k + 1 terms).
+        k, n = self.phi_s.shape
+        tau = (k + 1) * float(w.sum()) * (float(np.abs(a) @ self.phi_top) + abs(b))
+        gerr = np.finfo(float).eps * _norm(n * (np.abs(self.m_p) + self.phi_top) + tau * self.phi_top)
         if self.quad_weight:
             quad = self.quad_weight * float(a @ a)
             val -= quad
             size += quad
             grad = grad - 2.0 * self.quad_weight * a
             cov = cov + 2.0 * self.quad_weight * np.eye(a.size)
-        return val, grad, cov, b, size
+        return val, grad, cov, b, size, gerr
 
     def fd_gradient(self, a: np.ndarray, value=None, step: float = 1e-6) -> np.ndarray:
         value = value or self.value
@@ -444,11 +455,12 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
 def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _Solve:
     """Projected Newton ascent on the 2-ball of ``radius``, any smooth f.
 
-    Same stopping rule, value log and finite-difference cross-check as
-    :func:`_ascend`. The Armijo test allows a few ulps of the objective's
-    terms as slack: near the optimum the true gain of a Newton step is
-    below the rounding error of J, and without the slack backtracking
-    rejects steps that are in fact exact.
+    Same stopping rule (plus the gradient's rounding bound, which alone
+    can exceed ``tol`` at large ``a``), value log and finite-difference
+    cross-check as :func:`_ascend`. The Armijo test allows a few ulps of
+    the objective's terms as slack: near the optimum the true gain of a
+    Newton step is below the rounding error of J, and without the slack
+    backtracking rejects steps that are in fact exact.
 
     At infinite radius the step maximizes the model over a trust ball
     around ``a`` instead, of radius ``RAY_NORM`` at first and then twice
@@ -477,7 +489,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
 
     trust = RAY_NORM
     a = np.zeros(obj.m_p.shape[0])
-    val, grad, cov, b, size = obj.moments(a)
+    val, grad, cov, b, size, gerr = obj.moments(a)
     log = [val]
     fd_worst = 0.0
     status = "not_converged"
@@ -496,7 +508,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
             sub = _newton_ball(on_face, radius, budget)
             return sub._replace(iterations=it - 1 + sub.iterations, log=tuple(log) + sub.log,
                                 fd_worst=max(fd_worst, sub.fd_worst))
-        if residual_at(a, grad) <= cfg.tol:
+        if residual_at(a, grad) <= cfg.tol + gerr:
             status = "converged"
             break
         if infinite:
@@ -529,7 +541,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
         else:
             stagnant = 0
         a = cand
-        val, grad, cov, b, size = cand_out
+        val, grad, cov, b, size, gerr = cand_out
         trust = 2.0 * s * _norm(d)
         if it % LOG_EVERY == 0:
             log.append(val)
@@ -537,7 +549,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
             denom = max(1.0, _norm(grad))
             fd_worst = max(fd_worst, _norm(fd - grad) / denom)
     residual = residual_at(a, grad)
-    if residual <= cfg.tol:
+    if residual <= cfg.tol + gerr:
         status = "converged"
     log.append(val)
     return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj)
@@ -550,12 +562,11 @@ def _solve_starts(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray
     non-optimal stationary-looking point, so piecewise-linear
     generators get extra seeded starts and the best value wins. Every
     start's logged values are exact evaluations, hence valid lower
-    bounds; the concatenated log is reported.
+    bounds; the concatenated log is reported. Returns (solve, notes,
+    route).
     """
-    notes: tuple[str, ...] = ()
     if obj.g.conjugate_smooth:
-        out = _ascend(obj, project, cfg, detect_ray)
-        return out, notes
+        return _ascend(obj, project, cfg, detect_ray), (), "ascent"
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, obj.m_p.shape[0]]))
     starts = [None] + [project(rng.normal(size=obj.m_p.shape[0]) * scale) for _ in range(3)]
     best = None
@@ -576,17 +587,19 @@ def _solve_starts(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray
         "nonsmooth conjugate: stationarity of a subgradient selection does "
         "not certify optimality; best of seeded multistart reported",
     )
-    return best._replace(iterations=total_iters, log=tuple(logs), fd_worst=fd_worst), notes
+    best = best._replace(iterations=total_iters, log=tuple(logs), fd_worst=fd_worst)
+    return best, notes, "multistart"
 
 
-def _report(out: _Solve, phi: FeatureMap, notes: tuple[str, ...]) -> SolveReport:
+def _report(out: _Solve, phi: FeatureMap, notes: tuple[str, ...], route: str) -> SolveReport:
     """SolveReport of a linear-class solve.
 
     On a face the optimal discriminator is -inf off the face; ``h_opt``
     holds ``PIN`` there, where f*' is 0 and f* is -f(0) to the last bit.
     """
     common = dict(coefficients=out.a, intercept=out.intercept, iterations=out.iterations,
-                  residual=out.residual, value_log=out.log, fd_gradient_worst=out.fd_worst)
+                  residual=out.residual, value_log=out.log, fd_gradient_worst=out.fd_worst,
+                  route=route)
     if out.status == "unbounded":
         return SolveReport(value=POS_INF, status="unbounded", attained=False, notes=notes, **common)
     h = out.a @ phi.values + out.intercept
@@ -631,6 +644,7 @@ def restricted_div_primal(
             attained=dv.value.is_finite,
             capped=dv.capped,
             value_log=(float(dv.value),) if dv.value.is_finite else (),
+            route="closed_form",
         )
     if not spec.intercept:
         raise ValidationError(
@@ -642,12 +656,12 @@ def restricted_div_primal(
     obj = _ReducedObjective(g, P, Q, spec.phi)
 
     if g.conjugate_smooth and (spec.p == 2.0 or math.isinf(radius)):
-        out, notes = _newton_ball(obj, radius, cfg), ()
+        out, notes, route = _newton_ball(obj, radius, cfg), (), "newton"
     else:
         scale = radius if spec.radius.is_finite else 1.0
         project = lambda x: project_ball(x, spec.p, radius)
-        out, notes = _solve_starts(obj, project, cfg, math.isinf(radius), scale)
-    return _report(out, spec.phi, notes)
+        out, notes, route = _solve_starts(obj, project, cfg, math.isinf(radius), scale)
+    return _report(out, spec.phi, notes, route)
 
 
 def regularized_div_primal(
@@ -663,7 +677,7 @@ def regularized_div_primal(
     _require_same_space(P, reg.phi)
     obj = _ReducedObjective(g, P, Q, reg.phi, quad_weight=reg.weight)
     if g.conjugate_smooth:
-        out, notes = _newton_ball(obj, math.inf, cfg), ()
+        out, notes, route = _newton_ball(obj, math.inf, cfg), (), "newton"
     else:
-        out, notes = _solve_starts(obj, lambda x: x, cfg, False, 1.0)
-    return _report(out, reg.phi, notes)
+        out, notes, route = _solve_starts(obj, lambda x: x, cfg, False, 1.0)
+    return _report(out, reg.phi, notes, route)

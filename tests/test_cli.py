@@ -254,3 +254,26 @@ def test_parser_built_once_per_process(instance_path, tmp_path, capsys):
     assert cli._build_parser() is parser
     assert _load(out1)["command"] == "primal" and "primal_config" in _load(out1)["config"]
     assert _load(out2)["command"] == "dual" and "dual_config" in _load(out2)["config"]
+
+
+def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
+    # fd_step set the central-difference step the descent no longer takes;
+    # an instance that still carries it fits exactly as one without it.
+    reports = []
+    for extra in ({}, {"fd_step": 1e-5}):
+        instance_doc["fit_config"] = {"starts": 2, **extra}
+        path = tmp_path / f"fit{len(reports)}.json"
+        path.write_text(json.dumps(instance_doc))
+        out = str(tmp_path / f"report{len(reports)}.json")
+        assert main(["fit", "--instance", str(path), "--estimator", "fgan", "--out", out]) == 0
+        reports.append(open(out, "rb").read())
+    assert reports[0] == reports[1]
+    assert "fd_step" not in _load(out)["config"]["fit_config"]
+
+
+def test_solve_reports_carry_route(instance_path, tmp_path, capsys):
+    out1, out2 = str(tmp_path / "p.json"), str(tmp_path / "g.json")
+    assert main(["primal", "--instance", instance_path, "--out", out1]) == 0
+    assert main(["gap", "--instance", instance_path, "--out", out2]) == 0
+    assert _load(out1)["results"]["route"] == "newton"
+    assert _load(out2)["results"]["dual"]["route"] == "newton"

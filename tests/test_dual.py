@@ -293,3 +293,43 @@ def test_duality_gap_nonsmooth_conjugate_falls_back(monkeypatch):
     assert len(calls) == 1
     assert gr.dual.iterations > 0
     assert float(gr.dual_value) >= float(gr.primal_value) - 1e-9
+
+
+def _dual(g, seed, n, k, spec_of, cfg=None, reference=True):
+    """Dual of random_instance(seed, n, k), with the primal's value as
+    reference unless ``reference`` is false."""
+    P, Q, phi = random_instance(seed, n, k)
+    spec = spec_of(phi)
+    ref = float(restricted_div_primal(g, P, Q, spec).value) if reference else None
+    return restricted_div_dual(g, P, Q, spec, cfg, primal_value=ref)
+
+
+def _gap_dual(g, seed, n, k, spec_of, cfg=None):
+    P, Q, phi = random_instance(seed, n, k)
+    return duality_gap(g, P, Q, spec_of(phi), dual_cfg=cfg).dual
+
+
+TV = builtin("total_variation")
+ROUTES = {
+    "q": lambda: _dual(KL, 501, 3, 2, lambda phi: LinearBall(phi, 1, finite(0.05))),
+    "p": lambda: _gap_dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(5.0))),
+    "primal_tilt": lambda: _gap_dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(0.5))),
+    "moment_projection": lambda: _dual(KL, 503, 5, 2, lambda phi: LinearBall(phi, 2, finite(5.0))),
+    "tilt_search": lambda: _dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(0.5))),
+    "newton_polish": lambda: _dual(
+        KL, 1, 3, 1, lambda phi: LinearBall(phi, 2, finite(1.0)), DualConfig(max_iters=200), False
+    ),
+    "mirror_descent": lambda: _gap_dual(
+        TV, 704, 2, 1, lambda phi: QuadraticCoefficientPenalty(phi, 0.1), DualConfig(max_iters=3000)
+    ),
+    "closed_form": lambda: _dual(KL, 3, 3, 1, lambda phi: FullSpace(phi.space)),
+    "newton": lambda: moment_projection(KL, *random_instance(3, 3, 1)),
+    "lagrangian": lambda: moment_projection(TV, *random_instance(3, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_report_names_its_route(route):
+    # The dual names the stage whose candidate it returns; the moment
+    # projection names its solver.
+    assert ROUTES[route]().route == route

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fdual import estimators
 from fdual.cli import _jsonify
 from fdual.discriminator import LinearBall
 from fdual.divergence import kl_bar
@@ -22,6 +23,7 @@ from fdual.estimators import (
 )
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
+from fdual.primal import restricted_div_primal
 from fdual.space import (
     Dist,
     FeatureMap,
@@ -282,3 +284,86 @@ def test_gmm_flat_objective_notes(three_point):
     rep = fit_gmm(fam, data, phi)
     assert rep.objective == pytest.approx(0.1, abs=1e-9)
     assert rep.notes
+
+
+class _Objective(Exception):
+    pass
+
+
+def _outer_objective(monkeypatch, fit, *args):
+    """The (value, gradient) objective that ``fit`` hands to its descent."""
+
+    def capture(fun, *rest, **kwargs):
+        raise _Objective(fun)
+
+    monkeypatch.setattr(estimators, "_multistart_descend", capture)
+    with pytest.raises(_Objective) as caught:
+        fit(*args)
+    monkeypatch.undo()
+    return caught.value.args[0]
+
+
+def _worst_fd_disagreement(fun, theta, h=1e-5):
+    """max |exact - central difference| relative to max |central difference|."""
+    _, grad = fun(theta)
+    fd = np.empty_like(theta)
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = h
+        fd[j] = (fun(theta + e)[0] - fun(theta - e)[0]) / (2.0 * h)
+    return float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
+
+
+SMOOTH = ("kl", "reverse_kl", "js_gan", "pearson_chi2", "squared_hellinger")
+
+
+def test_outer_gradients_match_central_differences(monkeypatch):
+    # Danskin's gradient of the adversarial objective and the moment gap's
+    # Jacobian against central differences, at random parameters.
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for s, name in enumerate(SMOOTH):
+        P, Q, phi = random_instance(50 + s, 3 + s % 3, 2)
+        psi = FeatureMap(P.space, rng.uniform(-1.0, 1.0, size=(1 + s % 2, P.space.n)))
+        for fam in (FullSimplex(P.space), ExpFamily(Q, psi)):
+            for radius in (finite(0.5), finite(2.0), POS_INF):
+                fun = _outer_objective(monkeypatch, fit_linear_fgan, fam, P, builtin(name), phi, radius)
+                theta = rng.normal(size=family_dim(fam))
+                worst = max(worst, _worst_fd_disagreement(fun, theta))
+        fun = _outer_objective(monkeypatch, fit_gmm, ExpFamily(Q, psi), P, phi)
+        worst = max(worst, _worst_fd_disagreement(fun, rng.normal(size=psi.k)))
+    assert worst <= 1e-6
+
+
+def test_outer_gradient_with_inner_supremum_on_a_face(monkeypatch):
+    # The data sit on the edge phi_2 = 0 of the square's hull: at infinite
+    # radius the supremum is approached along the face normal, h* holds PIN
+    # off the face, and f*(PIN) = -f(0) gives the gradient there.
+    space = OutcomeSpace.of_size(4)
+    phi = FeatureMap(space, [[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    data = make_dist(space, [0.3, 0.7, 0.0, 0.0])
+    fam = ExpFamily(make_dist(space, [1, 2, 3, 4]), FeatureMap(space, [[0.0, 1.0, 2.0, 3.0]]))
+    theta = np.array([0.4])
+    for name in ("kl", "js_gan", "squared_hellinger"):
+        g = builtin(name)
+        inner = restricted_div_primal(g, data, family_member(fam, theta), LinearBall(phi, 2, POS_INF))
+        assert not inner.attained
+        fun = _outer_objective(monkeypatch, fit_linear_fgan, fam, data, g, phi, POS_INF)
+        assert _worst_fd_disagreement(fun, theta) <= 1e-6
+    # f(0) = +inf for reverse KL: the value is +inf, with no gradient.
+    fun = _outer_objective(monkeypatch, fit_linear_fgan, fam, data, builtin("reverse_kl"), phi, POS_INF)
+    value, grad = fun(theta)
+    assert value == math.inf and not np.any(np.isfinite(grad))
+
+
+def test_fgan_readme_instance_pinned(three_point):
+    # The README mismatch instance at the default FitConfig: every start runs
+    # to the cap (no minimiser exists), at the parent's theta.
+    space, base = three_point
+    fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 0.0]]))
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    rep = fit_linear_fgan(fam, make_dist(space, [0.2, 0.5, 0.3]), KL, phi, finite(1.0))
+    assert float(rep.theta[0]) == pytest.approx(-2.65818934, abs=1e-6)
+    assert rep.trajectory["iterations"] == 750
+    assert any("max_iters=150" in note for note in rep.notes)
+    assert rep.cross["fgan"] == rep.objective

@@ -366,7 +366,7 @@ def test_intercept_solves_its_equation_to_rounding(name):
     obj = _ReducedObjective(g, P, Q, phi)
     for scale in (0.1, 10.0, 1e4):
         a = rng.normal(size=3) * scale
-        _, _, _, b, _ = obj.moments(a)
+        _, _, _, b, _, _ = obj.moments(a)
         total = float(Q.p @ g.fstar_prime_vec(a @ phi.values + b))
         assert abs(total - 1.0) <= 64.0 * np.finfo(float).eps * (1.0 + abs(b))
 
@@ -384,6 +384,22 @@ def test_intercept_beyond_former_search_box():
     expected = float(df_closed(g, P, Q).value)
     assert rep.status == "converged"
     assert float(rep.value) == pytest.approx(expected, rel=1e-12)
+    assert rep.iterations <= 20
+
+
+def test_stopping_rule_allows_for_gradient_rounding():
+    # Same instance at tol 1e-10. At a = -1.8e5 the argument a . phi + b of
+    # f* cancels terms of size 1.8e6, so the gradient's rounding (about
+    # 1e-9) exceeds tol: an absolute rule ran 38 iterations and reported
+    # not_converged with the value right to 15 digits.
+    space = OutcomeSpace.of_size(2)
+    P = make_dist(space, [0.9, 0.1])
+    Q = make_dist(space, [1e-6, 1.0 - 1e-6])
+    phi = FeatureMap(space, [[0.0, 10.0]])
+    g = builtin("pearson_chi2")
+    rep = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(tol=1e-10))
+    assert rep.status == "converged"
+    assert float(rep.value) == pytest.approx(float(df_closed(g, P, Q).value), rel=1e-14)
     assert rep.iterations <= 20
 
 
@@ -440,3 +456,17 @@ def test_face_solve_respects_iteration_cap(name):
         rep = restricted_div_primal(builtin(name), P, Q, spec, PrimalConfig(max_iters=cap))
         assert rep.iterations <= cap
     assert rep.converged and not rep.attained
+
+
+@pytest.mark.parametrize(
+    "route, g, spec_of",
+    [
+        ("newton", KL, lambda phi: LinearBall(phi, 2, finite(1.0))),
+        ("ascent", KL, lambda phi: LinearBall(phi, 1, finite(1.0))),
+        ("multistart", builtin("total_variation"), lambda phi: LinearBall(phi, 2, finite(1.0))),
+        ("closed_form", KL, lambda phi: FullSpace(phi.space)),
+    ],
+)
+def test_report_names_its_route(route, g, spec_of):
+    P, Q, phi = random_instance(3, 3, 1)
+    assert restricted_div_primal(g, P, Q, spec_of(phi)).route == route
