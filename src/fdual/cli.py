@@ -548,6 +548,7 @@ def _cmd_fit(args) -> int:
         "cross": rep.cross,
         "trajectory": rep.trajectory,
         "notes": list(rep.notes),
+        "pprime": None if rep.pprime is None else rep.pprime.p,
     }
     rows = [{"criterion": k, "value": v} for k, v in sorted(rep.cross.items())]
     _emit(

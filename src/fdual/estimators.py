@@ -12,10 +12,16 @@ observed distribution:
   and the member pays KL beyond that.
 
 Families are either the full simplex (softmax coordinates) or an
-exponential tilt family over a full-support base; the outer descents
-run on exact gradients. Every report carries the cross-table of all
-three criteria at the fitted member, so the estimators can be
-compared on equal footing.
+exponential tilt family over a full-support base. The moment-matching
+and adversarial fits run one seeded multistart damped Newton descent on
+exact derivatives: the moment gap's exact Hessian, and for the
+adversarial objective Danskin's gradient with the envelope Hessian of
+its inner solve. The descent runs over the closure of the family: when
+the objective falls toward a face of it (members with no mass on some
+atoms), the limit member on that face is reported, with no parameter.
+Every report carries the cross-table of all three criteria at the
+fitted member, so the estimators can be compared on equal footing; the
+adversarial fit also carries the dual's intermediate distribution P'*.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator, builtin
-from .primal import PrimalConfig, restricted_div_primal
+from .primal import FACE_GAP, PrimalConfig, face_splits, restricted_div_primal
 from .space import (
     Dist,
     FeatureMap,
@@ -93,18 +99,10 @@ def family_member(fam: GeneratorFamily, theta: np.ndarray) -> Dist:
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("family parameter must be finite")
-    if isinstance(fam, FullSimplex):
-        if theta.shape != (fam.space.n,):
-            raise ValidationError(f"simplex parameter needs shape ({fam.space.n},)")
-        z = theta - np.max(theta)
-        w = np.exp(z)
-        return Dist(fam.space, w / w.sum())
-    if theta.shape != (fam.psi.k,):
-        raise ValidationError(f"tilt parameter needs shape ({fam.psi.k},)")
-    logw = np.log(fam.base.p) + theta @ fam.psi.values
-    logw -= np.max(logw)
-    w = np.exp(logw)
-    return Dist(fam.space, w / w.sum())
+    if theta.shape != (family_dim(fam),):
+        what = "simplex" if isinstance(fam, FullSimplex) else "tilt"
+        raise ValidationError(f"{what} parameter needs shape ({family_dim(fam)},)")
+    return _member(fam, theta)
 
 
 @dataclass(frozen=True)
@@ -140,6 +138,7 @@ class FitReport:
     cross: dict
     trajectory: dict
     notes: tuple[str, ...] = ()
+    pprime: Dist | None = None
 
 
 def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext, inner_tol: float) -> dict:
@@ -201,68 +200,182 @@ def fit_mle(
     )
 
 
+def _psi(fam: GeneratorFamily) -> np.ndarray:
+    """The family's sufficient statistics, one row per parameter (softmax: the identity)."""
+    return np.eye(fam.space.n) if isinstance(fam, FullSimplex) else fam.psi.values
+
+
+def _member(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None = None) -> Dist:
+    """The member at ``theta``, with no mass on the atoms ``off`` (a face of the closure)."""
+    logw = theta.copy() if isinstance(fam, FullSimplex) else np.log(fam.base.p) + theta @ fam.psi.values
+    if off is not None:
+        logw[off] = -math.inf
+    logw -= np.max(logw)
+    w = np.exp(logw)
+    return Dist(fam.space, w / w.sum())
+
+
 def _mean_gradient(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
-    """d/dtheta E_member[v], v held fixed: Cov(psi, v), or q (v - E_q v) for softmax."""
-    c = member.p * (v - float(member.p @ v))
-    return c if isinstance(fam, FullSimplex) else fam.psi.values @ c
+    """d/dtheta E_member[v], v held fixed: Cov(psi, v), or q (v - E_q v) for softmax.
 
-
-def _multistart_descend(fun, dim: int, cfg: FitConfig, value_floor: float = -math.inf):
-    """Seeded multistart descent on ``fun(theta) = (value, gradient)``.
-
-    Keeps the best (value, theta) pair; among near-equal optima the
-    lexicographically smallest parameter wins, which keeps reports
-    reproducible when the objective has flat stretches. Also returns
-    how many starts ran to ``cfg.max_iters`` without stopping.
+    A 2-D ``v`` gives one column per row.
     """
+    c = member.p * (v - (v @ member.p)[..., None])
+    return _psi(fam) @ c.T
+
+
+def _mean_hessian(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
+    """d^2/dtheta^2 E_member[v], v held fixed: E_q[(psi - E psi)(psi - E psi)^T (v - E v)]."""
+    psi = _psi(fam)
+    centered = psi - (psi @ member.p)[:, None]
+    c = member.p * (v - float(v @ member.p))
+    return (centered * c) @ centered.T
+
+
+def _identifiable(fam: GeneratorFamily, off: np.ndarray | None) -> np.ndarray:
+    """Orthonormal basis of the parameter directions that move the member.
+
+    The others (softmax's constant, a face's normals) are idle.
+    """
+    psi = _psi(fam)
+    if off is not None:
+        psi = psi[:, ~off]
+    basis, sing, _ = np.linalg.svd(psi - psi[:, :1], full_matrices=False)
+    return basis[:, sing > sing[0] * max(psi.shape) * np.finfo(float).eps]
+
+
+def _newton_direction(grad: np.ndarray, hess: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt step -(H + mu I)^-1 grad within the span of ``basis``.
+
+    mu is 0 where H is positive definite there. Otherwise (negative
+    curvature, a flat valley) it lifts the least eigenvalue to ||grad||,
+    so that no direction steps further than unit length.
+    """
+    g = basis.T @ grad
+    lam, vecs = np.linalg.eigh(basis.T @ hess @ basis)
+    if lam.size == 0:
+        return np.zeros_like(grad)
+    floor = 64.0 * np.finfo(float).eps * lam.size * max(float(np.abs(lam).max()), 1e-300)
+    mu = 0.0 if lam[0] > floor else np.linalg.norm(g) - lam[0]
+    denom = lam + mu
+    coef = np.divide(vecs.T @ g, denom, out=np.zeros_like(lam), where=denom > 0.0)
+    return -(basis @ (vecs @ coef))
+
+
+def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
+    """Masks of the atoms off each certified face that ``theta`` heads to, top face first.
+
+    The atoms split at a gap above ``FACE_GAP`` in theta . psi, and the
+    split is a face of the hull of the psi_i (softmax: every split is),
+    so the members along its normal tend to the member with no mass off it.
+    """
+    psi = _psi(fam)
+    u = theta @ psi
+    free = np.arange(u.size) if off is None else np.flatnonzero(~off)
+    if float(u[free].max() - u[free].min()) <= FACE_GAP:
+        return
+    rel = psi - psi[:, [free[np.argmax(u[free])]]]
+    top = np.abs(psi).max(axis=1)
+    bound = 8.0 * sum(psi.shape) * np.finfo(float).eps
+
+    for on, _ in face_splits(theta, u, free, rel, lambda normal: bound * float(np.abs(normal) @ top)):
+        yield ~np.isin(np.arange(u.size), on)
+
+
+@dataclass
+class _Start:
+    value: float
+    theta: np.ndarray
+    off: np.ndarray | None
+    basis: np.ndarray
+    step: float  # length of the Newton step left at the end
+
+
+def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: float = -math.inf):
+    """Seeded multistart damped Newton descent on ``fun(member) = (value, gradient, Hessian)``.
+
+    Each start takes Levenberg-Marquardt damped Newton steps in the
+    parameters with Armijo backtracking (a few ulps of the value as
+    slack), and stops when max |gradient| <= ``cfg.tol``. When the
+    atoms split at a gap above ``FACE_GAP`` along a face of the
+    family's closure (:func:`_faces`), the member with no mass off the
+    face is evaluated exactly; if it is no worse, the start goes on
+    within that face, whose normal components of theta are then idle.
+
+    Returns (best start, total iterations, per-start values, distinct,
+    starts run to ``cfg.max_iters``). Among near-equal optima the
+    lexicographically smallest parameter wins, which keeps reports
+    reproducible when the objective has flat stretches; ``distinct`` is
+    true when two of them differ by more than their remaining Newton
+    steps and rounding, in the directions that move the member.
+    """
+    dim = family_dim(fam)
     rng_root = np.random.SeedSequence([int(cfg.seed), dim])
     children = rng_root.spawn(max(cfg.starts - 1, 0))
     starts = [np.zeros(dim)]
     for child in children:
         starts.append(np.random.default_rng(child).normal(0.0, 1.0, size=dim))
 
+    eps = np.finfo(float).eps
     results = []
     total_iters = 0
     capped = 0
     for theta0 in starts:
-        theta = theta0.copy()
-        val, grad = fun(theta)
-        step = 1.0
+        theta, off = theta0.copy(), None
+        basis = _identifiable(fam, off)
+        val, grad, hess = fun(_member(fam, theta))
+        tried: set[bytes] = set()
         it = 0
-        tiny_gains = 0
         for it in range(1, cfg.max_iters + 1):
             if not (math.isfinite(val) and val > value_floor and np.all(np.isfinite(grad))):
                 break
+            for face_off in _faces(fam, theta, off):
+                if face_off.tobytes() in tried:
+                    continue
+                tried.add(face_off.tobytes())
+                out = fun(_member(fam, theta, face_off))
+                if out[0] <= val:
+                    off, (val, grad, hess) = face_off, out
+                    basis = _identifiable(fam, off)
+                    break
             if float(np.max(np.abs(grad))) <= cfg.tol:
                 break
-            s = step
+            d = _newton_direction(grad, hess, basis)
+            slope = float(grad @ d)
+            slack = 8.0 * eps * (1.0 + abs(val))
+            s = 1.0
             while s > 1e-14:
-                cand = theta - s * grad
-                v_c, g_c = fun(cand)
-                if v_c < val - 1e-4 * s * float(grad @ grad):
-                    gain = val - v_c
-                    theta, val, grad = cand, v_c, g_c
+                cand = theta + s * d
+                out = fun(_member(fam, cand, off))
+                if out[0] <= val + 1e-4 * s * slope + slack:
                     break
                 s *= 0.5
             else:
                 break
-            # Objectives whose infimum is only approached along a ray
-            # keep yielding vanishing gains; cut the march short.
-            tiny_gains = tiny_gains + 1 if gain <= 1e-12 * max(1.0, abs(val)) else 0
-            if tiny_gains >= 10:
+            stalled = not out[0] < val
+            theta, (val, grad, hess) = cand, out
+            if stalled:
+                # The step is exact to the value's rounding: nothing left to gain.
                 break
-            step = min(s * 2.0, 8.0)
         else:
             capped += 1
         total_iters += it
-        results.append((val, tuple(theta), theta))
+        step = np.linalg.norm(_newton_direction(grad, hess, basis)) if np.all(np.isfinite(grad)) else math.inf
+        results.append(_Start(val, theta, off, basis, step))
 
-    best_val = min(r[0] for r in results)
-    contenders = [r for r in results if r[0] <= best_val + 1e-10]
-    contenders.sort(key=lambda r: r[1])
-    _, _, best_theta = contenders[0]
-    distinct = len({r[1] for r in contenders}) > 1
-    return best_theta, best_val, total_iters, [r[0] for r in results], distinct, capped
+    best_val = min(r.value for r in results)
+    contenders = sorted((r for r in results if r.value <= best_val + 1e-10), key=lambda r: tuple(r.theta))
+    best = contenders[0]
+
+    def same(r):
+        if (r.off is None) != (best.off is None) or (r.off is not None and np.any(r.off != best.off)):
+            return False
+        gap = np.linalg.norm(r.basis.T @ (r.theta - best.theta))
+        rounding = 64.0 * eps * dim * (1.0 + np.linalg.norm(r.theta) + np.linalg.norm(best.theta))
+        return gap <= r.step + best.step + rounding
+
+    distinct = not all(same(r) for r in contenders)
+    return best, total_iters, [r.value for r in results], distinct, capped
 
 
 def fit_gmm(
@@ -277,8 +390,12 @@ def fit_gmm(
     The full simplex admits many moment-matched members; the maximum
     entropy one (the KL moment projection of the uniform distribution)
     is returned for determinism.
-    Exponential families are fit by multistart descent on the squared
-    gap, which is smooth in the tilt parameter.
+    Exponential families are fit by the multistart Newton descent of
+    :func:`_multistart_descend` on the squared gap, with its exact
+    Hessian J^T J - sum_j d_j Hess E[phi_j], J = Cov(phi, psi) and d the
+    gap (the residual term matters under mismatch, where d stays large).
+    A fit that ends on a face of the family's closure reports the limit
+    member and ``theta`` None.
     """
     cfg = cfg or FitConfig()
     ctx = cross_context or CrossContext(phi=phi)
@@ -306,28 +423,92 @@ def fit_gmm(
             notes=notes,
         )
 
-    dim = family_dim(fam)
-
-    def fun(theta):  # the gap's Jacobian is -Cov(phi, psi)
-        member = family_member(fam, theta)
+    def fun(member):  # the gap's Jacobian is -J, J = Cov(phi, psi)
         d = target - feature_means(member, phi)
-        return 0.5 * float(d @ d), -_mean_gradient(fam, member, d @ phi.values)
+        jac_t = _mean_gradient(fam, member, phi.values)
+        return 0.5 * float(d @ d), -jac_t @ d, jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
 
-    theta, _, iters, per_start, distinct, _ = _multistart_descend(fun, dim, cfg, value_floor=1e-24)
-    q_star = family_member(fam, theta)
+    best, iters, per_start, distinct, _ = _multistart_descend(fam, fun, cfg, value_floor=1e-24)
+    q_star = _member(fam, best.theta, best.off)
     objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
-    notes = ()
-    if distinct:
-        notes = ("multiple near-optimal parameters; lexicographically smallest reported",)
+    notes = _descent_notes(best, distinct)
     return FitReport(
         estimator="gmm",
         q_star=q_star,
-        theta=theta,
+        theta=best.theta if best.off is None else None,
         objective=objective,
         cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
         trajectory={"starts": cfg.starts, "iterations": iters, "per_start": per_start},
         notes=notes,
     )
+
+
+def _descent_notes(best: _Start, distinct: bool) -> tuple[str, ...]:
+    notes = ()
+    if distinct:
+        notes += ("multiple near-optimal parameters; lexicographically smallest reported",)
+    if best.off is not None:
+        notes += ("the descent ran off to a face of the family's closure: q_star is the limit "
+                  "member on that face, no worse than the parameters the descent reached, and "
+                  "has no parameter",)
+    return notes
+
+
+def _envelope(fam: GeneratorFamily, g: FGenerator, Pdata: Dist, phi: FeatureMap, radius: float,
+              member: Dist, rep):
+    """(gradient, Hessian) in theta of the f-GAN objective at ``member``.
+
+    ``rep`` is the inner solve there, with optimum z* = (a*, b*) and h* =
+    a* . phi + b*. By Danskin's theorem the gradient is the theta-derivative
+    of L = a . E_data[phi] + b - E_q[f*(a . phi + b)] at z* held fixed. The
+    envelope Hessian is L_tt + L_tz K^+ L_zt, with K = -L_zz the inner
+    block E_q[f*''(h*) (phi, 1)(phi, 1)^T] (the covariance that the primal's
+    ``moments`` forms, before the intercept is eliminated). When the ball's
+    multiplier lam = grad_a J . a / ||a||^2 is positive, K gains lam on the
+    a-block and is restricted to the sphere's tangent space. Atoms pinned
+    off an inner face drop out, as f*' = f*'' = 0 there, and K^+ leaves
+    out the face normal along which the inner objective is flat. Without
+    f*'' (total variation) only L_tt is used.
+    """
+    on = member.p > 0.0
+    h = rep.h_opt.values
+    fs, slope, curv = np.zeros(h.size), np.zeros(h.size), np.zeros(h.size)
+    with np.errstate(over="ignore"):  # pinned atoms overflow to slopes of exactly 0
+        fs[on] = g.fstar_vec(h[on])[0]
+        slope[on] = g.fstar_prime_vec(h[on])
+        if g.conjugate_smooth:
+            curv[on] = g.fstar_second_vec(h[on])
+    grad = -_mean_gradient(fam, member, fs)
+    hess = -_mean_hessian(fam, member, fs)
+    if not g.conjugate_smooth:
+        return grad, hess
+    feats = np.vstack([phi.values, np.ones(h.size)])
+    cross = _mean_gradient(fam, member, feats * slope)
+    block = (feats * (member.p * curv)) @ feats.T
+    a = rep.coefficients
+    k = a.size
+    lam = 0.0
+    if math.isfinite(radius) and np.linalg.norm(a) >= radius * (1.0 - 1e-9):
+        grad_a = phi.values @ (Pdata.p - member.p * slope)
+        lam = max(float(grad_a @ a), 0.0) / float(a @ a)
+    if lam > 0.0:
+        block[:k, :k] += lam * np.eye(k)
+        normal = np.append(a, 0.0)[None, :]
+        tangent = np.linalg.svd(normal)[2][1:].T
+        cross, block = cross @ tangent, tangent.T @ block @ tangent
+    mu, vecs = np.linalg.eigh(block)
+    keep = mu > 64.0 * np.finfo(float).eps * mu.size * max(float(mu[-1]), 1e-300)
+    half = (cross @ vecs[:, keep]) / np.sqrt(mu[keep])
+    return grad, hess + half @ half.T
+
+
+def _pprime(g: FGenerator, member: Dist, rep) -> Dist:
+    """The dual's intermediate distribution q_i f*'(h*_i) of an inner solve."""
+    on = member.p > 0.0
+    w = np.zeros(member.space.n)
+    with np.errstate(over="ignore"):
+        w[on] = member.p[on] * g.fstar_prime_vec(rep.h_opt.values[on])
+    return make_dist(member.space, w)
 
 
 def fit_linear_fgan(
@@ -341,11 +522,18 @@ def fit_linear_fgan(
     """Adversarial fit: minimize the ball-restricted divergence.
 
     The outer landscape over family parameters is generally nonconvex,
-    so seeded multistart descent is used; the inner discriminator
-    problem is solved to high accuracy per evaluation (for a smooth
-    generator on a 2-ball or an unconstrained coefficient set, by the
-    primal's Newton solve), and by Danskin's theorem its optimal h*
-    gives the gradient -Cov_member(psi, f*(h*)).
+    so the seeded multistart Newton descent of :func:`_multistart_descend`
+    is used. The inner discriminator problem is solved to high accuracy
+    per evaluation (for a smooth generator on a 2-ball or an unconstrained
+    coefficient set, by the primal's Newton solve); by Danskin's theorem
+    its optimum gives the gradient, and :func:`_envelope` the Hessian.
+    Each outer iteration costs one inner solve per trial point, plus one
+    where it tests a face. When no minimiser exists and the objective
+    falls toward a face of the family's closure, ``q_star`` is the limit
+    member on it and ``theta`` is None. ``pprime`` is the dual's
+    intermediate distribution q* f*'(h*) of the final inner solve; for KL
+    at an attained optimum q* matches its psi-means, so q* is the
+    maximum-likelihood member for P'*.
     """
     cfg = cfg or FitConfig()
     if not isinstance(radius, ExtReal):
@@ -355,22 +543,18 @@ def fit_linear_fgan(
     spec = LinearBall(phi, 2, radius)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
 
-    def fun(theta):  # Danskin: h* held fixed; f*(PIN) = -f(0) off a face
-        member = family_member(fam, theta)
+    def fun(member):
         rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
         if rep.h_opt is None:  # unbounded: no gradient
-            return float(rep.value), np.full(dim, math.nan)
-        return float(rep.value), -_mean_gradient(fam, member, g.fstar_vec(rep.h_opt.values)[0])
+            return float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan)
+        return (float(rep.value), *_envelope(fam, g, Pdata, phi, float(radius), member, rep))
 
-    theta, val, iters, per_start, distinct, capped = _multistart_descend(fun, dim, cfg)
-    q_star = family_member(fam, theta)
+    best, iters, per_start, distinct, capped = _multistart_descend(fam, fun, cfg)
+    q_star = _member(fam, best.theta, best.off)
     rep = restricted_div_primal(g, Pdata, q_star, spec, inner_cfg)
-    notes = ()
-    if distinct:
-        notes = ("multiple near-optimal parameters; lexicographically smallest reported",)
+    notes = _descent_notes(best, distinct)
     if capped == len(per_start):
-        # Typical when the objective has no minimiser and keeps falling
-        # along a ray: the reported theta then moves with the cap.
+        # The reported theta then moves with the cap.
         notes += (
             f"every start ran to max_iters={cfg.max_iters}; theta is where the "
             "descent stopped, not a located minimiser",
@@ -378,7 +562,7 @@ def fit_linear_fgan(
     return FitReport(
         estimator="fgan",
         q_star=q_star,
-        theta=theta,
+        theta=best.theta if best.off is None else None,
         objective=float(rep.value),
         cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi), cfg.inner_tol),
                "fgan": float(rep.value)},
@@ -389,5 +573,5 @@ def fit_linear_fgan(
             "inner_status": rep.status,
         },
         notes=notes,
+        pprime=None if rep.h_opt is None else _pprime(g, q_star, rep),
     )
-

@@ -412,16 +412,39 @@ def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
     return float(a @ obj.m_p) - float(np.max(obj._hs(a))) > _rounding(obj, a)
 
 
+def face_splits(a: np.ndarray, u: np.ndarray, free: np.ndarray, rel: np.ndarray, rounding):
+    """Certified faces among the splits of the atoms ``free`` at a gap
+    above ``FACE_GAP`` in ``u``, top face first.
+
+    Yields (on, normal): the indices above the split and a unit normal.
+    The normal is the part of ``a`` orthogonal to the columns ``rel[:, on]``
+    (points relative to one on the face); it certifies the face when
+    normal . rel is zero on it and negative on the other free atoms,
+    beyond ``rounding(normal)``.
+    """
+    order = free[np.argsort(-u[free], kind="stable")]
+    for cut in np.flatnonzero(u[order[:-1]] - u[order[1:]] > FACE_GAP):
+        on, off = order[: cut + 1], order[cut + 1 :]
+        basis, sing, _ = np.linalg.svd(rel[:, on], full_matrices=False)
+        basis = basis[:, sing > sing[0] * max(rel.shape) * np.finfo(float).eps]
+        normal = a - basis @ (basis.T @ a)
+        nrm = _norm(normal)
+        if nrm == 0.0:
+            continue
+        normal /= nrm
+        v, tol = normal @ rel, rounding(normal)
+        if np.all(np.abs(v[on]) <= tol) and np.all(v[off] < -tol):
+            yield on, normal
+
+
 def _face(obj: _ReducedObjective, a: np.ndarray):
     """(face mask over supp Q, unit normal) of a face of the feature hull
     that E_P[phi] lies on, or None.
 
     Along a face normal the iterate keeps the face atoms O(1) apart in
     a . phi while the others fall O(||a||) below, so each split of the
-    unpinned atoms at a gap above ``FACE_GAP`` is a candidate. The part n
-    of ``a`` normal to the candidate features (relative to E_P[phi])
-    certifies it when n . (phi_i - E_P[phi]) is zero on them and negative
-    on the other unpinned atoms, beyond rounding. Then J(a + t n) tends to
+    unpinned atoms at a gap above ``FACE_GAP`` is a candidate, certified
+    by :func:`face_splits` relative to E_P[phi]. Then J(a + t n) tends to
     the objective on the face plus f(0) times the mass off it, and as
     f* >= -f(0) no a does better. Only generators with f'(0) = -inf get
     here: where f*' vanishes below a finite f'(0), pinning takes a finite
@@ -436,19 +459,8 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
             return None
     free = np.arange(u.size) if obj.pin is None else np.flatnonzero(obj.pin == 0.0)
     rel = obj.phi_s - obj.m_p[:, None]
-    order = free[np.argsort(-u[free], kind="stable")]
-    for cut in np.flatnonzero(u[order[:-1]] - u[order[1:]] > FACE_GAP):
-        on, off = order[: cut + 1], order[cut + 1 :]
-        basis, sing, _ = np.linalg.svd(rel[:, on], full_matrices=False)
-        basis = basis[:, sing > sing[0] * max(rel.shape) * np.finfo(float).eps]
-        normal = a - basis @ (basis.T @ a)
-        nrm = _norm(normal)
-        if nrm == 0.0:
-            continue
-        normal /= nrm
-        v, tol = normal @ rel, _rounding(obj, normal)
-        if np.all(np.abs(v[on]) <= tol) and np.all(v[off] < -tol):
-            return np.isin(np.arange(u.size), on), normal
+    for on, normal in face_splits(a, u, free, rel, lambda nrm: _rounding(obj, nrm)):
+        return np.isin(np.arange(u.size), on), normal
     return None
 
 

@@ -277,3 +277,26 @@ def test_solve_reports_carry_route(instance_path, tmp_path, capsys):
     assert main(["gap", "--instance", instance_path, "--out", out2]) == 0
     assert _load(out1)["results"]["route"] == "newton"
     assert _load(out2)["results"]["dual"]["route"] == "newton"
+
+
+def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
+    # The README mismatch instance: the f-GAN objective falls toward the face
+    # member (1/2, 0, 1/2), which has no parameter.
+    doc = {
+        "space": {"labels": ["x1", "x2", "x3"]},
+        "dists": {"U": [1, 1, 1], "Pdata": [0.2, 0.5, 0.3]},
+        "features": {"psi": [[0.0, 1.0, 0.0]], "phi": [[0.0, 1.0, 2.0]]},
+        "generator": "kl",
+        "discriminator": {"variant": "linear_ball", "features": "phi", "p": 2, "radius": 1},
+        "family": {"variant": "exp_family", "base": "U", "features": "psi"},
+        "data": "Pdata",
+    }
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--instance", str(path), "--estimator", "fgan", "--out", out]) == 0
+    results = _load(out)["results"]
+    assert results["theta"] is None
+    assert [float(x) for x in results["q_star"]] == [0.5, 0.0, 0.5]
+    assert any("face of the family's closure" in note for note in results["notes"])
+    assert len(results["pprime"]) == 3
