@@ -220,26 +220,23 @@ class InstanceFile:
             raise ValidationError("instance must name a 'data' distribution")
         return self.dist(str(name))
 
-    def primal_config(self, seed: int | None) -> PrimalConfig:
-        doc = dict(self.raw.get("primal_config", {}))
-        if seed is not None:
-            doc["seed"] = seed
+    def seed(self, section: str, seed: int | None) -> int:
+        """The report's seed: ``--seed``, else the section's ``seed`` key (the solvers ignore it), else 0."""
+        return int(self.raw.get(section, {}).get("seed", 0)) if seed is None else seed
+
+    def primal_config(self) -> PrimalConfig:
+        doc = self.raw.get("primal_config", {})
         return PrimalConfig(
             max_iters=int(doc.get("max_iters", 10_000)),
-            step_init=float(doc.get("step_init", 1.0)),
             tol=float(doc.get("tol", 1e-8)),
-            seed=int(doc.get("seed", 0)),
         )
 
-    def dual_config(self, seed: int | None) -> DualConfig:
-        doc = dict(self.raw.get("dual_config", {}))
-        if seed is not None:
-            doc["seed"] = seed
+    def dual_config(self) -> DualConfig:
+        doc = self.raw.get("dual_config", {})
         return DualConfig(
             max_iters=int(doc.get("max_iters", 60_000)),
             tol=float(doc.get("tol", 1e-4)),
             smoothing_eps=float(doc.get("smoothing_eps", 1e-6)),
-            seed=int(doc.get("seed", 0)),
         )
 
     def fit_config(self, seed: int | None) -> FitConfig:
@@ -429,7 +426,7 @@ def _cmd_primal(args) -> int:
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    cfg = inst.primal_config(args.seed)
+    cfg = inst.primal_config()
     if isinstance(spec, QuadraticCoefficientPenalty):
         rep = regularized_div_primal(g, P, Q, spec, cfg)
     else:
@@ -437,7 +434,7 @@ def _cmd_primal(args) -> int:
     _emit(
         {
             "command": "primal",
-            "seed": cfg.seed,
+            "seed": inst.seed("primal_config", args.seed),
             "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator"), "primal_config": vars(cfg)},
             "results": _solve_report_payload(rep),
         },
@@ -453,12 +450,12 @@ def _cmd_dual(args) -> int:
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    cfg = inst.dual_config(args.seed)
+    cfg = inst.dual_config()
     rep = restricted_div_dual(g, P, Q, spec, cfg)
     _emit(
         {
             "command": "dual",
-            "seed": cfg.seed,
+            "seed": inst.seed("dual_config", args.seed),
             "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator"), "dual_config": vars(cfg)},
             "results": _solve_report_payload(rep),
         },
@@ -474,8 +471,8 @@ def _cmd_gap(args) -> int:
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    pcfg = inst.primal_config(args.seed)
-    dcfg = inst.dual_config(args.seed)
+    pcfg = inst.primal_config()
+    dcfg = inst.dual_config()
     gr = duality_gap(g, P, Q, spec, pcfg, dcfg)
     results = {
         "status": gr.status,
@@ -492,7 +489,7 @@ def _cmd_gap(args) -> int:
     _emit(
         {
             "command": "gap",
-            "seed": pcfg.seed,
+            "seed": inst.seed("primal_config", args.seed),
             "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator")},
             "results": results,
         },
@@ -509,7 +506,7 @@ def _cmd_gap(args) -> int:
     )
     if gr.status == "not_applicable":
         return 0
-    # The gap certifies both values; an ascent that stopped on its float
+    # The gap certifies both values; a primal solve that stopped on its float
     # resolution floor with a certified gap is not a failure.
     return 0 if gr.rel_gap <= dcfg.tol else 2
 

@@ -201,6 +201,9 @@ def r_functional_numeric(
     h_max = float(np.max(hs))
     if up.is_finite:
         b_edge = up.value - h_max
+        if h_max + b_edge > up.value:
+            # Rounding put max h + b past the domain's end, where f* is +inf.
+            b_edge = math.nextafter(b_edge, -math.inf)
         if g.fstar_domain_closed:
             d_hi = dpsi(b_edge)
             if d_hi <= 0.0:

@@ -13,8 +13,8 @@ its domain.
 
 Because any feasible P' evaluates to an upper bound on the true
 infimum, the solver scores structural candidates first, in this order:
-Q itself and P when dominated; the conjugate-slope tilt
-``p'_i ~ q_i f*'(a . phi_i + b)`` at the supremum side's slope a,
+Q itself and P when dominated; the supremum side's P', the
+conjugate-slope tilt ``p'_i ~ q_i f*'(a . phi_i + b)`` at its optimum,
 when the caller passes it (at the saddle point this tilt is the
 optimal P', so ``duality_gap`` usually certifies here and stops); the
 moment-matching projection (optimal whenever the penalty pins the
@@ -30,9 +30,8 @@ is a certified upper bound regardless of which route produced it.
 ``moment_projection`` solves the infinite-radius case: the closest
 dominated distribution with prescribed feature means. It is the
 conjugate-slope tilt of Q at the infinite-radius primal discriminator,
-found by the primal's Newton solve for every smooth generator. Total
-variation, whose conjugate has kinks, runs an augmented-Lagrangian loop
-with entropic inner descents.
+found by the primal's Newton solve for every generator (for total
+variation, the tilt of the smoothed conjugate).
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ class DualConfig:
     max_iters: int = 60_000
     tol: float = 1e-4
     smoothing_eps: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -109,12 +107,6 @@ class GapReport:
     rel_gap: float
     weak_duality_worst: float
     status: str = "ok"
-
-
-def _embed(space, mask: np.ndarray, ps: np.ndarray) -> Dist:
-    full = np.zeros(mask.shape[0])
-    full[mask] = ps
-    return Dist(space, full)
 
 
 class _DualObjective:
@@ -193,15 +185,15 @@ def restricted_div_dual(
     spec: DiscriminatorSpec | RegularizerSpec,
     cfg: DualConfig | None = None,
     primal_value: float | None = None,
-    coefficients: np.ndarray | None = None,
+    pprime: Dist | None = None,
 ) -> SolveReport:
     """Restricted/regularized divergence from the intermediate-distribution side.
 
     ``primal_value``, when supplied, acts as a certificate reference:
     the search stops once the best feasible evaluation is within
-    ``cfg.tol`` (relative) of it. ``coefficients``, when supplied, is the
-    supremum side's discriminator slope; its conjugate-slope tilt of Q
-    is scored before any other candidate, and when it certifies, no
+    ``cfg.tol`` (relative) of it. ``pprime``, when supplied, is the
+    supremum side's P' (the primal report's tilt, dominated by Q); it is
+    scored exactly before any other candidate, and when it certifies, no
     moment projection, pattern search or descent runs at all. Without
     it the moment-projection candidate is scored first. The returned
     ``value_log`` records the best upper bound at every logged
@@ -220,7 +212,7 @@ def restricted_div_dual(
         if absolutely_continuous(P, Q):
             dv = df_closed(g, P, Q)
             return SolveReport(
-                value=dv.value, pprime=P, iterations=0, residual=0.0,
+                value=dv.value, intermediate=P, iterations=0, residual=0.0,
                 status="converged", attained=dv.value.is_finite,
                 value_log=(float(dv.value),) if dv.value.is_finite else (),
                 route="closed_form",
@@ -257,14 +249,9 @@ def restricted_div_dual(
 
     is_ball = isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall)
     polish_phi = reg.spec.phi if is_ball else reg.phi
-    # The optimal discriminator slope a and the optimal P' are tied by
-    # p'_i ~ q_i f*'(a . phi_i + b), so the supremum side's slope is the
-    # first start of the tilt search, which returns at once when it
-    # certifies.
-    if coefficients is not None:
-        take("primal_tilt", _tilt_polish(
-            g, Q, polish_phi, obj, best_val, best_ps, theta0=coefficients, stop_when=certified
-        ))
+    if pprime is not None:
+        cand = pprime.p[mask]
+        take("primal_tilt", (obj.value(cand), cand))
     # At large radii the optimum sits exactly at the moment-matched kink
     # that diminishing-step subgradient descent crawls toward, so the
     # projection point is scored next, followed by a pass of
@@ -326,9 +313,11 @@ def restricted_div_dual(
                 status = "converged"
     log.append(best_val)
     gap_est = None if primal_value is None else best_val - primal_value
+    full = np.zeros(mask.shape[0])
+    full[mask] = best_ps
     return SolveReport(
         value=finite(best_val),
-        pprime=_embed(space, mask, best_ps),
+        intermediate=Dist(space, full),
         iterations=it,
         residual=float("nan"),
         status=status,
@@ -508,19 +497,16 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
 
     Minimizes D(P'||Q) over P' << Q subject to E_P'[phi] = E_P[phi].
     It is the conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q
-    at the optimal infinite-radius linear discriminator, whose supremum
-    is its value. A supremum growing along a ray means the target is
+    at the optimal infinite-radius linear discriminator (for total
+    variation, of its smoothed conjugate), and the value is D(P'||Q)
+    there. A supremum growing along a ray means the target is
     unreachable: status ``infeasible``, value +inf, and the unit ray
     direction as certificate. On a face of the achievable hull
     ``attained`` is false. ``converged`` needs a moment residual of at
-    most 1e-8. Where f* has kinks (total variation) the slope is not
-    unique and the tilt misses the moments, so an augmented-Lagrangian
-    loop solves the projection instead.
+    most 1e-8.
     """
     _require_same_space(P, Q)
     _require_same_space(P, phi)
-    if not g.conjugate_smooth:
-        return _lagrangian_moment_projection(g, Q, phi, feature_means(P, phi))
     pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(tol=1e-10))
     a = pr.coefficients
     if pr.status == "unbounded":
@@ -529,16 +515,12 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
             residual=pr.residual, status="infeasible", attained=False,
             notes=("target means unreachable at finite divergence",), route="newton",
         )
-    mask = Q.p > 0.0
-    with np.errstate(over="ignore"):  # PIN entries of h_opt give slopes of exactly 0
-        w = Q.p[mask] * g.fstar_prime_vec(pr.h_opt.values[mask])
-    pprime = _embed(Q.space, mask, w / w.sum())
-    residual = float(np.linalg.norm(feature_means(pprime, phi) - feature_means(P, phi)))
-    value = max(float(pr.value), 0.0)
+    residual = float(np.linalg.norm(feature_means(pr.pprime, phi) - feature_means(P, phi)))
+    value = float(df_closed(g, pr.pprime, Q).value)
     return SolveReport(
         value=finite(value),
         coefficients=a,
-        pprime=pprime,
+        intermediate=pr.pprime,
         iterations=pr.iterations,
         residual=residual,
         status=pr.status if residual <= 1e-8 else "not_converged",
@@ -546,94 +528,6 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
         value_log=(value,),
         notes=pr.notes,
         route="newton",
-    )
-
-
-def _lagrangian_moment_projection(
-    g: FGenerator, Q: Dist, phi: FeatureMap, target: np.ndarray
-) -> SolveReport:
-    """Augmented-Lagrangian moment projection, for generators whose f* has kinks.
-
-    Inner subproblems (divergence plus multiplier and quadratic terms)
-    are smooth on the support simplex and solved by entropic descent
-    with a monotone backtracking step.
-    """
-    mask = Q.p > 0.0
-    qs = Q.p[mask]
-    phis = phi.values[:, mask]
-    y = np.zeros(phis.shape[0])
-    rho = 10.0
-    ps = qs.copy()
-    total_inner = 0
-
-    def div_term(p):
-        vals, fin = g.f_vec(p / qs)
-        return float(qs @ vals) if np.all(fin) else math.inf
-
-    def lagrangian(p):
-        c = phis @ p - target
-        return div_term(p) + float(y @ c) + 0.5 * rho * float(c @ c)
-
-    def lagrangian_grad(p):
-        c = phis @ p - target
-        return g.f_prime_vec(np.maximum(p, 1e-300) / qs) + phis.T @ (y + rho * c)
-
-    prev_res = math.inf
-    for outer in range(80):
-        val = lagrangian(ps)
-        z = np.log(np.maximum(ps, 1e-300))
-        eta = 1.0
-        for inner in range(4000):
-            grad = lagrangian_grad(ps)
-            improved = False
-            while eta > 1e-14:
-                z_c = z - eta * grad
-                z_c = z_c - np.max(z_c)
-                w = np.exp(z_c)
-                p_c = w / w.sum()
-                v_c = lagrangian(p_c)
-                if v_c < val - 1e-15:
-                    z, ps, val = z_c, p_c, v_c
-                    improved = True
-                    eta = min(eta * 2.0, 64.0)
-                    break
-                eta *= 0.5
-            total_inner += 1
-            if not improved:
-                break
-        c = phis @ ps - target
-        res = float(np.max(np.abs(c)))
-        if res <= 1e-8:
-            break
-        if res > 0.25 * prev_res:
-            rho *= 2.0
-        prev_res = res
-        y = y + rho * c
-        if rho > 1e14:
-            direction = y / max(float(np.linalg.norm(y)), 1e-300)
-            return SolveReport(
-                value=POS_INF,
-                coefficients=direction,
-                iterations=total_inner,
-                residual=res,
-                status="infeasible",
-                attained=False,
-                notes=("penalty weight diverged; target means unreachable",),
-                route="lagrangian",
-            )
-    c = phis @ ps - target
-    res = float(np.max(np.abs(c)))
-    value = div_term(ps)
-    return SolveReport(
-        value=finite(value),
-        coefficients=-y,  # multiplier estimate of the optimal tilt coefficient
-        pprime=_embed(Q.space, mask, ps),
-        iterations=total_inner,
-        residual=res,
-        status="converged" if res <= 1e-8 else "not_converged",
-        attained=True,
-        value_log=(value,),
-        route="lagrangian",
     )
 
 
@@ -664,8 +558,8 @@ def duality_gap(
     else:
         p_rep = restricted_div_primal(g, P, Q, p_spec, primal_cfg)
     ref = float(p_rep.value) if p_rep.value.is_finite else None
-    coef = p_rep.coefficients if ref is not None else None
-    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal_value=ref, coefficients=coef)
+    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal_value=ref,
+                                pprime=p_rep.pprime if ref is not None else None)
 
     pv, dv = p_rep.value, d_rep.value
     if pv.is_finite and dv.is_finite:

@@ -502,15 +502,6 @@ def _envelope(fam: GeneratorFamily, g: FGenerator, Pdata: Dist, phi: FeatureMap,
     return grad, hess + half @ half.T
 
 
-def _pprime(g: FGenerator, member: Dist, rep) -> Dist:
-    """The dual's intermediate distribution q_i f*'(h*_i) of an inner solve."""
-    on = member.p > 0.0
-    w = np.zeros(member.space.n)
-    with np.errstate(over="ignore"):
-        w[on] = member.p[on] * g.fstar_prime_vec(rep.h_opt.values[on])
-    return make_dist(member.space, w)
-
-
 def fit_linear_fgan(
     fam: GeneratorFamily,
     Pdata: Dist,
@@ -528,11 +519,12 @@ def fit_linear_fgan(
     coefficient set, by the primal's Newton solve); by Danskin's theorem
     its optimum gives the gradient, and :func:`_envelope` the Hessian.
     Each outer iteration costs one inner solve per trial point, plus one
-    where it tests a face. When no minimiser exists and the objective
-    falls toward a face of the family's closure, ``q_star`` is the limit
-    member on it and ``theta`` is None. ``pprime`` is the dual's
-    intermediate distribution q* f*'(h*) of the final inner solve; for KL
-    at an attained optimum q* matches its psi-means, so q* is the
+    where it tests a face; the report reuses the descent's solve at
+    ``q_star``. When no minimiser exists and the objective falls toward
+    a face of the family's closure, ``q_star`` is the limit member on it
+    and ``theta`` is None. ``pprime`` is the dual's intermediate
+    distribution, the tilt q* f*'(h*) of that inner solve; for KL at an
+    attained optimum q* matches its psi-means, so q* is the
     maximum-likelihood member for P'*.
     """
     cfg = cfg or FitConfig()
@@ -542,16 +534,17 @@ def fit_linear_fgan(
     dim = family_dim(fam)
     spec = LinearBall(phi, 2, radius)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
+    solves = {}  # inner reports by member, for the one at q_star
 
     def fun(member):
-        rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
+        rep = solves[member.p.tobytes()] = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
         if rep.h_opt is None:  # unbounded: no gradient
             return float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan)
         return (float(rep.value), *_envelope(fam, g, Pdata, phi, float(radius), member, rep))
 
     best, iters, per_start, distinct, capped = _multistart_descend(fam, fun, cfg)
     q_star = _member(fam, best.theta, best.off)
-    rep = restricted_div_primal(g, Pdata, q_star, spec, inner_cfg)
+    rep = solves[q_star.p.tobytes()]
     notes = _descent_notes(best, distinct)
     if capped == len(per_start):
         # The reported theta then moves with the cap.
@@ -573,5 +566,5 @@ def fit_linear_fgan(
             "inner_status": rep.status,
         },
         notes=notes,
-        pprime=None if rep.h_opt is None else _pprime(g, q_star, rep),
+        pprime=rep.pprime,
     )

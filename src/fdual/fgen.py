@@ -26,6 +26,11 @@ squared_hellinger   (sqrt(x) - 1)^2              t / (1 - t)   for t < 1        
 total_variation     |x - 1| / 2                  max(t, -1/2)  for t <= 1/2       none (kink at -1/2)
 ==================  ===========================  ===============================  ====================
 
+Total variation's conjugate has kinks, so its ``smoothing`` gives, for
+mu > 0, the generator whose conjugate is
+``-1/2 + mu ln(1 + e^((t + 1/2)/mu)) + mu e^((t - 1/2)/mu)`` (see
+:func:`smoothed_total_variation`).
+
 ``js_gan`` is the classic adversarial-game generator
 ``x ln x - (x+1) ln(x+1)`` normalized by the affine offset
 ``(x+1) ln 2`` so that ``f(1) = 0``; the induced divergence equals
@@ -40,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownGenerator
+from .errors import UnknownGenerator, ValidationError
 from .extreal import POS_INF, ExtReal, finite
 from .optim1d import golden_max, golden_max_batch, ladder_bracket, ladder_bracket_batch
 
@@ -52,6 +57,7 @@ __all__ = [
     "builtin",
     "builtin_names",
     "check_generator",
+    "smoothed_total_variation",
 ]
 
 LN2 = math.log(2.0)
@@ -70,6 +76,8 @@ class FGenerator:
     and ``f_prime`` likewise for ``f`` on the open positive axis.
     ``fstar_second_vec`` is the second derivative of ``f*`` (Pearson's
     one-sided at its kink t = -2); it is ``None`` when ``f*`` has kinks.
+    ``smoothing``, given where ``f*`` has kinks, maps mu > 0 to a
+    generator with a smooth conjugate within mu (1 + ln 2) of ``f*``.
     """
 
     name: str
@@ -82,10 +90,11 @@ class FGenerator:
     fprime_at_infinity: ExtReal
     f_at_zero: ExtReal
     fstar_second_vec: Callable[[np.ndarray], np.ndarray] | None = None
+    smoothing: Callable[[float], "FGenerator"] | None = None
 
     @property
     def conjugate_smooth(self) -> bool:
-        """False when f* has kinks, where first-order solvers need multistart."""
+        """False when f* has kinks, where the solvers work on its ``smoothing``."""
         return self.fstar_second_vec is not None
 
     def f(self, x: float) -> ExtReal:
@@ -269,6 +278,65 @@ def _total_variation() -> FGenerator:
         fstar_domain_closed=True,
         fprime_at_infinity=finite(0.5),
         f_at_zero=finite(0.5),
+        smoothing=smoothed_total_variation,
+    )
+
+
+def smoothed_total_variation(mu: float) -> FGenerator:
+    """Total variation with its conjugate smoothed by ``mu`` (Nesterov, 2005).
+
+    f*_mu(t) = -1/2 + mu ln(1 + e^((t + 1/2)/mu)) + mu e^((t - 1/2)/mu)
+    replaces the kink of max(t, -1/2) at -1/2 by a softplus and the
+    domain wall at 1/2 by an exponential, so f*_mu'' > 0 everywhere. On
+    t <= 1/2 it exceeds f* by at most mu (1 + ln 2). Its slope
+    sigma(u) + e^(u - 1/mu), u = (t + 1/2)/mu, is inverted in closed form:
+    with w = e^(u - 1/(2 mu)), w^2 + beta w - x = 0 for
+    beta = (1 + e^(-1/mu) - x) e^(1/(2 mu)), and f_mu'(x) = mu ln w,
+    evaluated in logs where beta or e^(1/mu) leave the float range. f_mu
+    itself, the conjugate of f*_mu, is not normalized: f_mu(1) is about
+    -2 mu e^(-1/(2 mu)).
+    """
+    if not mu > 0.0:
+        raise ValidationError("smoothing needs mu > 0")
+
+    def fstar(t):
+        return -0.5 + mu * np.logaddexp(0.0, (t + 0.5) / mu) + mu * np.exp((t - 0.5) / mu)
+
+    def fstar_prime(t):
+        with np.errstate(over="ignore"):
+            return np.exp(-np.logaddexp(0.0, -(t + 0.5) / mu)) + np.exp((t - 0.5) / mu)
+
+    def fstar_second(t):
+        u = (t + 0.5) / mu
+        with np.errstate(over="ignore"):
+            return (np.exp(-np.logaddexp(0.0, u) - np.logaddexp(0.0, -u)) + np.exp((t - 0.5) / mu)) / mu
+
+    def f_prime(x):
+        d = 1.0 + math.exp(-1.0 / mu) - x
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_beta = np.log(np.abs(d)) + 0.5 / mu
+            # ell = ln(|beta| + sqrt(beta^2 + 4x)), with |beta| factored out where it is large.
+            small = np.exp(np.minimum(log_beta, 0.0))
+            ell = np.where(log_beta > 0.0,
+                           log_beta + np.log1p(np.sqrt(1.0 + 4.0 * x * np.exp(-2.0 * np.maximum(log_beta, 0.0)))),
+                           np.log(small + np.sqrt(small * small + 4.0 * x)))
+            return mu * np.where(d >= 0.0, np.log(2.0 * x) - ell, ell - LN2)
+
+    def f(x):
+        t = f_prime(np.where(x > 0, x, 1.0))
+        return np.where(x > 0, x * t - fstar(t), np.where(x == 0, 0.5, np.nan))
+
+    return FGenerator(
+        name="total_variation_smoothed",
+        f_vec=_mask_eval(f),
+        fstar_vec=_mask_eval(fstar),
+        fstar_prime_vec=fstar_prime,
+        f_prime_vec=f_prime,
+        fstar_domain_upper=POS_INF,
+        fstar_domain_closed=False,
+        fprime_at_infinity=POS_INF,
+        f_at_zero=finite(0.5),
+        fstar_second_vec=fstar_second,
     )
 
 

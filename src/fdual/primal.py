@@ -11,27 +11,29 @@ where Q~ reweights Q by the conjugate slope q_i f*'(a . phi_i + b*) at
 the optimal intercept b*, and its Hessian is ``-(sum w) Cov_w(phi)``
 with w_i = q_i f*''(a . phi_i + b*) (for KL, w = Q~).
 
-Every smooth generator is solved by one projected Newton loop, on a
-2-ball, at infinite radius for any p, and under the quadratic
-coefficient penalty. At infinite radius the loop also certifies an
-unbounded value, or a face of the feature hull along whose normal the
-supremum is approached; the moment projection of :mod:`fdual.dual`,
-and through it the exponential-family fits of :mod:`fdual.estimators`,
-read the conjugate-slope tilt of that solve. Total variation, whose
-conjugate has kinks, and p in {1, inf} balls of finite radius run
-projected gradient ascent with a backtracking (Armijo) line search.
-Both loops share the stopping rule, the value log and a
-finite-difference gradient check every 50 iterations. Smooth
-generators take the optimal intercept from a safeguarded Newton
-iteration, total variation from the bisection of ``r_functional``.
+Every generator and coefficient set is solved by one projected Newton
+loop, on a 2-ball or at infinite radius, where it also certifies an
+unbounded value or a face of the feature hull along whose normal the
+supremum is approached. One optional smooth concave term joins J: the
+quadratic coefficient penalty, or the log barrier of a finite 1- or
+inf-ball, its weight cut by 10 per stage (Boyd and Vandenberghe,
+*Convex Optimization*, 11.2). Total variation, whose conjugate has
+kinks, is solved on its smoothing (Nesterov, 2005), cut by 10 per
+stage, and reported at its exact objective at the final slope. Each
+stage starts from the last one's optimum. A solve's ``pprime`` is the
+conjugate-slope tilt of Q at its optimum: ``duality_gap`` scores it
+first, and the moment projection of :mod:`fdual.dual` (through it, the
+fits of :mod:`fdual.estimators`) reads it.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,20 +58,16 @@ RAY_NORM = 1e3
 PIN = -1e300
 # Gap in a . phi that makes a split of supp Q a face candidate (see _face).
 FACE_GAP = 8.0
+# A barrier or smoothing path stops once the value it can give up is at most this.
+PATH_GAP = 1e-10
 
 
 @dataclass(frozen=True)
 class PrimalConfig:
-    """Ascent controls: iteration cap, initial step, residual tolerance.
-
-    ``seed`` only matters for consumers that randomize restarts; the
-    concave solve itself is deterministic from the zero start.
-    """
+    """Newton loop controls: iteration cap (over all stages), residual tolerance."""
 
     max_iters: int = 10_000
-    step_init: float = 1.0
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -85,19 +83,23 @@ class SolveReport:
     ``status`` is one of ``converged``, ``not_converged``, ``unbounded``
     or ``infeasible``; infinite optima are reported through ``value``
     plus status, never raised. ``value_log`` holds exact objective
-    evaluations at logged iterates (every 50 iterations plus the last):
-    each entry is a valid one-sided bound on the true optimum.
-    ``route`` names what produced the result: the primal's ``newton``,
-    ``ascent``, ``multistart`` or ``closed_form``, the moment
-    projection's ``newton`` or ``lagrangian``, or the dual stage whose
-    candidate was returned.
+    evaluations at logged iterates (every 50 iterations plus the last,
+    or the end of each barrier or smoothing stage): each entry is a
+    valid one-sided bound on the true optimum. ``pprime`` is the
+    intermediate distribution: the dual's candidate, or a linear primal
+    solve's conjugate-slope tilt of Q at its optimum. ``intermediate``
+    holds it, or for a primal solve builds it on first read (the fits'
+    inner solves never read it). ``route`` names what produced the
+    result: the primal's ``newton`` or ``closed_form``, the moment
+    projection's ``newton``, or the dual stage whose candidate was
+    returned.
     """
 
     value: ExtReal
     coefficients: np.ndarray | None = None
     intercept: float | None = None
     h_opt: FunctionOnSpace | None = None
-    pprime: Dist | None = None
+    intermediate: Dist | Callable[[], Dist] | None = field(default=None, repr=False, compare=False)
     iterations: int = 0
     residual: float = math.nan
     status: str = "converged"
@@ -112,6 +114,10 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @cached_property
+    def pprime(self) -> Dist | None:
+        return self.intermediate() if callable(self.intermediate) else self.intermediate
 
 
 def _norm(v: np.ndarray) -> float:
@@ -141,20 +147,23 @@ def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
 
 
 class _ReducedObjective:
-    """J(a) = a . m_P - R(a . phi) - quad_weight * ||a||_2^2.
+    """J(a) = a . m_P - R(a . phi) + term(a).
 
-    ``pin`` (None, or 0 or ``PIN`` per atom of supp Q, added to h by
-    :meth:`_hs`) holds atoms off a face at h = -inf,
-    where f* = -f(0) and f*' = f*'' = 0 to the last bit: J is then the
-    objective on the face plus f(0) times the mass off it.
+    ``term`` (None, or a smooth concave function of a returning its
+    value, gradient, negative Hessian and gradient rounding bound) is the
+    quadratic coefficient penalty or a ball's log barrier. ``pin`` (None,
+    or 0 or ``PIN`` per atom of supp Q, added to h by :meth:`_hs`) holds
+    atoms off a face at h = -inf, where f* = -f(0) and f*' = f*'' = 0 to
+    the last bit: J is then the objective on the face plus f(0) times the
+    mass off it.
     """
 
-    def __init__(self, g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, quad_weight: float = 0.0):
+    def __init__(self, g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term=None):
         _require_same_space(P, Q)
         _require_same_space(P, phi)
         self.g = g
         self.m_p = feature_means(P, phi)
-        self.quad_weight = quad_weight
+        self.term = term
         self.mask = Q.p > 0.0
         self.qs = Q.p[self.mask]
         self.phi_s = phi.values[:, self.mask]
@@ -165,37 +174,30 @@ class _ReducedObjective:
         self.space = P.space
         self._b_hint: float | None = None
         self._is_kl = g.name == "kl"
+        if g.conjugate_smooth and not self._is_kl:
+            # Ends of the intercept's bracket, less max h: f*'(f'(1)) = 1, and
+            # the top atom alone has f*' >= 2 / q_min at f'(2 / q_min).
+            self._t_lo = g.f_prime(1.0)
+            self._t_hi = g.fstar_box_upper(math.inf, margin=0.0)
+            if math.isinf(self._t_hi):
+                self._t_hi = g.f_prime(2.0 / float(self.qs.min()))
 
-    def _inner(self, a: np.ndarray) -> tuple[float, float]:
-        """(R(a . phi), optimal intercept)."""
-        hs = a @ self.phi_s
-        if self._is_kl:
-            m = float(np.max(hs))
-            lse = m + math.log(float(self.qs @ np.exp(hs - m)))
-            return lse, 1.0 - lse
+    def exact(self, a: np.ndarray) -> tuple[float, float]:
+        """(J(a), optimal intercept), by exact evaluation.
+
+        Where f* has kinks (total variation) R is evaluated by
+        :func:`r_functional`, whose intercept puts max h at the closed end
+        of the domain of f*.
+        """
         if self.g.conjugate_smooth:
-            b = self._intercept(hs)
-            fs, _ = self.g.fstar_vec(hs + b)
-            return float(self.qs @ fs) - b, b
-        h_full = FunctionOnSpace(self.space, a @ self.phi.values)
-        val, b = r_functional(self.g, self.Q, h_full, b_hint=self._b_hint)
-        self._b_hint = b
-        return val, b
-
-    def value(self, a: np.ndarray) -> float:
-        r_val, _ = self._inner(a)
-        return float(a @ self.m_p) - r_val - self.quad_weight * float(a @ a)
-
-    def value_grad_intercept(self, a: np.ndarray):
-        r_val, b = self._inner(a)
-        hs = a @ self.phi_s
-        if self._is_kl:
-            w = self.qs * np.exp(hs + (b - 1.0))
-        else:
-            w = self.qs * self.g.fstar_prime_vec(hs + b)
-        grad = self.m_p - self.phi_s @ w - 2.0 * self.quad_weight * a
-        val = float(a @ self.m_p) - r_val - self.quad_weight * float(a @ a)
-        return val, grad, b
+            val, _, _, b, _, _ = self.moments(a)
+            return val, b
+        h = a @ self.phi.values
+        if self.pin is not None:
+            h[self.mask] += self.pin
+        r_val, b = r_functional(self.g, self.Q, FunctionOnSpace(self.space, h))
+        val = float(a @ self.m_p) - r_val
+        return (val if self.term is None else val + self.term(a)[0]), b
 
     def _hs(self, a: np.ndarray) -> np.ndarray:
         hs = a @ self.phi_s
@@ -205,11 +207,13 @@ class _ReducedObjective:
         """b* with d(b) = E_Q[f*'(h + b)] - 1 = 0, by safeguarded Newton steps.
 
         d is nondecreasing and convex, d(f'(1) - max h) <= 0 as f*'(f'(1))
-        = 1, and d -> +inf at the end U - max h of the domain of f*. Newton
-        steps land right of the root, then descend to it monotonically.
+        = 1, and d >= 0 at the end U - max h of the domain of f*, or where
+        U is infinite at f'(2 / q_min) - max h. Newton steps land right of
+        the root, then descend to it monotonically; a step off the bracket,
+        or a slope that underflows, bisects it.
         """
         g, qs, top = self.g, self.qs, float(hs.max())
-        lo, hi = g.f_prime(1.0) - top, g.fstar_box_upper(math.inf, margin=0.0) - top
+        lo, hi = self._t_lo - top, self._t_hi - top
         b = self._b_hint if self._b_hint is not None and lo < self._b_hint < hi else lo
         for _ in range(200):
             t = hs + b
@@ -251,7 +255,8 @@ class _ReducedObjective:
                 mean = self.phi_s @ (self.qs * g.fstar_prime_vec(t))
             r = float(self.qs @ fs) - b
             size = abs(lin) + float(self.qs @ np.abs(fs)) + abs(b)
-            mu = self.phi_s @ w / float(w.sum())
+            # f*'' underflows on every atom where a smoothed kink is far from all of them.
+            mu = self.phi_s @ w / max(float(w.sum()), np.finfo(float).tiny)
         centered = self.phi_s - mu[:, None]
         cov = (centered * w) @ centered.T
         val = lin - r
@@ -261,16 +266,24 @@ class _ReducedObjective:
         k, n = self.phi_s.shape
         tau = (k + 1) * float(w.sum()) * (float(np.abs(a) @ self.phi_top) + abs(b))
         gerr = np.finfo(float).eps * _norm(n * (np.abs(self.m_p) + self.phi_top) + tau * self.phi_top)
-        if self.quad_weight:
-            quad = self.quad_weight * float(a @ a)
-            val -= quad
-            size += quad
-            grad = grad - 2.0 * self.quad_weight * a
-            cov = cov + 2.0 * self.quad_weight * np.eye(a.size)
+        if self.term is not None:
+            t_val, t_grad, t_curv, t_err = self.term(a)
+            val += t_val
+            size += abs(t_val)
+            grad = grad + t_grad
+            cov = cov + t_curv
+            gerr += t_err
         return val, grad, cov, b, size, gerr
 
+    def tilt(self, a: np.ndarray, b: float) -> Dist:
+        """The conjugate-slope tilt q_i f*'(a . phi_i + b) of Q, normalized."""
+        masses = np.zeros(self.space.n)
+        with np.errstate(over="ignore"):  # pinned atoms overflow to slopes of exactly 0
+            masses[self.mask] = self.qs * self.g.fstar_prime_vec(self._hs(a) + b)
+        return Dist(self.space, masses / masses.sum())
+
     def fd_gradient(self, a: np.ndarray, value=None, step: float = 1e-6) -> np.ndarray:
-        value = value or self.value
+        value = value or (lambda x: self.exact(x)[0])
         out = np.empty_like(a)
         for j in range(a.size):
             e = np.zeros_like(a)
@@ -280,7 +293,8 @@ class _ReducedObjective:
 
 
 class _Solve(NamedTuple):
-    """A solver's result; ``obj`` is the objective solved (pinned on a face)."""
+    """A solver's result; ``obj`` is the objective solved (pinned on a face),
+    ``tilt`` gives the conjugate-slope tilt of Q at its optimum (None if unbounded)."""
 
     a: np.ndarray
     value: float
@@ -291,68 +305,7 @@ class _Solve(NamedTuple):
     log: tuple[float, ...]
     fd_worst: float
     obj: _ReducedObjective
-
-
-def _ascend(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool, a0=None):
-    """Projected gradient ascent with Armijo backtracking.
-
-    Returns a :class:`_Solve`. Ray detection flags an objective that keeps improving
-    along an unbounded direction (only possible without a ball).
-    """
-    a = np.zeros(obj.m_p.shape[0]) if a0 is None else np.asarray(a0, dtype=float).copy()
-    val, grad, b = obj.value_grad_intercept(a)
-    step = cfg.step_init
-    log = [val]
-    fd_worst = 0.0
-    residual = math.inf
-    status = "not_converged"
-    stagnant = 0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        moved = project(a + grad)
-        residual = _norm(moved - a)
-        if residual <= cfg.tol:
-            status = "converged"
-            break
-        if detect_ray and _norm(a) > RAY_NORM:
-            if float(grad @ a) / _norm(a) > 1e-12:
-                status = "unbounded"
-                break
-        s = step
-        cand = a
-        cand_val = val
-        while s > 1e-15:
-            cand = project(a + s * grad)
-            cand_val = obj.value(cand)
-            gain = float(grad @ (cand - a))
-            if cand_val >= val + 1e-4 * gain:
-                break
-            s *= 0.5
-        if cand_val <= val and s <= 1e-15:
-            # No ascent direction left at float resolution.
-            break
-        if cand_val - val <= 1e-15 * max(1.0, abs(val)):
-            stagnant += 1
-            if stagnant >= 30:
-                # Progress is below float resolution; the residual floor
-                # has been reached even if it sits above tol.
-                break
-        else:
-            stagnant = 0
-        a = cand
-        val, grad, b = obj.value_grad_intercept(a)
-        step = min(s * 2.0, 64.0)
-        if it % LOG_EVERY == 0:
-            log.append(val)
-            fd = obj.fd_gradient(a)
-            denom = max(1.0, _norm(grad))
-            fd_worst = max(fd_worst, _norm(fd - grad) / denom)
-    moved = project(a + grad)
-    residual = _norm(moved - a)
-    if residual <= cfg.tol:
-        status = "converged"
-    log.append(val)
-    return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj)
+    tilt: Callable[[], Dist] | None = None
 
 
 def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarray:
@@ -464,15 +417,16 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
     return None
 
 
-def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _Solve:
-    """Projected Newton ascent on the 2-ball of ``radius``, any smooth f.
+def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=None) -> _Solve:
+    """Projected Newton ascent on the 2-ball of ``radius``, any smooth f, from ``a0`` (or 0).
 
-    Same stopping rule (plus the gradient's rounding bound, which alone
-    can exceed ``tol`` at large ``a``), value log and finite-difference
-    cross-check as :func:`_ascend`. The Armijo test allows a few ulps of
-    the objective's terms as slack: near the optimum the true gain of a
-    Newton step is below the rounding error of J, and without the slack
-    backtracking rejects steps that are in fact exact.
+    It stops when the projected gradient step is at most ``tol`` plus
+    the gradient's rounding bound (which alone can exceed ``tol`` at
+    large ``a``), logs J every ``LOG_EVERY`` iterations and checks the
+    gradient by finite differences there. The Armijo test allows a few
+    ulps of the objective's terms as slack: near the optimum the true
+    gain of a Newton step is below the rounding error of J, and without
+    the slack backtracking rejects steps that are in fact exact.
 
     At infinite radius the step maximizes the model over a trust ball
     around ``a`` instead, of radius ``RAY_NORM`` at first and then twice
@@ -480,8 +434,8 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
     atoms the model's curvature is at rounding level, and where the
     model is flat along a gradient direction it has no maximizer at
     all; the trust ball keeps either from throwing the iterate far off.
-    Without a coefficient penalty the solve stops ``unbounded`` as soon
-    as ``a`` certifies it (:func:`_separates`). If f*' > 0 everywhere
+    Without a term the solve stops ``unbounded`` as soon as ``a``
+    certifies it (:func:`_separates`). If f*' > 0 everywhere
     (f'(0) = -inf) and ``a`` certifies a face (:func:`_face`), the
     supremum is not attained: it is +inf if f(0) is, with the face normal
     as certificate, and otherwise the loop goes on with the atoms off the
@@ -492,7 +446,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
         return project_ball(x, 2.0, radius)
 
     infinite = math.isinf(radius)
-    rays = infinite and not obj.quad_weight
+    rays = infinite and obj.term is None
 
     def residual_at(a, grad):
         # Without a ball the projected step is the gradient itself, and
@@ -500,7 +454,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
         return _norm(grad) if infinite else _norm(project(a + grad) - a)
 
     trust = RAY_NORM
-    a = np.zeros(obj.m_p.shape[0])
+    a = np.zeros(obj.m_p.shape[0]) if a0 is None else a0
     val, grad, cov, b, size, gerr = obj.moments(a)
     log = [val]
     fd_worst = 0.0
@@ -564,46 +518,145 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig) -> _S
     if residual <= cfg.tol + gerr:
         status = "converged"
     log.append(val)
-    return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj)
+    tilt = None if status == "unbounded" else partial(obj.tilt, a, b)
+    return _Solve(a, val, b, it, residual, status, tuple(log), fd_worst, obj, tilt)
 
 
-def _solve_starts(obj: _ReducedObjective, project, cfg: PrimalConfig, detect_ray: bool, scale: float):
-    """Run the ascent, adding seeded restarts for nonsmooth conjugates.
+def _quadratic(weight: float):
+    """The coefficient penalty -weight ||a||_2^2, as a term of J."""
 
-    A kink of f* can stall the subgradient selection at a
-    non-optimal stationary-looking point, so piecewise-linear
-    generators get extra seeded starts and the best value wins. Every
-    start's logged values are exact evaluations, hence valid lower
-    bounds; the concatenated log is reported. Returns (solve, notes,
-    route).
+    def term(a):
+        return -(weight * float(a @ a)), -2.0 * weight * a, 2.0 * weight * np.eye(a.size), 0.0
+
+    return term
+
+
+def _barrier(p: float, radius: float, tau: float, k: int):
+    """(term, m): tau times a self-concordant log barrier of the p-ball in R^k, p in {1, inf}.
+
+    The term is -inf off the ball, and its gradient's rounding is about
+    eps R times its curvature. At the optimum a of J + term, J(a) is
+    within m tau of the supremum over the ball (Boyd and Vandenberghe,
+    11.2). inf-ball: sum_j log(R - a_j) + log(R + a_j), m = 2k. 1-ball:
+    sum_j log(t_j^2 - a_j^2) + log(R - sum_j t_j) maximized over t, m =
+    2k + 1, at t_j = s + sqrt(s^2 + a_j^2) where the slack s solves
+    R - (k + 1) s - sum_j sqrt(s^2 + a_j^2) = 0; eliminating t from the
+    Hessian leaves a rank-one term (Sherman-Morrison).
     """
-    if obj.g.conjugate_smooth:
-        return _ascend(obj, project, cfg, detect_ray), (), "ascent"
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, obj.m_p.shape[0]]))
-    starts = [None] + [project(rng.normal(size=obj.m_p.shape[0]) * scale) for _ in range(3)]
-    best = None
-    total_iters = 0
-    logs: list[float] = []
-    fd_worst = 0.0
-    for a0 in starts:
-        out = _ascend(obj, project, cfg, detect_ray, a0)
-        total_iters += out.iterations
-        logs.extend(out.log)
+    eps = np.finfo(float).eps
+
+    def outside(a):
+        return -math.inf, np.zeros_like(a), np.zeros((a.size, a.size)), 0.0
+
+    if math.isinf(p):
+        def term(a):
+            below, above = radius + a, radius - a
+            if not (below.min() > 0.0 and above.min() > 0.0):
+                return outside(a)
+            curv = tau * (1.0 / below**2 + 1.0 / above**2)
+            value = tau * float(np.log(below).sum() + np.log(above).sum())
+            return value, tau * (1.0 / below - 1.0 / above), np.diag(curv), eps * radius * _norm(curv)
+
+        return term, 2 * k
+
+    def term(a):
+        mag = np.abs(a)
+        room = radius - float(mag.sum())
+        if not room > 0.0:
+            return outside(a)
+        # The slack's equation is concave and decreasing in s, so Newton
+        # steps from s = room / (k + 1), right of its root, descend to it.
+        s = room / (k + 1)
+        for _ in range(100):
+            r = np.sqrt(s * s + a * a)
+            step = (room - (k + 1) * s - float((s * s / (r + mag)).sum())) / (k + 1 + float((s / r).sum()))
+            s += step
+            if not step < -4.0 * eps * s:
+                break
+        r = np.sqrt(s * s + a * a)
+        near, far = s + s * s / (r + mag), s + r + mag  # t - |a|, t + |a|
+        minus, plus = np.where(a >= 0.0, near, far), np.where(a >= 0.0, far, near)  # t - a, t + a
+        wm, wp = 1.0 / minus**2, 1.0 / plus**2
+        both = wm + wp
+        lean = (wm - wp) / both
+        curv = np.diag(4.0 * wm * wp / both) + np.outer(lean, lean) / (s * s + float((1.0 / both).sum()))
+        value = tau * (float(np.log(near).sum() + np.log(far).sum()) + math.log(s))
+        return value, tau * (1.0 / plus - 1.0 / minus), tau * curv, eps * radius * tau * float(both.sum())
+
+    return term, 2 * k + 1
+
+
+def _stages(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term, p: float, radius: float):
+    """Smooth stand-ins for the problem, one per stage s = 0, 1, ...
+
+    Yields (objective, bound): ``bound(solve)`` bounds how far the exact
+    value at the stage's optimum falls below the supremum. A finite 1- or
+    inf-ball becomes a log barrier of weight tau = 10^-s (bound m tau).
+    Where f* has kinks it becomes its ``smoothing`` with mu = 0.1 * 10^-s,
+    which exceeds f* by at most mu (1 + ln 2) on the domain of f*; moving
+    the intercept down until max h meets the domain's end costs the
+    overshoot, which the bound adds.
+    """
+    barrier = math.isfinite(radius) and p != 2.0
+    for s in itertools.count():
+        tau, mu = 10.0**-s, 0.1 * 10.0**-s
+        stage_term, m = _barrier(p, radius, tau, phi.k) if barrier else (term, 0)
+        stage = _ReducedObjective(g if g.conjugate_smooth else g.smoothing(mu), P, Q, phi, stage_term)
+
+        def bound(out, mu=mu, total=m * tau):
+            if not g.conjugate_smooth:
+                top = float(out.obj._hs(out.a).max()) + out.intercept
+                total += mu * (1.0 + math.log(2.0)) + max(top - g.fstar_domain_upper.value, 0.0)
+            return total
+
+        yield stage, bound
+
+
+def _path(problem: _ReducedObjective, stages, radius: float, cfg: PrimalConfig) -> _Solve:
+    """Newton solves of ``stages``, each from the last one's optimum, until a
+    stage's bound is at most ``PATH_GAP``; ``max_iters`` caps them all.
+
+    The value and intercept are ``problem``'s (pinned as the stage was),
+    exact at the last stage's slope; the log holds that value per stage,
+    each a lower bound. The tilt is the last stage's solved to ``tol``:
+    past it the slopes' rounding (about eps / mu at a smoothed kink)
+    swamps the tilt, while the exact value still gains.
+    """
+    log, its, fd_worst, out, tilt = [], 0, 0.0, None, None
+    for stage, bound in stages:
+        if out is not None:
+            stage._b_hint = out.obj._b_hint
+        out = _newton_ball(stage, radius, replace(cfg, max_iters=cfg.max_iters - its),
+                           None if out is None else out.a)
+        its += out.iterations
         fd_worst = max(fd_worst, out.fd_worst)
         if out.status == "unbounded":
-            best = out
+            return out._replace(iterations=its, log=tuple(log), fd_worst=fd_worst)
+        problem.pin = out.obj.pin
+        value, b = problem.exact(out.a)
+        log.append(value)
+        if tilt is None or out.residual <= cfg.tol:
+            tilt = out.tilt
+        gap = bound(out)
+        if gap <= PATH_GAP or its >= cfg.max_iters:
             break
-        if best is None or out.value > best.value:
-            best = out
-    notes = (
-        "nonsmooth conjugate: stationarity of a subgradient selection does "
-        "not certify optimality; best of seeded multistart reported",
-    )
-    best = best._replace(iterations=total_iters, log=tuple(logs), fd_worst=fd_worst)
-    return best, notes, "multistart"
+    status = out.status if gap <= PATH_GAP else "not_converged"
+    return out._replace(value=value, intercept=b, iterations=its, status=status, log=tuple(log),
+                        fd_worst=fd_worst, obj=problem, tilt=tilt)
 
 
-def _report(out: _Solve, phi: FeatureMap, notes: tuple[str, ...], route: str) -> SolveReport:
+def _solve(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term, p: float, radius: float,
+           cfg: PrimalConfig) -> _Solve:
+    """Maximize J(a) + term(a) over the p-ball of ``radius``."""
+    problem = _ReducedObjective(g, P, Q, phi, term)
+    if g.conjugate_smooth and (p == 2.0 or math.isinf(radius)):
+        return _newton_ball(problem, radius, cfg)
+    if math.isfinite(radius) and p not in (1.0, 2.0, math.inf):
+        raise UnsupportedNorm(f"finite balls implemented for p in {{1, 2, inf}}, got {p}")
+    return _path(problem, _stages(g, P, Q, phi, term, p, radius), radius if p == 2.0 else math.inf, cfg)
+
+
+def _report(out: _Solve, phi: FeatureMap) -> SolveReport:
     """SolveReport of a linear-class solve.
 
     On a face the optimal discriminator is -inf off the face; ``h_opt``
@@ -611,18 +664,20 @@ def _report(out: _Solve, phi: FeatureMap, notes: tuple[str, ...], route: str) ->
     """
     common = dict(coefficients=out.a, intercept=out.intercept, iterations=out.iterations,
                   residual=out.residual, value_log=out.log, fd_gradient_worst=out.fd_worst,
-                  route=route)
+                  route="newton")
     if out.status == "unbounded":
-        return SolveReport(value=POS_INF, status="unbounded", attained=False, notes=notes, **common)
+        return SolveReport(value=POS_INF, status="unbounded", attained=False, **common)
     h = out.a @ phi.values + out.intercept
     attained = out.obj.pin is None
+    notes = ()
     if not attained:
         h[out.obj.mask] += out.obj.pin
-        notes += ("supremum approached along a face normal of the feature hull, not attained; "
-                  "coefficients solve the problem restricted to that face",)
+        notes = ("supremum approached along a face normal of the feature hull, not attained; "
+                 "coefficients solve the problem restricted to that face",)
     return SolveReport(
         value=finite(out.value),
         h_opt=FunctionOnSpace(phi.space, h),
+        intermediate=out.tilt,
         status=out.status,
         attained=attained,
         notes=notes,
@@ -636,12 +691,14 @@ def restricted_div_primal(
     """Divergence restricted to a discriminator class, supremum side.
 
     The full space delegates to the separable variational solver. A
-    linear ball runs the Newton loop for smooth generators on a 2-ball or
-    at infinite radius, and the reduced ascent otherwise. At infinite
-    radius, feature means unreachable inside the support of Q make the
-    objective grow along a ray, reported as status ``unbounded`` with
-    value +inf, and means on a face of the features' hull give a
-    supremum that is not attained (``attained`` false).
+    linear ball runs the Newton loop: directly on a 2-ball or at infinite
+    radius, behind a log barrier on a finite 1- or inf-ball, and for
+    total variation on its smoothed conjugate (see :func:`_stages`). At
+    infinite radius, feature means unreachable inside the support of Q
+    make the objective grow along a ray, reported as status ``unbounded``
+    with value +inf, and means on a face of the features' hull give a
+    supremum that is not attained (``attained`` false). ``pprime`` is the
+    conjugate-slope tilt of Q at the optimum.
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
@@ -664,16 +721,7 @@ def restricted_div_primal(
             "they exist only as a test hook"
         )
     _require_same_space(P, spec.phi)
-    radius = float(spec.radius)
-    obj = _ReducedObjective(g, P, Q, spec.phi)
-
-    if g.conjugate_smooth and (spec.p == 2.0 or math.isinf(radius)):
-        out, notes, route = _newton_ball(obj, radius, cfg), (), "newton"
-    else:
-        scale = radius if spec.radius.is_finite else 1.0
-        project = lambda x: project_ball(x, spec.p, radius)
-        out, notes, route = _solve_starts(obj, project, cfg, math.isinf(radius), scale)
-    return _report(out, spec.phi, notes, route)
+    return _report(_solve(g, P, Q, spec.phi, None, spec.p, float(spec.radius), cfg), spec.phi)
 
 
 def regularized_div_primal(
@@ -681,15 +729,11 @@ def regularized_div_primal(
 ) -> SolveReport:
     """Soft-regularized divergence: maximize J(a) - weight * ||a||_2^2.
 
-    Strongly concave and unconstrained: smooth generators run the Newton
-    loop without a ball, total variation the seeded backtracking ascent.
+    Strongly concave and unconstrained: the Newton loop runs without a
+    ball, with the penalty as its term (for total variation, on the
+    smoothed conjugate).
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
     _require_same_space(P, reg.phi)
-    obj = _ReducedObjective(g, P, Q, reg.phi, quad_weight=reg.weight)
-    if g.conjugate_smooth:
-        out, notes, route = _newton_ball(obj, math.inf, cfg), (), "newton"
-    else:
-        out, notes, route = _solve_starts(obj, lambda x: x, cfg, False, 1.0)
-    return _report(out, reg.phi, notes, route)
+    return _report(_solve(g, P, Q, reg.phi, _quadratic(reg.weight), 2.0, math.inf, cfg), reg.phi)

@@ -271,6 +271,31 @@ def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
     assert "fd_step" not in _load(out)["config"]["fit_config"]
 
 
+def test_solver_configs_ignore_removed_keys(tmp_path, instance_doc):
+    # step_init and seed set the first step and the restarts of the ascent
+    # that the Newton loop replaced, and nothing read dual_config's seed. An
+    # instance that still carries them solves exactly as one without them,
+    # and its report keeps the seed it names.
+    instance_doc["discriminator"] = {"variant": "linear_ball", "features": "phi", "p": 1, "radius": 1}
+    for command, section, extra in (
+        ("primal", "primal_config", {"step_init": 0.5, "seed": 7}),
+        ("dual", "dual_config", {"seed": 7}),
+        ("gap", "primal_config", {"step_init": 0.5, "seed": 7}),
+    ):
+        docs = []
+        for keys in ({}, extra):
+            instance_doc[section] = keys
+            path = tmp_path / f"{command}{len(docs)}.json"
+            path.write_text(json.dumps(instance_doc))
+            out = str(tmp_path / f"{command}-report{len(docs)}.json")
+            assert main([command, "--instance", str(path), "--out", out]) == 0
+            docs.append(_load(out))
+        assert docs[0]["results"] == docs[1]["results"]
+        assert (docs[0]["seed"], docs[1]["seed"]) == (0, 7)
+        assert not {"step_init", "seed"} & set(docs[1]["config"].get(section, {}))
+        instance_doc.pop(section)
+
+
 def test_solve_reports_carry_route(instance_path, tmp_path, capsys):
     out1, out2 = str(tmp_path / "p.json"), str(tmp_path / "g.json")
     assert main(["primal", "--instance", instance_path, "--out", out1]) == 0

@@ -160,7 +160,7 @@ def test_generic_moment_projection_matches_primal():
 
 def test_total_variation_moment_projection_converges():
     # f* of total variation has kinks, so its conjugate-slope tilt is not
-    # unique; the augmented-Lagrangian loop matches the moments instead.
+    # unique; the tilt of the smoothed conjugate matches the moments.
     g = builtin("total_variation")
     for s in range(6):
         P, Q, phi = random_instance(900 + s, 5 + s, 1 + s % 3)
@@ -281,18 +281,56 @@ def test_duality_gap_quadratic_penalty_certifies_from_primal_tilt():
         assert gr.dual.iterations == 0
 
 
-def test_duality_gap_nonsmooth_conjugate_falls_back(monkeypatch):
-    # f* of total variation is piecewise linear, so the primal slope's
-    # tilt does not certify and the projection and descent still run.
+def test_total_variation_gap_certifies_from_primal_tilt(monkeypatch):
+    # f* of total variation has kinks; the primal solves its smoothing and
+    # the smoothed tilt certifies the gap, with no moment projection or
+    # descent. Multistart ascent ended 2.1e-3 apart here, not converged.
     calls = _count_moment_projections(monkeypatch)
     P, Q, phi = random_instance(7, 6, 2)
-    gr = duality_gap(
-        builtin("total_variation"), P, Q, LinearBall(phi, 2, finite(1.0)),
-        dual_cfg=DualConfig(max_iters=2000),
-    )
-    assert len(calls) == 1
-    assert gr.dual.iterations > 0
-    assert float(gr.dual_value) >= float(gr.primal_value) - 1e-9
+    gr = duality_gap(builtin("total_variation"), P, Q, LinearBall(phi, 2, finite(1.0)))
+    assert gr.primal.status == "converged"
+    assert gr.dual.route == "primal_tilt" and gr.dual.iterations == 0
+    assert gr.rel_gap <= 1e-4
+    assert calls == []
+
+
+def test_kl_one_ball_certifies_from_primal_tilt():
+    # Projected ascent stopped at its 10 000-iteration cap at 1.119e-4
+    # here, and mirror descent left a 1.1e-4 relative gap; the log-barrier
+    # path reaches 2.2465e-4 and its tilt certifies it.
+    P, Q, phi = random_instance(505, 3, 2)
+    gr = duality_gap(KL, P, Q, LinearBall(phi, 1, finite(5.0)))
+    assert gr.primal.status == "converged"
+    assert gr.dual.route == "primal_tilt" and gr.dual.iterations == 0
+    assert gr.rel_gap <= 1e-8
+    assert float(gr.primal_value) == pytest.approx(2.2465e-4, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "name, seed, n, k, spec_of",
+    [
+        ("total_variation", 601, 4, 2, lambda phi: LinearBall(phi, 2, finite(10.0))),
+        ("total_variation", 602, 5, 3, lambda phi: LinearBall(phi, 2, finite(1.0))),
+        ("total_variation", 609, 7, 1, lambda phi: LinearBall(phi, 2, finite(10.0))),
+        ("total_variation", 601, 4, 2, lambda phi: LinearBall(phi, 1, finite(1.0))),
+        ("total_variation", 604, 7, 2, lambda phi: LinearBall(phi, 1, finite(1.0))),
+        ("total_variation", 601, 4, 2, lambda phi: LinearBall(phi, math.inf, finite(1.0))),
+        ("total_variation", 601, 4, 2, lambda phi: QuadraticCoefficientPenalty(phi, 0.1)),
+        ("total_variation", 602, 5, 3, lambda phi: QuadraticCoefficientPenalty(phi, 0.1)),
+        ("kl", 505, 3, 2, lambda phi: LinearBall(phi, math.inf, finite(5.0))),
+        ("js_gan", 517, 3, 2, lambda phi: LinearBall(phi, 1, finite(5.0))),
+        ("reverse_kl", 521, 3, 2, lambda phi: LinearBall(phi, math.inf, finite(0.05))),
+    ],
+)
+def test_nonsmooth_and_polyhedral_gaps_certify_from_primal_tilt(name, seed, n, k, spec_of):
+    # Cases of the total-variation and 1- and inf-ball surveys: the primal's
+    # tilt certifies each gap with no dual iteration.
+    P, Q, phi = random_instance(seed, n, k)
+    gr = duality_gap(builtin(name), P, Q, spec_of(phi))
+    assert gr.primal.status == "converged" and gr.primal.route == "newton"
+    assert gr.dual.route == "primal_tilt" and gr.dual.iterations == 0
+    assert gr.rel_gap <= 1e-4
+    assert gr.weak_duality_worst <= 1e-12
 
 
 def _dual(g, seed, n, k, spec_of, cfg=None, reference=True):
@@ -300,7 +338,8 @@ def _dual(g, seed, n, k, spec_of, cfg=None, reference=True):
     reference unless ``reference`` is false."""
     P, Q, phi = random_instance(seed, n, k)
     spec = spec_of(phi)
-    ref = float(restricted_div_primal(g, P, Q, spec).value) if reference else None
+    solve = regularized_div_primal if isinstance(spec, QuadraticCoefficientPenalty) else restricted_div_primal
+    ref = float(solve(g, P, Q, spec).value) if reference else None
     return restricted_div_dual(g, P, Q, spec, cfg, primal_value=ref)
 
 
@@ -319,12 +358,11 @@ ROUTES = {
     "newton_polish": lambda: _dual(
         KL, 1, 3, 1, lambda phi: LinearBall(phi, 2, finite(1.0)), DualConfig(max_iters=200), False
     ),
-    "mirror_descent": lambda: _gap_dual(
+    "mirror_descent": lambda: _dual(
         TV, 704, 2, 1, lambda phi: QuadraticCoefficientPenalty(phi, 0.1), DualConfig(max_iters=3000)
     ),
     "closed_form": lambda: _dual(KL, 3, 3, 1, lambda phi: FullSpace(phi.space)),
-    "newton": lambda: moment_projection(KL, *random_instance(3, 3, 1)),
-    "lagrangian": lambda: moment_projection(TV, *random_instance(3, 3, 1)),
+    "newton": lambda: moment_projection(TV, *random_instance(3, 3, 1)),
 }
 
 

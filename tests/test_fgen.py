@@ -5,7 +5,7 @@ import pytest
 
 from fdual.errors import UnknownGenerator
 from fdual.extreal import NEG_INF, POS_INF, finite, scale_mass
-from fdual.fgen import FGenerator, GridSpec, builtin, builtin_names, check_generator
+from fdual.fgen import FGenerator, GridSpec, builtin, builtin_names, check_generator, smoothed_total_variation
 
 
 ALL = list(builtin_names())
@@ -140,6 +140,27 @@ def test_fstar_second_matches_central_differences(name):
     second = g.fstar_second_vec(ts)
     assert np.all(second >= 0.0)
     assert np.max(np.abs(fd - second) / np.maximum(1.0, np.abs(second))) <= 1e-6
+
+
+@pytest.mark.parametrize("mu", [0.1, 1e-3, 1e-6])
+def test_smoothed_total_variation(mu):
+    # f*_mu lies within mu (1 + ln 2) above max(t, -1/2) on t <= 1/2, its
+    # second derivative matches central differences, and the closed-form
+    # f_mu' inverts its slope, also where e^(-1/mu) underflows (mu <= 1e-3).
+    g = smoothed_total_variation(mu)
+    tv = builtin("total_variation")
+    assert g.conjugate_smooth and tv.smoothing is smoothed_total_variation
+    ts = np.linspace(-3.0, 0.5, 701)
+    excess = g.fstar_vec(ts)[0] - tv.fstar_vec(ts)[0]
+    assert np.all(excess >= -1e-15) and np.all(excess <= mu * (1.0 + math.log(2.0)) + 1e-15)
+    ts = np.linspace(-0.5 - 10.0 * mu, 0.5 + 5.0 * mu, 301)
+    step = 1e-6 * mu
+    fd = (g.fstar_prime_vec(ts + step) - g.fstar_prime_vec(ts - step)) / (2.0 * step)
+    second = g.fstar_second_vec(ts)
+    assert np.max(np.abs(fd - second) / np.maximum(1.0 / mu, second)) <= 1e-4
+    xs = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 3.0, 1e3])
+    assert np.allclose(g.fstar_prime_vec(g.f_prime_vec(xs)), xs, rtol=1e-8 if mu >= 1e-3 else 1e-4)
+    assert g.f_prime(0.0) == -math.inf and abs(g.f_prime(1.0)) <= mu
 
 
 def test_conjugate_domain_is_slope_at_infinity():

@@ -8,15 +8,23 @@ from fdual.divergence import df_closed, df_variational_full
 from fdual.errors import UnsupportedNorm, ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
+from fdual.dual import duality_gap
 from fdual.primal import (
     PrimalConfig,
-    _ascend,
     _ReducedObjective,
     project_ball,
     regularized_div_primal,
     restricted_div_primal,
 )
-from fdual.space import Dist, FeatureMap, OutcomeSpace, make_dist, random_instance, feature_means
+from fdual.space import (
+    Dist,
+    FeatureMap,
+    FunctionOnSpace,
+    OutcomeSpace,
+    feature_means,
+    make_dist,
+    random_instance,
+)
 from fdual.verify import brute_force_primal
 
 KL = builtin("kl")
@@ -137,7 +145,7 @@ def test_gradient_matches_finite_differences():
         obj = _ReducedObjective(builtin(name), P, Q, phi)
         for _ in range(10):
             a = rng.uniform(-0.8, 0.8, 3)
-            _, grad, _ = obj.value_grad_intercept(a)
+            _, grad, _, _, _, _ = obj.moments(a)
             fd = obj.fd_gradient(a)
             denom = max(1.0, float(np.linalg.norm(grad)))
             assert float(np.linalg.norm(fd - grad)) / denom <= 1e-4
@@ -150,8 +158,8 @@ def test_reduced_objective_concavity():
     for _ in range(20):
         a1 = rng.uniform(-1, 1, 2)
         a2 = rng.uniform(-1, 1, 2)
-        mid = obj.value(0.5 * (a1 + a2))
-        assert mid >= 0.5 * (obj.value(a1) + obj.value(a2)) - 1e-9
+        mid = obj.exact(0.5 * (a1 + a2))[0]
+        assert mid >= 0.5 * (obj.exact(a1)[0] + obj.exact(a2)[0]) - 1e-9
 
 
 def test_solver_fd_check_recorded():
@@ -187,22 +195,22 @@ def test_regularized_grid_oracle(two_point):
     assert float(rep.value) == pytest.approx(float(oracle), abs=1e-6)
 
 
-def test_nonsmooth_conjugate_multistart_and_note():
-    # Piecewise-linear conjugates get seeded restarts and a caveat that
-    # a stationary-looking subgradient does not certify optimality.
+def test_total_variation_reports_exact_value_and_tilt():
+    # Total variation is solved on its smoothed conjugate; the value is the
+    # exact objective at the final slope, with the intercept that puts
+    # max h at 1/2, and P' is the smoothed tilt.
+    from fdual.divergence import r_functional
+
     P, Q, phi = random_instance(8801, 4, 2)
     tv = builtin("total_variation")
-    spec = LinearBall(phi, 2, finite(1.0))
-    rep = restricted_div_primal(tv, P, Q, spec)
-    assert rep.notes and "does not certify" in rep.notes[0]
-    single = restricted_div_primal(tv, P, Q, spec, PrimalConfig(seed=1))
-    # Multistart keeps exact evaluations only: still a valid lower bound
-    # on the dual value at the same instance.
-    from fdual.dual import restricted_div_dual
-
-    d_rep = restricted_div_dual(tv, P, Q, spec, primal_value=float(rep.value))
-    assert float(rep.value) <= float(d_rep.value) + 1e-9
-    assert float(single.value) <= float(d_rep.value) + 1e-9
+    rep = restricted_div_primal(tv, P, Q, LinearBall(phi, 2, finite(1.0)))
+    assert rep.route == "newton" and rep.converged and not rep.notes
+    h = rep.coefficients @ phi.values
+    r_val, b = r_functional(tv, Q, FunctionOnSpace(P.space, h))
+    assert float(rep.value) == float(rep.coefficients @ feature_means(P, phi)) - r_val
+    assert rep.intercept == b
+    assert float(np.max(rep.h_opt.values)) <= 0.5
+    assert float(np.sum(rep.pprime.p)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_value_log_monotone_enough():
@@ -227,7 +235,7 @@ def _kl_ball_cases():
                 yield P, Q, phi, radius
 
 
-def test_kl_newton_matches_ascent_and_grid():
+def test_kl_newton_matches_dual_and_grid():
     interior = boundary = 0
     for P, Q, phi, radius in _kl_ball_cases():
         unbounded = math.isinf(radius)
@@ -236,9 +244,12 @@ def test_kl_newton_matches_ascent_and_grid():
         v = float(rep.value)
         assert rep.status == "converged"
         assert rep.iterations <= 20
-        obj = _ReducedObjective(KL, P, Q, phi)
-        ascent = _ascend(obj, lambda x: project_ball(x, 2.0, radius), PrimalConfig(), unbounded)
-        assert v == pytest.approx(ascent[1], abs=1e-9)
+        # The dual value bounds the supremum from above (+inf with the primal's).
+        # At infinite radius it is D(P'||Q) at the moment projection, whose
+        # moments miss by the residual: off by a . (E_P'[phi] - E_P[phi]).
+        gr = duality_gap(KL, P, Q, spec, PrimalConfig(tol=1e-10))
+        assert float(gr.primal_value) == v
+        assert gr.rel_gap <= (1e-8 if unbounded else 1e-9)
         if unbounded:
             continue
         nrm = float(np.linalg.norm(rep.coefficients))
@@ -303,7 +314,7 @@ def test_hellinger_interior_optimum_converges():
 
 def test_newton_on_duality_instances_converges():
     # Every non-KL 2-ball solve of two duality batteries converges in a
-    # handful of Newton steps, never below the plain ascent's value.
+    # handful of Newton steps, within 1e-9 of the dual's exact upper bound.
     from fdual.verify import duality_instance
 
     for seed in (1, 8):
@@ -316,11 +327,9 @@ def test_newton_on_duality_instances_converges():
             assert rep.status == "converged"
             assert rep.iterations <= 12
             assert np.linalg.norm(rep.coefficients) <= radius * (1 + 1e-12)
-            # Any iterate of the ascent is an exact evaluation, a lower bound.
-            obj = _ReducedObjective(builtin(name), P, Q, phi)
-            ball = lambda x: project_ball(x, 2.0, radius)
-            ascent = _ascend(obj, ball, PrimalConfig(max_iters=200), False)
-            assert float(rep.value) >= ascent.value - 1e-12 * max(1.0, abs(ascent.value))
+            gr = duality_gap(builtin(name), P, Q, spec, PrimalConfig(tol=1e-10))
+            assert float(gr.primal_value) == float(rep.value)
+            assert gr.rel_gap <= 1e-9
 
 
 @pytest.mark.parametrize("name", SMOOTH_NON_KL)
@@ -351,9 +360,9 @@ def test_regularized_newton_converges(name):
             rep = regularized_div_primal(g, P, Q, reg, PrimalConfig(tol=1e-10))
             assert rep.status == "converged"
             assert rep.iterations <= 25
-            obj = _ReducedObjective(g, P, Q, phi, quad_weight=weight)
-            ascent = _ascend(obj, lambda x: x, PrimalConfig(max_iters=200), False)
-            assert float(rep.value) >= ascent.value - 1e-12 * max(1.0, abs(ascent.value))
+            gr = duality_gap(g, P, Q, reg, PrimalConfig(tol=1e-10))
+            assert float(gr.primal_value) == float(rep.value)
+            assert gr.rel_gap <= 1e-9
 
 
 @pytest.mark.parametrize("name", SMOOTH_NON_KL)
@@ -462,8 +471,8 @@ def test_face_solve_respects_iteration_cap(name):
     "route, g, spec_of",
     [
         ("newton", KL, lambda phi: LinearBall(phi, 2, finite(1.0))),
-        ("ascent", KL, lambda phi: LinearBall(phi, 1, finite(1.0))),
-        ("multistart", builtin("total_variation"), lambda phi: LinearBall(phi, 2, finite(1.0))),
+        ("newton", KL, lambda phi: LinearBall(phi, 1, finite(1.0))),
+        ("newton", builtin("total_variation"), lambda phi: LinearBall(phi, 2, finite(1.0))),
         ("closed_form", KL, lambda phi: FullSpace(phi.space)),
     ],
 )
