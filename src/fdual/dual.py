@@ -52,7 +52,7 @@ from .discriminator import (
     holder_extremal,
 )
 from .divergence import df_closed, r_functional
-from .errors import EmptyFeasible, Unbounded, ValidationError
+from .errors import Unbounded, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator
 from .primal import (
@@ -67,6 +67,7 @@ from .space import (
     FeatureMap,
     FunctionOnSpace,
     _require_same_space,
+    _restrict_to_support,
     absolutely_continuous,
     feature_means,
 )
@@ -110,15 +111,17 @@ class GapReport:
 
 
 class _DualObjective:
-    """G restricted to the support of Q, with smoothed/unsmoothed views."""
+    """G restricted to the support of Q, with smoothed/unsmoothed views.
+
+    ``qs`` and ``phi_s`` come from the same support restriction as the
+    primal's (:func:`~fdual.space._restrict_to_support`): ``Q.p`` and
+    ``phi.values`` themselves under full support, C-contiguous copies
+    otherwise.
+    """
 
     def __init__(self, g: FGenerator, P: Dist, Q: Dist, reg: RegularizerSpec, eps: float):
         self.g = g
         self.space = P.space
-        self.mask = Q.p > 0.0
-        if not np.any(self.mask):
-            raise EmptyFeasible("Q has empty support")
-        self.qs = Q.p[self.mask]
         self.eps = eps
         if isinstance(reg, QuadraticCoefficientPenalty):
             phi = reg.phi
@@ -134,7 +137,7 @@ class _DualObjective:
             self.weight = math.nan
             self.radius = float(spec.radius)
             self.qexp = dual_exponent(spec.p)
-        self.phi_s = phi.values[:, self.mask]
+        self.mask, self.qs, self.phi_s = _restrict_to_support(Q, phi)
         self.target = feature_means(P, phi)
 
     def moment_gap(self, ps: np.ndarray) -> np.ndarray:

@@ -51,10 +51,6 @@ class Unbounded(FdualError):
     """A one-dimensional auxiliary problem has no minimizer in the search box."""
 
 
-class EmptyFeasible(FdualError):
-    """Feasible set of an optimization problem is empty (defensive)."""
-
-
 class SupportViolation(FdualError):
     """Data distribution is not dominated by a family member."""
 

@@ -42,7 +42,14 @@ from .divergence import df_variational_full, r_functional
 from .errors import UnsupportedNorm, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator
-from .space import Dist, FeatureMap, FunctionOnSpace, _require_same_space, feature_means
+from .space import (
+    Dist,
+    FeatureMap,
+    FunctionOnSpace,
+    _require_same_space,
+    _restrict_to_support,
+    feature_means,
+)
 
 __all__ = [
     "PrimalConfig",
@@ -155,7 +162,9 @@ class _ReducedObjective:
     or 0 or ``PIN`` per atom of supp Q, added to h by :meth:`_hs`) holds
     atoms off a face at h = -inf, where f* = -f(0) and f*' = f*'' = 0 to
     the last bit: J is then the objective on the face plus f(0) times the
-    mass off it.
+    mass off it. ``qs`` and ``phi_s`` restrict Q and phi to supp Q (see
+    :func:`~fdual.space._restrict_to_support`): under full support they
+    are ``Q.p`` and ``phi.values`` themselves.
     """
 
     def __init__(self, g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term=None):
@@ -164,9 +173,7 @@ class _ReducedObjective:
         self.g = g
         self.m_p = feature_means(P, phi)
         self.term = term
-        self.mask = Q.p > 0.0
-        self.qs = Q.p[self.mask]
-        self.phi_s = phi.values[:, self.mask]
+        self.mask, self.qs, self.phi_s = _restrict_to_support(Q, phi)
         self.phi_top = np.abs(self.phi_s).max(axis=1, initial=0.0)
         self.pin: np.ndarray | None = None
         self.Q = Q
@@ -203,35 +210,44 @@ class _ReducedObjective:
         hs = a @ self.phi_s
         return hs if self.pin is None else hs + self.pin
 
-    def _intercept(self, hs: np.ndarray) -> float:
-        """b* with d(b) = E_Q[f*'(h + b)] - 1 = 0, by safeguarded Newton steps.
+    def _intercept(self, hs: np.ndarray):
+        """(b*, f*'(h + b*), f*''(h + b*)): the root of d(b) = E_Q[f*'(h + b)] - 1,
+        by safeguarded Newton steps, with the slopes at it.
 
         d is nondecreasing and convex, d(f'(1) - max h) <= 0 as f*'(f'(1))
         = 1, and d >= 0 at the end U - max h of the domain of f*, or where
         U is infinite at f'(2 / q_min) - max h. Newton steps land right of
         the root, then descend to it monotonically; a step off the bracket,
-        or a slope that underflows, bisects it.
+        or a slope that underflows, bisects it. The loop stops before it
+        moves b, so the slopes of its last step are taken at b* itself;
+        only if all 200 steps run are they evaluated afresh.
         """
         g, qs, top = self.g, self.qs, float(hs.max())
         lo, hi = self._t_lo - top, self._t_hi - top
         b = self._b_hint if self._b_hint is not None and lo < self._b_hint < hi else lo
         for _ in range(200):
             t = hs + b
-            excess = float(qs @ g.fstar_prime_vec(t)) - 1.0
+            fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
+            excess = float(qs @ fp) - 1.0
             lo, hi = (lo, b) if excess > 0.0 else (b, hi)
-            slope = float(qs @ g.fstar_second_vec(t))
+            slope = float(qs @ fpp)
             nb = b - excess / slope if slope > 0.0 else hi
             if excess == 0.0 or abs(nb - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)):
                 break
             b = nb if lo < nb < hi else 0.5 * (lo + hi)
+        else:
+            t = hs + b
+            fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
         self._b_hint = b
-        return b
+        return b, fp, fpp
 
     def moments(self, a: np.ndarray):
         """(J(a), grad J(a), C, intercept, size, gerr), C = -Hessian of J.
 
         ``size`` is the magnitude of the terms of J, the scale of its
         rounding error; ``gerr`` bounds the gradient's rounding error.
+        Outside KL the conjugate slopes come from :meth:`_intercept`,
+        which returns them at the intercept it finds.
         """
         hs = self._hs(a)
         lin = float(a @ self.m_p)
@@ -248,11 +264,10 @@ class _ReducedObjective:
             g = self.g
             # Pinned atoms overflow to slopes of exactly 0.
             with np.errstate(over="ignore"):
-                b = self._intercept(hs)
-                t = hs + b
-                fs, _ = g.fstar_vec(t)
-                w = self.qs * g.fstar_second_vec(t)
-                mean = self.phi_s @ (self.qs * g.fstar_prime_vec(t))
+                b, fp, fpp = self._intercept(hs)
+                fs, _ = g.fstar_vec(hs + b)
+                w = self.qs * fpp
+                mean = self.phi_s @ (self.qs * fp)
             r = float(self.qs @ fs) - b
             size = abs(lin) + float(self.qs @ np.abs(fs)) + abs(b)
             # f*'' underflows on every atom where a smoothed kink is far from all of them.
@@ -420,10 +435,11 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
 def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=None) -> _Solve:
     """Projected Newton ascent on the 2-ball of ``radius``, any smooth f, from ``a0`` (or 0).
 
-    It stops when the projected gradient step is at most ``tol`` plus
-    the gradient's rounding bound (which alone can exceed ``tol`` at
-    large ``a``), logs J every ``LOG_EVERY`` iterations and checks the
-    gradient by finite differences there. The Armijo test allows a few
+    It stops when the projected gradient step is at most ``tol`` (times
+    the radius, where that is below one) plus the gradient's rounding
+    bound (which alone can exceed ``tol`` at large ``a``), logs J every
+    ``LOG_EVERY`` iterations and checks the gradient by finite
+    differences there. The Armijo test allows a few
     ulps of the objective's terms as slack: near the optimum the true
     gain of a Newton step is below the rounding error of J, and without
     the slack backtracking rejects steps that are in fact exact.
@@ -447,6 +463,8 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
 
     infinite = math.isinf(radius)
     rays = infinite and obj.term is None
+    # On a ball smaller than one the first projected step is at most its radius.
+    tol = cfg.tol * min(1.0, radius)
 
     def residual_at(a, grad):
         # Without a ball the projected step is the gradient itself, and
@@ -474,7 +492,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
             sub = _newton_ball(on_face, radius, budget)
             return sub._replace(iterations=it - 1 + sub.iterations, log=tuple(log) + sub.log,
                                 fd_worst=max(fd_worst, sub.fd_worst))
-        if residual_at(a, grad) <= cfg.tol + gerr:
+        if residual_at(a, grad) <= tol + gerr:
             status = "converged"
             break
         if infinite:
@@ -515,7 +533,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
             denom = max(1.0, _norm(grad))
             fd_worst = max(fd_worst, _norm(fd - grad) / denom)
     residual = residual_at(a, grad)
-    if residual <= cfg.tol + gerr:
+    if residual <= tol + gerr:
         status = "converged"
     log.append(val)
     tilt = None if status == "unbounded" else partial(obj.tilt, a, b)

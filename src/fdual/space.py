@@ -3,6 +3,8 @@
 Everything is an immutable value object over a shared
 :class:`OutcomeSpace`; operations check that their operands live on the
 same space and raise :class:`~fdual.errors.SpaceMismatch` otherwise.
+:meth:`OutcomeSpace.of_size` interns its spaces: equal arguments give
+the same frozen instance, so the check is an identity test.
 Probability vectors are 64-bit floats whose sum is repaired only within
 1e-9 of one; anything further off is rejected rather than silently
 renormalized, because a badly scaled vector almost always means a bug
@@ -11,7 +13,9 @@ in the calling harness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +43,8 @@ __all__ = [
 
 SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
+# Distinct (n, prefix) spaces that OutcomeSpace.of_size keeps shared.
+INTERNED_SPACES = 64
 
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:
@@ -64,20 +70,48 @@ class OutcomeSpace:
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("outcome labels must be distinct")
 
+    def __eq__(self, other):
+        # A shared space (see of_size) compares without a pass over its labels.
+        if self is other:
+            return True
+        if not isinstance(other, OutcomeSpace):
+            return NotImplemented
+        return self.labels == other.labels
+
     @property
     def n(self) -> int:
         return len(self.labels)
 
     @staticmethod
     def of_size(n: int, prefix: str = "x") -> "OutcomeSpace":
-        if n < 1:
-            raise DimensionMismatch("outcome space needs at least one outcome")
-        return OutcomeSpace(tuple([f"{prefix}{i + 1}" for i in range(n)]))
+        """The space with labels prefix1, ..., prefixn.
+
+        The returned space is shared: equal ``(n, prefix)`` give the same
+        instance, from a cache of the last ``INTERNED_SPACES`` of them.
+        Spaces are frozen, so sharing one is safe.
+        """
+        return _interned_space(operator.index(n), str(prefix))
+
+
+@lru_cache(maxsize=INTERNED_SPACES)
+def _interned_space(n: int, prefix: str) -> OutcomeSpace:
+    # An exception is not cached: a bad n raises on every call.
+    if n < 1:
+        raise DimensionMismatch("outcome space needs at least one outcome")
+    return OutcomeSpace(tuple([f"{prefix}{i + 1}" for i in range(n)]))
 
 
 def _require_same_space(a, b) -> None:
-    if a.space != b.space:
-        raise SpaceMismatch(f"spaces differ: {a.space.labels} vs {b.space.labels}")
+    sa, sb = a.space, b.space
+    if sa == sb:
+        return
+    la, lb = sa.labels, sb.labels
+    i = next((j for j, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    first_a = repr(la[i]) if i < len(la) else "none"
+    first_b = repr(lb[i]) if i < len(lb) else "none"
+    raise SpaceMismatch(
+        f"spaces differ: {len(la)} vs {len(lb)} outcomes, first at position {i}: {first_a} vs {first_b}"
+    )
 
 
 @dataclass(frozen=True)
@@ -222,6 +256,23 @@ def feature_means(P: Dist, phi: FeatureMap) -> np.ndarray:
     """Vector of feature expectations E_P[phi_j]."""
     _require_same_space(P, phi)
     return phi.values @ P.p
+
+
+def _restrict_to_support(Q: Dist, phi: FeatureMap):
+    """(mask, qs, phi_s): supp Q as a mask, and Q.p and phi restricted to it.
+
+    Under full support qs and phi_s are ``Q.p`` and ``phi.values``
+    themselves, not copies. Otherwise they are C-contiguous copies (a
+    boolean column slice would come back Fortran-ordered and make every
+    pass over phi_s strided). Either way they are read-only.
+    """
+    mask = Q.p > 0.0
+    if mask.all():
+        return mask, Q.p, phi.values
+    qs, phi_s = Q.p[mask], phi.values.compress(mask, axis=1)
+    qs.setflags(write=False)
+    phi_s.setflags(write=False)
+    return mask, qs, phi_s
 
 
 def absolutely_continuous(P: Dist, Q: Dist) -> bool:

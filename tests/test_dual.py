@@ -206,6 +206,29 @@ def test_duality_gap_small_instances():
         assert gr.weak_duality_worst <= 1e-6
 
 
+def _wide_instance(seed, drop=None):
+    # n = 4096, k = 8, P = Q tilted along two features so far that the
+    # gap is not trivial at this size; ``drop`` leaves an atom out of supp Q.
+    rng = np.random.default_rng(seed)
+    q = rng.gamma(2.0, size=4096)
+    phi = rng.uniform(-1.0, 1.0, size=(8, 4096))
+    p = q * np.exp(1.3 * (phi[0] + 0.5 * phi[1] ** 2))
+    if drop is not None:
+        q[drop] = 0.0
+    space = OutcomeSpace.of_size(4096)
+    return make_dist(space, p), make_dist(space, q), FeatureMap(space, phi)
+
+
+@pytest.mark.parametrize("name, drop", [("kl", None), ("squared_hellinger", None), ("js_gan", None),
+                                        ("kl", 17)])
+def test_duality_gap_certifies_at_large_n(name, drop):
+    P, Q, phi = _wide_instance(11, drop)
+    gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, finite(1.0)))
+    assert gr.primal.status == "converged"
+    assert float(gr.primal_value) > 0.01
+    assert gr.rel_gap <= DualConfig().tol
+
+
 def test_duality_gap_quadratic_regularizer(two_point):
     # Soft shift-invariant penalty: the same equality holds beyond
     # indicator regularizers.

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fdual.discriminator import FullSpace, LinearBall, QuadraticCoefficientPenalty
+from fdual.discriminator import FullSpace, IndicatorOf, LinearBall, QuadraticCoefficientPenalty
 from fdual.divergence import df_closed, df_variational_full
 from fdual.errors import UnsupportedNorm, ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
-from fdual.dual import duality_gap
+from fdual.dual import _DualObjective, duality_gap
 from fdual.primal import (
     PrimalConfig,
     _ReducedObjective,
@@ -378,6 +378,49 @@ def test_intercept_solves_its_equation_to_rounding(name):
         _, _, _, b, _, _ = obj.moments(a)
         total = float(Q.p @ g.fstar_prime_vec(a @ phi.values + b))
         assert abs(total - 1.0) <= 64.0 * np.finfo(float).eps * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("name", SMOOTH_NON_KL)
+def test_moments_reuse_the_intercepts_slopes(name):
+    # The slopes moments() reads from _intercept are taken at the
+    # intercept it returns: fresh ones there give the same bits.
+    g = builtin(name)
+    rng = np.random.default_rng(8)
+    P, Q, phi = random_instance(62, 9, 3)
+    obj = _ReducedObjective(g, P, Q, phi)
+    for scale in (0.1, 1.0, 10.0):
+        a = rng.normal(size=3) * scale
+        _, grad, cov, b, _, _ = obj.moments(a)
+        t = a @ obj.phi_s + b
+        w = obj.qs * g.fstar_second_vec(t)
+        mu = obj.phi_s @ w / max(float(w.sum()), np.finfo(float).tiny)
+        centered = obj.phi_s - mu[:, None]
+        assert np.array_equal(grad, obj.m_p - obj.phi_s @ (obj.qs * g.fstar_prime_vec(t)))
+        assert np.array_equal(cov, (centered * w) @ centered.T)
+
+
+def test_objectives_share_full_support_arrays():
+    # Primal and dual objectives take supp Q from the same restriction,
+    # which under full support copies nothing.
+    P, Q, phi = random_instance(63, 30, 2)
+    obj = _ReducedObjective(builtin("squared_hellinger"), P, Q, phi)
+    dual_obj = _DualObjective(KL, P, Q, IndicatorOf(LinearBall(phi, 2, finite(1.0))), 0.0)
+    for o in (obj, dual_obj):
+        assert o.qs is Q.p and o.phi_s is phi.values
+
+
+@pytest.mark.parametrize("name", ("kl", "squared_hellinger"))
+def test_radius_below_tol_is_solved(name):
+    # The first projected step from 0 has length R, so an absolute
+    # stopping test at tol >= R stopped there with value 0.
+    g = builtin(name)
+    P, Q, phi = random_instance(43, 6, 2)
+    spec = LinearBall(phi, 2, finite(1e-9))
+    rep = restricted_div_primal(g, P, Q, spec)
+    ref = restricted_div_primal(g, P, Q, spec, PrimalConfig(tol=1e-14))
+    assert rep.status == "converged"
+    assert float(ref.value) > 1e-10
+    assert float(rep.value) == pytest.approx(float(ref.value), rel=1e-9)
 
 
 def test_intercept_beyond_former_search_box():

@@ -14,6 +14,7 @@ from fdual.space import (
     FeatureMap,
     FunctionOnSpace,
     OutcomeSpace,
+    _restrict_to_support,
     absolutely_continuous,
     expectation,
     feature_means,
@@ -183,3 +184,51 @@ def test_immutability(space2):
     d = make_dist(space2, [1.0, 1.0])
     with pytest.raises(ValueError):
         d.p[0] = 0.9
+
+
+def test_of_size_returns_a_shared_space():
+    a = OutcomeSpace.of_size(4096)
+    assert OutcomeSpace.of_size(4096) is a
+    assert a == OutcomeSpace(tuple(f"x{i + 1}" for i in range(4096)))
+    assert OutcomeSpace.of_size(4096, "y") is OutcomeSpace.of_size(4096, "y")
+    assert OutcomeSpace.of_size(4096, "y") != a
+
+
+def test_of_size_raises_on_every_call():
+    # Exceptions are not cached: validation runs on each call.
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch):
+            OutcomeSpace.of_size(0)
+
+
+def test_space_mismatch_message_is_bounded():
+    P = make_dist(OutcomeSpace.of_size(4096), np.ones(4096))
+    h = FunctionOnSpace(OutcomeSpace.of_size(4096, "y"), np.zeros(4096))
+    with pytest.raises(SpaceMismatch) as err:
+        expectation(P, h)
+    msg = str(err.value)
+    assert len(msg) <= 200
+    assert "4096 vs 4096 outcomes" in msg and "position 0: 'x1' vs 'y1'" in msg
+    with pytest.raises(SpaceMismatch, match="3 vs 5 outcomes, first at position 3: none vs 'x4'"):
+        expectation(make_dist(OutcomeSpace.of_size(3), [1, 1, 1]),
+                    FunctionOnSpace(OutcomeSpace.of_size(5), np.zeros(5)))
+
+
+def test_support_restriction_shares_full_support_arrays():
+    P, Q, phi = random_instance(3, 40, 4)
+    mask, qs, phi_s = _restrict_to_support(Q, phi)
+    assert mask.all()
+    assert qs is Q.p and phi_s is phi.values
+    assert not qs.flags.writeable and not phi_s.flags.writeable
+
+
+def test_support_restriction_copies_c_contiguous_without_an_atom():
+    _, Q, phi = random_instance(3, 40, 4)
+    q = Q.p.copy()
+    q[7] = 0.0
+    Qd = make_dist(Q.space, q)
+    mask, qs, phi_s = _restrict_to_support(Qd, phi)
+    assert np.array_equal(mask, Qd.p > 0.0)
+    assert np.array_equal(qs, Qd.p[mask]) and np.array_equal(phi_s, phi.values[:, mask])
+    assert phi_s.flags.c_contiguous and not np.shares_memory(phi_s, phi.values)
+    assert not qs.flags.writeable and not phi_s.flags.writeable
