@@ -3,7 +3,8 @@
 On a finite space the variational objective
 ``sup_h E_P[h] - E_Q[f*(h)]`` separates across outcomes, so the
 supremum is a sum of independent one-dimensional concave problems,
-solved here by bracketing plus golden-section search. The closed form
+solved here by bracketed Newton steps on their first-order condition,
+seeded at ``f'(p_i / q_i)``. The closed form
 ``sum_{q_i > 0} q_i f(p_i / q_i) + f'(inf) * (P-mass outside supp Q)``
 is evaluated directly; the two agree whenever both are finite, a fact
 the test suite leans on as its master oracle.
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import Unbounded
 from .extreal import ExtReal, POS_INF, finite, scale_mass
-from .fgen import FGenerator
-from .optim1d import bisect_sign_change, golden_max_batch, ladder_bracket_batch
+from .fgen import FGenerator, conjugate_sup
+from .optim1d import bisect_sign_change
 from .space import Dist, FunctionOnSpace, _require_same_space
 
 __all__ = [
@@ -82,10 +83,13 @@ def df_variational_full(
     """Divergence as a supremum over all functions on the space.
 
     Each outcome contributes ``sup_t (p_i t - q_i f*(t))``, maximized
-    numerically per coordinate. Coordinates where the supremum is
-    approached at infinity report a truncated maximizer (+-t_cap,
-    ``capped`` set); coordinates where it diverges make the value
-    +infinity. Agrees with :func:`df_closed` whenever both are finite.
+    per coordinate over [-t_cap, t_cap] by :func:`fgen.conjugate_sup`:
+    ``tol`` bounds the last Newton step in t, or the final bisection
+    bracket where f* has kinks, and the value is evaluated exactly at
+    the t returned. Coordinates where the supremum is approached at
+    infinity report a truncated maximizer (+-t_cap, ``capped`` set);
+    coordinates where it diverges make the value +infinity. Agrees with
+    :func:`df_closed` whenever both are finite.
     """
     _require_same_space(P, Q)
     p, q = P.p, Q.p
@@ -111,17 +115,7 @@ def df_variational_full(
 
     inner = (q > 0.0) & (p > 0.0)
     if np.any(inner):
-        pi = p[inner]
-        qi = q[inner]
-
-        def objective(t: np.ndarray) -> np.ndarray:
-            vals, fin = g.fstar_vec(t)
-            return np.where(fin, pi * t - qi * vals, -np.inf)
-
-        hi_cap = np.full(pi.shape, g.fstar_box_upper(t_cap))
-        lo_cap = np.full(pi.shape, -t_cap)
-        lo, hi = ladder_bracket_batch(objective, lo_cap, hi_cap)
-        t_best, v_best = golden_max_batch(objective, lo, hi, tol=tol)
+        t_best, v_best = conjugate_sup(g, p[inner], q[inner], t_cap, tol)
         h[inner] = t_best
         total = total + finite(float(np.sum(v_best)))
 

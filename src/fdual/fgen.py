@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import UnknownGenerator, ValidationError
 from .extreal import POS_INF, ExtReal, finite
-from .optim1d import golden_max, golden_max_batch, ladder_bracket, ladder_bracket_batch
+from .optim1d import newton_root_nonincreasing
 
 __all__ = [
     "FGenerator",
@@ -57,10 +57,14 @@ __all__ = [
     "builtin",
     "builtin_names",
     "check_generator",
+    "conjugate_sup",
     "smoothed_total_variation",
 ]
 
 LN2 = math.log(2.0)
+# Box and tolerance of the numeric suprema in :func:`check_generator`.
+_SUP_CAP = 1e3
+_SUP_TOL = 1e-10
 
 VecEval = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -379,13 +383,28 @@ def builtin(name: str) -> FGenerator:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid for :func:`check_generator`."""
+    """Evaluation grid for :func:`check_generator`.
+
+    The x grid needs a positive end and an interior point, the t grid
+    two points on a nonempty interval; a grid without them would pass
+    every check vacuously or compare points out of order.
+    """
 
     x_max: float = 10.0
     x_points: int = 201
     t_lo: float = -10.0
     t_hi: float = 3.0
     t_points: int = 201
+
+    def __post_init__(self):
+        if not self.x_max > 0.0:
+            raise ValidationError(f"GridSpec.x_max must be positive, got {self.x_max}")
+        if self.x_points < 3:
+            raise ValidationError(f"GridSpec.x_points must be at least 3, got {self.x_points}")
+        if self.t_points < 2:
+            raise ValidationError(f"GridSpec.t_points must be at least 2, got {self.t_points}")
+        if not self.t_lo < self.t_hi:
+            raise ValidationError(f"GridSpec needs t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
 
 
 @dataclass(frozen=True)
@@ -413,17 +432,28 @@ class CheckReport:
         raise KeyError(name)
 
 
-def _sup_linear_minus_fstar(g: FGenerator, slope: float, cap: float = 1e3):
-    """Numerically maximize t -> slope * t - f*(t) over the conjugate domain."""
+def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: float):
+    """Coordinatewise ``sup_t p_i t - q_i f*(t)`` over ``-cap <= t <= cap``, for q_i > 0.
 
-    def fun(t):
-        vals, fin = g.fstar_vec(np.array([t]))
-        return slope * t - float(vals[0]) if fin[0] else -math.inf
-
-    hi = g.fstar_box_upper(cap)
-    lo, hi_b = ladder_bracket(fun, -cap, hi)
-    t_best, v_best = golden_max(fun, lo, hi_b, tol=1e-10)
-    return t_best, v_best
+    Returns ``(t, values)``. The box is cut to the domain of f* as by
+    :meth:`FGenerator.fstar_box_upper`. The maximizer is the root of the
+    non-increasing p_i - q_i f*'(t), found by bracketed Newton steps
+    (bisection for a conjugate with kinks) from t = f'(p_i / q_i), which
+    is the root for an exact conjugate pair; ``tol`` bounds the last
+    step, or the final bracket. The values are evaluated exactly at t.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(all="ignore"):
+        seed = g.f_prime_vec(p / q)
+    second = g.fstar_second_vec
+    t = newton_root_nonincreasing(
+        lambda t: p - q * g.fstar_prime_vec(t),
+        None if second is None else (lambda t: q * second(t)),
+        seed, -cap, g.fstar_box_upper(cap), tol,
+    )
+    vals, fin = g.fstar_vec(t)
+    return t, np.where(fin, p * t - q * vals, -np.inf)
 
 
 def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
@@ -435,11 +465,17 @@ def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
     ``sup_t (t - f*(t)) = 0`` within 1e-6; the Fenchel-Young inequality
     on the grid product within 1e-9; agreement of the numeric
     biconjugate with ``f`` within 1e-6 at interior grid points; and the
-    slope of ``f`` at infinity against the declared limit.
+    slope of ``f`` at infinity against the declared limit. The supremum
+    and the biconjugate are 1-D concave maximizations on [-1e3, 1e3]
+    solved by :func:`conjugate_sup`, so they lean on ``f*'`` and
+    ``f*''``. Raises :class:`ValidationError` when the t grid ends at or
+    below ``grid.t_lo`` once clipped to the domain of ``f*``.
     """
     grid = grid or GridSpec()
     xs = np.linspace(0.0, grid.x_max, grid.x_points)
     t_hi = g.fstar_box_upper(grid.t_hi)
+    if not t_hi > grid.t_lo:
+        raise ValidationError(f"t grid [{grid.t_lo}, {t_hi}] is empty in the domain of f* of {g.name}")
     ts = np.linspace(grid.t_lo, t_hi, grid.t_points)
 
     entries: list[CheckEntry] = []
@@ -449,17 +485,12 @@ def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
     entries.append(CheckEntry("normalization_f1", ok, abs(float(f1)) if f1.is_finite else math.inf))
 
     # Midpoint convexity over all grid pairs; pairs with an infinite
-    # endpoint satisfy the inequality trivially.
+    # endpoint satisfy the inequality trivially. Both the midpoint and
+    # the chord are symmetric in the pair, so i <= j covers every pair.
     fx, fx_fin = g.f_vec(xs)
-    mid = 0.5 * (xs[:, None] + xs[None, :])
-    fmid, fmid_fin = g.f_vec(mid.ravel())
-    rhs = 0.5 * (fx[:, None] + fx[None, :])
-    both_fin = fx_fin[:, None] & fx_fin[None, :]
-    viol = np.where(
-        both_fin & fmid_fin.reshape(mid.shape),
-        fmid.reshape(mid.shape) - rhs,
-        -np.inf,
-    )
+    i, j = np.triu_indices(xs.size)
+    fmid, fmid_fin = g.f_vec(0.5 * (xs[i] + xs[j]))
+    viol = np.where(fx_fin[i] & fx_fin[j] & fmid_fin, fmid - 0.5 * (fx[i] + fx[j]), -np.inf)
     worst = float(np.max(viol))
     entries.append(CheckEntry("convexity_midpoint", worst <= 1e-9, max(worst, 0.0)))
 
@@ -471,7 +502,8 @@ def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
         worst = math.inf
     entries.append(CheckEntry("fstar_nondecreasing", worst <= 1e-12, max(worst, 0.0)))
 
-    _, sup_val = _sup_linear_minus_fstar(g, slope=1.0)
+    one = np.ones(1)
+    sup_val = float(conjugate_sup(g, one, one, _SUP_CAP, _SUP_TOL)[1][0])
     entries.append(
         CheckEntry("normalization_sup", abs(sup_val) <= 1e-6, abs(sup_val), f"sup={sup_val:.3e}")
     )
@@ -488,15 +520,7 @@ def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
     f_int, f_int_fin = g.f_vec(interior)
     slopes = interior[f_int_fin]
     if slopes.size:
-
-        def bicon(t: np.ndarray) -> np.ndarray:
-            vals, fin = g.fstar_vec(t)
-            return np.where(fin, slopes * t - vals, -np.inf)
-
-        hi_box = np.full(slopes.shape, g.fstar_box_upper(1e3))
-        lo_box = np.full(slopes.shape, -1e3)
-        b_lo, b_hi = ladder_bracket_batch(bicon, lo_box, hi_box)
-        _, best = golden_max_batch(bicon, b_lo, b_hi, tol=1e-10)
+        _, best = conjugate_sup(g, slopes, np.ones(slopes.shape), _SUP_CAP, _SUP_TOL)
         worst = float(np.max(np.abs(best - f_int[f_int_fin])))
     else:
         worst = 0.0

@@ -1,10 +1,10 @@
-"""One-dimensional search primitives.
+"""One-dimensional root finding.
 
-Golden-section maximization of concave functions (scalar and batched
-across independent coordinates) and sign bisection for convex
-minimization. Infeasible points are encoded as ``-inf`` objective
-values; the searches only compare such values, never combine them
-arithmetically.
+Bracketed Newton steps for the roots of non-increasing functions,
+batched across independent coordinates (the first-order conditions of
+the conjugate suprema in :mod:`fdual.fgen`), and sign bisection, with
+regula falsi narrowing, for the zero crossing of a non-decreasing
+derivative (the intercept of :mod:`fdual.divergence`).
 """
 
 from __future__ import annotations
@@ -13,131 +13,54 @@ import math
 
 import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Steps this many ulps of |t| are rounding, not progress.
+_ULPS = 4.0 * np.finfo(float).eps
 # Regula falsi calls before the halvings take over the narrowing.
 _FALSI_MAX_CALLS = 40
 
 
-def golden_max(fun, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Maximize a concave function on [lo, hi] by golden-section search.
+def newton_root_nonincreasing(d, slope, t0, lo, hi, tol: float, max_iter: int = 200):
+    """Coordinatewise root of non-increasing functions by bracketed Newton steps.
 
-    Returns ``(x, fun(x))`` with the interval narrowed below ``tol`` (or
-    ``max_iter`` exhausted). Flat stretches are fine: any point of a
-    maximizing plateau is an acceptable answer for a concave function.
+    ``d`` maps an array of abscissas to the values d_i(t_i), and
+    ``slope`` to -d_i'(t_i) >= 0; it is ``None`` where d has jumps, and
+    then every step bisects. ``lo`` and ``hi`` broadcast against ``t0``.
+    Each coordinate starts at ``t0`` clipped into [lo_i, hi_i] (at the
+    midpoint where ``t0`` is NaN) and keeps a bracket that d > 0 moves
+    up and d < 0 moves down. A Newton step bisects the bracket instead
+    when it would leave it, or when it is longer than half the step
+    before last (Press et al.'s ``rtsafe`` rule, so a slow approach
+    along an exponential still halves the bracket every few steps). A
+    coordinate stops when d is 0, when its step is within ``tol`` or
+    within the rounding of t, or when its bracket is narrower than
+    ``tol``. A root beyond an end of [lo_i, hi_i] is reported as that
+    end, within ``tol``.
     """
-    a, b = float(lo), float(hi)
-    if not b >= a:
-        raise ValueError("empty interval")
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, fun(x)
-    x1 = a + _INVPHI2 * h
-    x2 = a + _INVPHI * h
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if h <= tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            h = b - a
-            x1 = a + _INVPHI2 * h
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            h = b - a
-            x2 = a + _INVPHI * h
-            f2 = fun(x2)
-    x = x1 if f1 >= f2 else x2
-    return x, fun(x)
-
-
-def golden_max_batch(fun, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12):
-    """Coordinatewise golden-section maximization.
-
-    ``fun`` maps an array of abscissas (one per coordinate) to an array
-    of objective values; each coordinate is an independent concave
-    problem on [lo_i, hi_i]. Returns ``(x, fun_at_x)`` arrays.
-    """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    width = float(np.max(b - a))
-    if width <= tol:
-        x = 0.5 * (a + b)
-        return x, fun(x)
-    n_iter = max(1, int(math.ceil(math.log(tol / width) / math.log(_INVPHI))))
-    h = b - a
-    x1 = a + _INVPHI2 * h
-    x2 = a + _INVPHI * h
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(n_iter - 1):
-        # Each coordinate keeps the surviving interior point and its
-        # value, so one call per step evaluates only the new points.
-        left = f1 >= f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        h = b - a
-        x_new = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
-        f_new = fun(x_new)
-        x1, f1, x2, f2 = (
-            np.where(left, x_new, x2),
-            np.where(left, f_new, f2),
-            np.where(left, x1, x_new),
-            np.where(left, f1, f_new),
-        )
-    left = f1 >= f2
-    b = np.where(left, x2, b)
-    a = np.where(left, a, x1)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
-def ladder_bracket(fun, lo_cap: float, hi_cap: float):
-    """Bracket the maximizer of a concave function by a geometric ladder.
-
-    Evaluates ``fun`` at 0 and +-2^j clipped to [lo_cap, hi_cap] and
-    returns the neighbors of the best ladder point. For a concave
-    function the true maximizer lies between the neighbors of the
-    sampled argmax.
-    """
-    pts = _ladder_points(lo_cap, hi_cap)
-    vals = [fun(t) for t in pts]
-    i = int(np.argmax(vals))
-    lo = pts[max(i - 1, 0)]
-    hi = pts[min(i + 1, len(pts) - 1)]
-    return lo, hi
-
-
-def ladder_bracket_batch(fun, lo_cap: np.ndarray, hi_cap: np.ndarray):
-    """Batched version of :func:`ladder_bracket`.
-
-    ``lo_cap`` and ``hi_cap`` are per-coordinate caps; ``fun`` maps an
-    abscissa array to a value array. Returns per-coordinate (lo, hi).
-    """
-    lo_cap = np.asarray(lo_cap, dtype=float)
-    hi_cap = np.asarray(hi_cap, dtype=float)
-    n = lo_cap.shape[0]
-    base = _ladder_points(-1.0, 1.0, unit=True)  # canonical ladder in [-1, 1]
-    # Map the canonical ladder onto each coordinate's box, keeping 0 fixed.
-    u = np.array(base)[:, None]
-    grid = np.clip(np.where(u >= 0, u * hi_cap, -u * lo_cap), lo_cap, hi_cap)
-    vals = np.stack([fun(grid[j]) for j in range(len(base))])
-    best = np.argmax(vals, axis=0)
-    idx_lo = np.maximum(best - 1, 0)
-    idx_hi = np.minimum(best + 1, len(base) - 1)
-    cols = np.arange(n)
-    return grid[idx_lo, cols], grid[idx_hi, cols]
-
-
-def _ladder_points(lo_cap: float, hi_cap: float, unit: bool = False):
-    """Geometric ladder 0, +-2^-10 .. +-1 (scaled) clipped to the box."""
-    ladder = [2.0 ** j for j in range(-10, 1)]
-    pts = sorted({-u for u in ladder} | {0.0} | set(ladder))
-    if unit:
-        return pts
-    out = sorted({min(max(p * max(abs(lo_cap), abs(hi_cap)), lo_cap), hi_cap) for p in pts})
-    return out
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    t0 = np.asarray(t0, dtype=float)
+    t = np.where(np.isnan(t0), 0.5 * (a + b), np.clip(t0, a, b))
+    active = np.ones(t.shape, dtype=bool)
+    last = before_last = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            dt = d(t)
+            # Stopped coordinates stay put, so moving their ends is harmless.
+            a = np.where(dt > 0.0, t, a)
+            b = np.where(dt < 0.0, t, b)
+            step = np.where(dt == 0.0, 0.0, dt / slope(t) if slope is not None else np.nan)
+            nt = t + step
+            size = np.abs(step)
+            # A step within rounding may not clear t, which is a bracket end.
+            small = size <= np.maximum(tol, _ULPS * np.abs(t))
+            newton = (nt > a) & (nt < b) & (small | (size <= 0.5 * before_last))
+            nt = np.where(newton, nt, np.where(small, t, 0.5 * (a + b)))
+            before_last, last = last, np.abs(nt - t)
+            t = np.where(active, nt, t)
+            active &= ~small & (b - a > tol)
+            if not active.any():
+                break
+    return t
 
 
 def bisect_sign_change(

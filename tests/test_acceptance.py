@@ -18,10 +18,10 @@ from fdual.dual import restricted_div_dual
 from fdual.estimators import ExpFamily, FitConfig, fit_gmm, fit_linear_fgan, fit_mle
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin, builtin_names, check_generator
-from fdual.optim1d import golden_max_batch
 from fdual.primal import restricted_div_primal
 from fdual.space import FeatureMap, OutcomeSpace, make_dist
 from fdual.verify import run_suite
+from search_oracles import golden_max_batch
 
 SEED = 2025
 

@@ -12,8 +12,9 @@ from fdual.divergence import (
 )
 from fdual.errors import Unbounded
 from fdual.fgen import builtin, builtin_names
-from fdual.optim1d import bisect_sign_change, golden_max, golden_max_batch, ladder_bracket
+from fdual.optim1d import bisect_sign_change
 from fdual.space import FunctionOnSpace, OutcomeSpace, make_dist, random_instance
+from search_oracles import golden_max, golden_max_batch, ladder_bracket
 
 KL = builtin("kl")
 ALL = list(builtin_names())
@@ -221,6 +222,28 @@ def test_variational_penalizes_zero_p_coordinate(space2):
         assert closed.value.sign == var.value.sign
         if closed.value.is_finite:
             assert abs(float(var.value) - float(closed.value)) <= 1e-6
+
+
+def test_variational_capped_coordinates_keep_their_values():
+    # Coordinates with p_i = 0 sit at -t_cap and add q_i f(0); coordinates
+    # with q_i = 0 < p_i sit at +t_cap and make the value +inf. Only the
+    # remaining coordinates go through the 1-D solver.
+    space = OutcomeSpace.of_size(4)
+    P = make_dist(space, [0.0, 0.3, 0.3, 0.4])
+    Q = make_dist(space, [0.2, 0.5, 0.3, 0.0])
+    Q_in = make_dist(space, [0.2, 0.5, 0.2, 0.1])
+    for name in ALL:
+        g = builtin(name)
+        var = df_variational_full(g, P, Q, t_cap=500.0)
+        assert var.value.is_pos_inf and var.capped
+        assert var.attained_h.values[0] == -500.0 and var.attained_h.values[3] == 500.0
+        var = df_variational_full(g, P, Q_in)
+        assert var.capped and var.attained_h.values[0] == -1e3
+        closed = df_closed(g, P, Q_in)
+        if g.f_at_zero.is_finite:
+            assert abs(float(var.value) - float(closed.value)) <= 1e-12
+        else:
+            assert var.value.is_pos_inf and closed.value.is_pos_inf
 
 
 def _counting(fun):

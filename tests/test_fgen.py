@@ -1,11 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fdual.errors import UnknownGenerator
+from fdual.errors import UnknownGenerator, ValidationError
 from fdual.extreal import NEG_INF, POS_INF, finite, scale_mass
-from fdual.fgen import FGenerator, GridSpec, builtin, builtin_names, check_generator, smoothed_total_variation
+from fdual.fgen import (
+    FGenerator,
+    GridSpec,
+    builtin,
+    builtin_names,
+    check_generator,
+    conjugate_sup,
+    smoothed_total_variation,
+)
+from fdual.optim1d import newton_root_nonincreasing
 
 
 ALL = list(builtin_names())
@@ -189,3 +199,138 @@ def test_extreal_arithmetic():
 def test_grid_spec_override():
     rep = check_generator(builtin("kl"), GridSpec(x_max=5.0, x_points=101, t_lo=-8.0, t_hi=2.0, t_points=101))
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"x_max": -1.0},
+        {"x_max": 0.0},
+        {"x_max": math.nan},
+        {"x_points": 2},
+        {"t_points": 1},
+        {"t_lo": 5.0, "t_hi": 3.0},
+        {"t_lo": 3.0, "t_hi": 3.0},
+    ],
+)
+def test_grid_spec_rejects_vacuous_grids(kwargs):
+    # Each of these grids used to pass every entry with worst 0, or to
+    # report a bogus fstar_nondecreasing failure on a reversed t grid.
+    with pytest.raises(ValidationError):
+        GridSpec(**kwargs)
+
+
+def test_check_generator_rejects_t_grid_outside_conjugate_domain():
+    # Reverse KL's conjugate lives on t < 0, so this t grid is empty.
+    with pytest.raises(ValidationError):
+        check_generator(builtin("reverse_kl"), GridSpec(t_lo=0.5, t_hi=3.0))
+
+
+def _full_matrix_midpoint_worst(g, xs):
+    fx, fx_fin = g.f_vec(xs)
+    mid = 0.5 * (xs[:, None] + xs[None, :])
+    fmid, fmid_fin = g.f_vec(mid.ravel())
+    rhs = 0.5 * (fx[:, None] + fx[None, :])
+    both_fin = fx_fin[:, None] & fx_fin[None, :]
+    viol = np.where(both_fin & fmid_fin.reshape(mid.shape), fmid.reshape(mid.shape) - rhs, -np.inf)
+    return max(float(np.max(viol)), 0.0)
+
+
+def _concave_on_the_right():
+    # f(x) = (x - 1)^2 for x <= 1 and sqrt(x) - 1 beyond: not convex, so
+    # the midpoint check has a positive worst value to reproduce.
+    g = builtin("pearson_chi2")
+
+    def f(x):
+        return np.where(x <= 1.0, (x - 1.0) ** 2, np.sqrt(np.maximum(x, 0.0)) - 1.0), x >= 0.0
+
+    return dataclasses.replace(g, name="not_convex", f_vec=f)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(x_max=3.7, x_points=58, t_lo=-4.0, t_hi=0.5, t_points=9)])
+def test_convexity_midpoint_matches_full_matrix(grid):
+    xs = np.linspace(0.0, grid.x_max, grid.x_points)
+    for g in [builtin(name) for name in ALL] + [_concave_on_the_right()]:
+        rep = check_generator(g, grid)
+        assert rep.entry("convexity_midpoint").worst == _full_matrix_midpoint_worst(g, xs), g.name
+    assert not check_generator(_concave_on_the_right(), grid).entry("convexity_midpoint").passed
+
+
+def _counting_generator(g):
+    calls = {"fstar_prime_vec": 0, "fstar_second_vec": 0}
+
+    def counted(name):
+        fun = getattr(g, name)
+
+        def wrapped(t):
+            calls[name] += 1
+            return fun(t)
+
+        return wrapped
+
+    fields = {name: counted(name) for name in calls if getattr(g, name) is not None}
+    return dataclasses.replace(g, **fields), calls
+
+
+def _random_masses(rng, n):
+    p = rng.dirichlet(np.ones(n))
+    q = rng.dirichlet(np.ones(n))
+    return p, q
+
+
+@pytest.mark.parametrize("name", [n for n in ALL if n != "total_variation"])
+def test_conjugate_sup_from_the_slope_seed_needs_few_derivative_calls(name):
+    # A count, not a timing: the seed f'(p/q) is the root up to rounding,
+    # so one Newton iteration (one f*' and one f*'' call) settles it.
+    g, calls = _counting_generator(builtin(name))
+    rng = np.random.default_rng(17)
+    cases = [_random_masses(rng, int(rng.integers(2, 9))) for _ in range(30)]
+    slopes = np.linspace(0.0, 10.0, 201)[1:-1]
+    cases.append((slopes, np.ones(slopes.shape)))
+    for p, q in cases:
+        for key in calls:
+            calls[key] = 0
+        t, vals = conjugate_sup(g, p, q, 1e3, 1e-12)
+        assert sum(calls.values()) <= 3, (name, calls)
+        closed = q * g.f_vec(p / q)[0]
+        assert np.max(np.abs(vals - closed)) <= 1e-12 * max(1.0, float(np.max(np.abs(closed))))
+
+
+@pytest.mark.parametrize("name", [n for n in ALL if n != "total_variation"])
+def test_newton_root_from_bad_seeds_reaches_the_same_root(name):
+    g = builtin(name)
+    rng = np.random.default_rng(23)
+    p, q = _random_masses(rng, 8)
+    lo, hi, tol = -1e3, g.fstar_box_upper(1e3), 1e-10
+    t_ref, _ = conjugate_sup(g, p, q, 1e3, tol)
+
+    def d(t):
+        return p - q * g.fstar_prime_vec(t)
+
+    def slope(t):
+        return q * g.fstar_second_vec(t)
+
+    box_lo, box_hi = np.full(p.shape, lo), np.full(p.shape, hi)
+    for seed in (np.full(p.shape, np.nan), box_lo, box_hi, np.zeros(p.shape)):
+        t = newton_root_nonincreasing(d, slope, seed, box_lo, box_hi, tol)
+        assert np.max(np.abs(t - t_ref)) <= tol, (name, seed[0])
+
+
+def test_conjugate_sup_total_variation_bisects_to_the_kink_and_the_domain_end():
+    # f* = max(t, -1/2) on t <= 1/2 has no second derivative: p < q puts
+    # the maximizer at the kink -1/2, p > q at the closed end 1/2, and the
+    # values are |p - q| / 2.
+    g = builtin("total_variation")
+    p = np.array([0.1, 0.3, 0.7, 0.9])
+    q = np.array([0.4, 0.6, 0.2, 0.5])
+    tol = 1e-10
+    t, vals = conjugate_sup(g, p, q, 1e3, tol)
+    assert np.all(np.abs(t[:2] + 0.5) <= tol)
+    assert np.all(np.abs(t[2:] - 0.5) <= tol)
+    assert np.max(np.abs(vals - 0.5 * np.abs(p - q))) <= tol
+    # From a seed at the far end of the box the same points come out.
+    def d(s):
+        return p - q * g.fstar_prime_vec(s)
+
+    box_lo, box_hi = np.full(4, -1e3), np.full(4, 0.5)
+    assert np.max(np.abs(newton_root_nonincreasing(d, None, box_lo, box_lo, box_hi, tol) - t)) <= tol
