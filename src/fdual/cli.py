@@ -233,11 +233,7 @@ class InstanceFile:
 
     def dual_config(self) -> DualConfig:
         doc = self.raw.get("dual_config", {})
-        return DualConfig(
-            max_iters=int(doc.get("max_iters", 60_000)),
-            tol=float(doc.get("tol", 1e-4)),
-            smoothing_eps=float(doc.get("smoothing_eps", 1e-6)),
-        )
+        return DualConfig(tol=float(doc.get("tol", 1e-4)))
 
     def fit_config(self, seed: int | None) -> FitConfig:
         doc = dict(self.raw.get("fit_config", {}))

@@ -83,7 +83,8 @@ def df_variational_full(
     """Divergence as a supremum over all functions on the space.
 
     Each outcome contributes ``sup_t (p_i t - q_i f*(t))``, maximized
-    per coordinate over [-t_cap, t_cap] by :func:`fgen.conjugate_sup`:
+    per coordinate over [-t_cap, t_cap] by :func:`fgen.conjugate_sup`,
+    a box widened to reach the maximizer f'(p_i / q_i) where p_i, q_i > 0:
     ``tol`` bounds the last Newton step in t, or the final bisection
     bracket where f* has kinks, and the value is evaluated exactly at
     the t returned. Coordinates where the supremum is approached at
@@ -145,7 +146,6 @@ def r_functional(
     Q: Dist,
     h: FunctionOnSpace,
     tol_b: float = 1e-10,
-    b_hint: float | None = None,
 ) -> tuple[float, float]:
     """Intercept-optimized conjugate term ``inf_b E_Q[f*(h+b)] - b``.
 
@@ -161,7 +161,7 @@ def r_functional(
     if g.name == "kl":
         lse = log_expectation_exp(Q, h.values)
         return lse, 1.0 - lse
-    return r_functional_numeric(g, Q, h, tol_b=tol_b, b_hint=b_hint)
+    return r_functional_numeric(g, Q, h, tol_b=tol_b)
 
 
 def r_functional_numeric(
@@ -169,7 +169,6 @@ def r_functional_numeric(
     Q: Dist,
     h: FunctionOnSpace,
     tol_b: float = 1e-10,
-    b_hint: float | None = None,
 ) -> tuple[float, float]:
     """Numeric inner solve behind :func:`r_functional`.
 
@@ -221,7 +220,7 @@ def r_functional_numeric(
                 raise Unbounded("no upper bracket below the conjugate domain edge")
     else:
         hi = None
-        b = max(1.0, b_hint + 1.0 if b_hint is not None else 1.0)
+        b = 1.0
         while True:
             d_hi = dpsi(b)
             if d_hi >= 0.0:
@@ -232,7 +231,7 @@ def r_functional_numeric(
             b = min(b * 2.0, B_BOX)
 
     lo = None
-    b = min(-1.0, b_hint - 1.0 if b_hint is not None else -1.0, hi - 1.0)
+    b = min(-1.0, hi - 1.0)
     while True:
         d_lo = dpsi(b)
         if d_lo <= 0.0:
@@ -242,7 +241,7 @@ def r_functional_numeric(
             raise Unbounded(f"derivative still positive at b = {-B_BOX}")
         b = max(b * 2.0, -B_BOX)
 
-    b_star = bisect_sign_change(dpsi, lo, hi, tol=tol_b, d_lo=d_lo, d_hi=d_hi, guess=b_hint)
+    b_star = bisect_sign_change(dpsi, lo, hi, tol=tol_b, d_lo=d_lo, d_hi=d_hi)
     value = psi(b_star)
     if up.is_finite and g.fstar_domain_closed:
         # A closed boundary can undercut the interior bisection point.

@@ -4,28 +4,14 @@ The dual program minimizes
 
     G(P') = lambda*(P - P') + D(P' || Q)
 
-over distributions P' supported inside the support of Q. The driver is
-entropic mirror descent (multiplicative weights, step eta_0 / sqrt(t))
-on a subgradient of G, with the Euclidean norm term smoothed by
-``sqrt(||v||^2 + eps^2) - eps``. Multiplicative updates keep iterates
-strictly inside the support of Q, so the divergence term never leaves
-its domain.
-
-Because any feasible P' evaluates to an upper bound on the true
-infimum, the solver scores structural candidates first, in this order:
-Q itself and P when dominated; the supremum side's P', the
-conjugate-slope tilt ``p'_i ~ q_i f*'(a . phi_i + b)`` at its optimum,
-when the caller passes it (at the saddle point this tilt is the
-optimal P', so ``duality_gap`` usually certifies here and stops); the
-moment-matching projection (optimal whenever the penalty pins the
-optimum at the moment-matched kink, where diminishing-step
-subgradient descent is provably slow); a compass search over the
-conjugate-slope tilt family that contains every stationary point of
-G; and a damped Newton pass in softmax coordinates for boundary
-optima. Each later stage runs only while the best value is not yet
-certified against the supremum side's value, and mirror descent runs
-last. The reported value is the best unsmoothed evaluation seen; it
-is a certified upper bound regardless of which route produced it.
+over distributions P' supported inside the support of Q. At the saddle
+point the optimal P' is the conjugate-slope tilt
+``p'_i ~ q_i f*'(a . phi_i + b)`` of Q at the best discriminator, which
+every supremum-side solve reports as its ``pprime``. So
+``restricted_div_dual`` does not search: it scores Q, P (when dominated
+by Q) and the primal's tilt exactly, and certifies the best of them
+against the primal's value. Any feasible P' evaluates to an upper bound
+on the true infimum, so the reported value is one whatever its status.
 
 ``moment_projection`` solves the infinite-radius case: the closest
 dominated distribution with prescribed feature means. It is the
@@ -49,23 +35,20 @@ from .discriminator import (
     QuadraticCoefficientPenalty,
     RegularizerSpec,
     dual_exponent,
-    holder_extremal,
 )
-from .divergence import df_closed, r_functional
-from .errors import Unbounded, ValidationError
+from .divergence import df_closed
+from .errors import ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator
 from .primal import (
     PrimalConfig,
     SolveReport,
-    project_ball,
     regularized_div_primal,
     restricted_div_primal,
 )
 from .space import (
     Dist,
     FeatureMap,
-    FunctionOnSpace,
     _require_same_space,
     _restrict_to_support,
     absolutely_continuous,
@@ -80,20 +63,16 @@ __all__ = [
     "duality_gap",
 ]
 
-LOG_EVERY = 50
-
 
 @dataclass(frozen=True)
 class DualConfig:
-    max_iters: int = 60_000
+    """Relative tolerance within which the dual value certifies the primal's."""
+
     tol: float = 1e-4
-    smoothing_eps: float = 1e-6
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValidationError("tol must be positive")
-        if not 0.0 <= self.smoothing_eps <= 1e-3:
-            raise ValidationError("smoothing_eps must lie in [0, 1e-3]")
 
 
 @dataclass(frozen=True)
@@ -111,7 +90,7 @@ class GapReport:
 
 
 class _DualObjective:
-    """G restricted to the support of Q, with smoothed/unsmoothed views.
+    """G restricted to the support of Q.
 
     ``qs`` and ``phi_s`` come from the same support restriction as the
     primal's (:func:`~fdual.space._restrict_to_support`): ``Q.p`` and
@@ -119,10 +98,9 @@ class _DualObjective:
     otherwise.
     """
 
-    def __init__(self, g: FGenerator, P: Dist, Q: Dist, reg: RegularizerSpec, eps: float):
+    def __init__(self, g: FGenerator, P: Dist, Q: Dist, reg: RegularizerSpec):
         self.g = g
         self.space = P.space
-        self.eps = eps
         if isinstance(reg, QuadraticCoefficientPenalty):
             phi = reg.phi
             self.kind = "quad"
@@ -149,36 +127,24 @@ class _DualObjective:
             return math.inf
         return float(self.qs @ vals)
 
-    def _penalty(self, d: np.ndarray, smoothed: bool) -> float:
+    def _penalty(self, d: np.ndarray) -> float:
         if self.kind == "quad":
             return float(d @ d) / (4.0 * self.weight)
         if self.qexp == 2.0:
-            nrm = float(np.linalg.norm(d))
-            if smoothed and self.eps > 0.0:
-                return self.radius * (math.sqrt(nrm * nrm + self.eps**2) - self.eps)
-            return self.radius * nrm
+            return self.radius * float(np.linalg.norm(d))
         if math.isinf(self.qexp):
             return self.radius * float(np.max(np.abs(d)))
         return self.radius * float(np.linalg.norm(d, ord=self.qexp))
 
-    def value(self, ps: np.ndarray, smoothed: bool = False) -> float:
-        return self._div_term(ps) + self._penalty(self.moment_gap(ps), smoothed)
+    def value(self, ps: np.ndarray) -> float:
+        return self._div_term(ps) + self._penalty(self.moment_gap(ps))
 
-    def subgradient(self, ps: np.ndarray) -> np.ndarray:
-        d = self.moment_gap(ps)
-        if self.kind == "quad":
-            u = d / (2.0 * self.weight)
-        elif self.qexp == 2.0:
-            u = self.radius * d / math.sqrt(float(d @ d) + self.eps**2 + 1e-300)
-        elif math.isinf(self.qexp):
-            u = np.zeros_like(d)
-            j = int(np.argmax(np.abs(d)))
-            u[j] = self.radius * math.copysign(1.0, d[j])
-        else:
-            q = self.qexp
-            nrm = float(np.linalg.norm(d, ord=q)) + 1e-300
-            u = self.radius * np.sign(d) * (np.abs(d) / nrm) ** (q - 1.0)
-        return self.g.f_prime_vec(np.maximum(ps, 1e-300) / self.qs) - self.phi_s.T @ u
+
+def _primal_solve(g, P, Q, spec, cfg: PrimalConfig | None) -> SolveReport:
+    """The supremum side of a linear ball or a quadratic penalty."""
+    if isinstance(spec, QuadraticCoefficientPenalty):
+        return regularized_div_primal(g, P, Q, spec, cfg)
+    return restricted_div_primal(g, P, Q, spec, cfg)
 
 
 def restricted_div_dual(
@@ -187,24 +153,23 @@ def restricted_div_dual(
     Q: Dist,
     spec: DiscriminatorSpec | RegularizerSpec,
     cfg: DualConfig | None = None,
-    primal_value: float | None = None,
-    pprime: Dist | None = None,
+    primal: SolveReport | None = None,
 ) -> SolveReport:
     """Restricted/regularized divergence from the intermediate-distribution side.
 
-    ``primal_value``, when supplied, acts as a certificate reference:
-    the search stops once the best feasible evaluation is within
-    ``cfg.tol`` (relative) of it. ``pprime``, when supplied, is the
-    supremum side's P' (the primal report's tilt, dominated by Q); it is
-    scored exactly before any other candidate, and when it certifies, no
-    moment projection, pattern search or descent runs at all. Without
-    it the moment-projection candidate is scored first. The returned
-    ``value_log`` records the best upper bound at every logged
-    iteration, and ``route`` names the stage whose candidate is
-    returned: ``q``, ``p``, ``primal_tilt``, ``moment_projection``,
-    ``tilt_search``, ``newton_polish``, ``mirror_descent``, or
-    ``closed_form`` on the full space. At infinite radius the moment
-    projection's own report is returned.
+    On the full space the gap term pins P' = P (route ``closed_form``);
+    at infinite radius the moment projection's own report is returned.
+    On a finite ball or under a quadratic penalty, ``primal`` is the
+    supremum side's report of the same instance; without it the primal
+    is solved here with the default :class:`PrimalConfig`. Three
+    candidates are scored exactly by G, and a later one replaces the
+    best only if it is strictly lower: Q (route ``q``), P when dominated
+    by Q (``p``), and the primal's tilt ``pprime`` (``primal_tilt``).
+    The status is ``converged`` when the best value is within
+    ``cfg.tol`` (relative) of the primal value, ``not_converged``
+    otherwise, with ``gap_estimate`` the dual value less the primal
+    value. No further search is made; the value is an exact upper bound
+    either way.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -229,270 +194,36 @@ def restricted_div_dual(
         if not reg.spec.radius.is_finite:
             return moment_projection(g, P, Q, reg.spec.phi)
 
-    obj = _DualObjective(g, P, Q, reg, cfg.smoothing_eps)
-    space, mask, qs = obj.space, obj.mask, obj.qs
-
-    best_ps = qs.copy()
+    if primal is None:
+        primal = _primal_solve(g, P, Q, reg.spec if isinstance(reg, IndicatorOf) else reg, None)
+    obj = _DualObjective(g, P, Q, reg)
+    mask = obj.mask
+    candidates = [("p", P)] if absolutely_continuous(P, Q) else []
+    if primal.pprime is not None:
+        candidates.append(("primal_tilt", primal.pprime))
+    best_ps, route = obj.qs, "q"
     best_val = obj.value(best_ps)
-    stage = "q"
-    if absolutely_continuous(P, Q):
-        cand = P.p[mask]
-        v = obj.value(cand)
+    for name, cand in candidates:
+        v = obj.value(cand.p[mask])
         if v < best_val:
-            best_val, best_ps, stage = v, cand.copy(), "p"
+            best_val, best_ps, route = v, cand.p[mask], name
 
-    def take(name: str, result) -> None:
-        # Keep a stage's (value, P') if it improves the bound.
-        nonlocal best_val, best_ps, stage
-        if result[0] < best_val:
-            (best_val, best_ps), stage = result, name
-
-    def certified(v: float) -> bool:
-        return primal_value is not None and (v - primal_value) <= cfg.tol * max(1.0, abs(v))
-
-    is_ball = isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall)
-    polish_phi = reg.spec.phi if is_ball else reg.phi
-    if pprime is not None:
-        cand = pprime.p[mask]
-        take("primal_tilt", (obj.value(cand), cand))
-    # At large radii the optimum sits exactly at the moment-matched kink
-    # that diminishing-step subgradient descent crawls toward, so the
-    # projection point is scored next, followed by a pass of
-    # conjugate-slope tilt refinement for boundary optima.
-    theta_mp = None
-    if is_ball and not certified(best_val):
-        # Scored on the unsmoothed objective: an upper bound even off the moments.
-        mp = moment_projection(g, P, Q, reg.spec.phi)
-        if mp.value.is_finite:
-            theta_mp, ps = mp.coefficients, mp.pprime.p[mask]
-            take("moment_projection", (obj.value(ps), ps.copy()))
-    if not certified(best_val):
-        take("tilt_search", _tilt_polish(
-            g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
-        ))
-    if not certified(best_val):
-        take("newton_polish", _newton_polish(obj, best_val, best_ps))
-
-    log = [best_val]
-    z = np.log(qs)
-    ps = qs.copy()
-    it = 0
-    status = "not_converged"
-    stall = 0
-    if certified(best_val):
-        status = "converged"
-    else:
-        for it in range(1, cfg.max_iters + 1):
-            eta = 1.0 / math.sqrt(it)
-            grad = obj.subgradient(ps)
-            z = z - eta * grad
-            z -= np.max(z)
-            w = np.exp(z)
-            ps = w / w.sum()
-            v = obj.value(ps)
-            if v < best_val - 1e-15:
-                best_val = v
-                best_ps = ps.copy()
-                stage = "mirror_descent"
-                stall = 0
-            else:
-                stall += 1
-            if it % LOG_EVERY == 0:
-                log.append(best_val)
-            if certified(best_val):
-                status = "converged"
-                break
-            if primal_value is None and stall > 5000 and it > 10000:
-                status = "converged"
-                break
-        else:
-            it = cfg.max_iters
-        if status == "not_converged":
-            take("tilt_search", _tilt_polish(
-                g, Q, polish_phi, obj, best_val, best_ps, theta0=theta_mp, stop_when=certified
-            ))
-            take("newton_polish", _newton_polish(obj, best_val, best_ps))
-            if certified(best_val):
-                status = "converged"
-    log.append(best_val)
-    gap_est = None if primal_value is None else best_val - primal_value
+    gap_est = best_val - float(primal.value) if primal.value.is_finite else None
+    certified = gap_est is not None and gap_est <= cfg.tol * max(1.0, abs(best_val))
     full = np.zeros(mask.shape[0])
     full[mask] = best_ps
     return SolveReport(
         value=finite(best_val),
-        intermediate=Dist(space, full),
-        iterations=it,
+        intermediate=Dist(obj.space, full),
+        iterations=0,
         residual=float("nan"),
-        status=status,
+        status="converged" if certified else "not_converged",
         attained=True,
         gap_estimate=gap_est,
-        value_log=tuple(log),
-        route=stage,
+        # The bound as scored and as returned, in the two-entry layout of a search's log.
+        value_log=(best_val, best_val),
+        route=route,
     )
-
-
-def _tilt_polish(
-    g,
-    Q: Dist,
-    phi: FeatureMap,
-    obj: "_DualObjective",
-    best_val: float,
-    best_ps: np.ndarray,
-    theta0: np.ndarray | None = None,
-    stop_when=None,
-):
-    """Refine the dual bound over the conjugate-slope tilt family.
-
-    A stationary point of G is a tilt ``p'_i ~ q_i f*'(theta . phi_i + b)``
-    for some coefficient vector theta in the coefficient ball (scaled
-    gap for the quadratic penalty), so the dual optimum is found by
-    minimizing G over this low-dimensional family. A compass (pattern)
-    search over theta does that robustly, including at boundary optima
-    where the moment-gap alignment is razor sensitive. Every tilt is
-    scored through the exact objective, so the tracked best value is a
-    certified upper bound no matter how the search terminates.
-    """
-    state = {"best_val": float(best_val), "best_ps": best_ps, "b_hint": None}
-
-    def tilt_value(theta: np.ndarray) -> float:
-        h_full = FunctionOnSpace(Q.space, theta @ phi.values)
-        try:
-            _, b = r_functional(g, Q, h_full, b_hint=state["b_hint"])
-        except Unbounded:
-            return math.inf
-        state["b_hint"] = b
-        w = obj.qs * g.fstar_prime_vec(theta @ obj.phi_s + b)
-        total = float(w.sum())
-        if not (total > 0.0 and np.all(np.isfinite(w))):
-            return math.inf
-        ps = w / total
-        v = obj.value(ps)
-        if v < state["best_val"]:
-            state["best_val"] = v
-            state["best_ps"] = ps.copy()
-        return v
-
-    if obj.kind == "ball":
-        scale = obj.radius
-
-        def clip(theta):
-            p_ball = 2.0 if obj.qexp == 2.0 else dual_exponent(obj.qexp)
-            return project_ball(theta, p_ball, obj.radius)
-
-    else:
-        scale = max(1.0, float(np.linalg.norm(obj.moment_gap(obj.qs))) / (2.0 * obj.weight))
-
-        def clip(theta):
-            return theta
-
-    def coefficient(dvec: np.ndarray) -> np.ndarray | None:
-        if float(np.linalg.norm(dvec)) < 1e-14:
-            return None
-        if obj.kind == "quad":
-            return dvec / (2.0 * obj.weight)
-        p_exp = 2.0 if obj.qexp == 2.0 else dual_exponent(obj.qexp)
-        return holder_extremal(dvec, p_exp, obj.radius)
-
-    starts: list[np.ndarray] = []
-    if theta0 is not None and np.all(np.isfinite(np.asarray(theta0, dtype=float))):
-        starts.append(clip(np.asarray(theta0, dtype=float)))
-    for dvec in (obj.moment_gap(best_ps), obj.moment_gap(obj.qs)):
-        c = coefficient(dvec)
-        if c is not None:
-            starts.append(c)
-
-    # Compass search: the tilt objective is cheap and low dimensional,
-    # and pattern steps with a shrinking radius handle the boundary
-    # optima where a naive alignment fixed point oscillates.
-    k = obj.phi_s.shape[0]
-    for theta in starts:
-        theta = theta.copy()
-        val = tilt_value(theta)
-        step = 0.25 * scale
-        budget = 900
-        while step > 1e-10 * scale and budget > 0:
-            if stop_when is not None and stop_when(state["best_val"]):
-                return state["best_val"], state["best_ps"]
-            improved = False
-            for j in range(k):
-                for sgn in (1.0, -1.0):
-                    cand = theta.copy()
-                    cand[j] += sgn * step
-                    cand = clip(cand)
-                    v = tilt_value(cand)
-                    budget -= 1
-                    if v < val - 1e-16:
-                        theta, val = cand, v
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                step *= 0.5
-    return state["best_val"], state["best_ps"]
-
-
-def _newton_polish(obj: "_DualObjective", best_val: float, best_ps: np.ndarray, rounds: int = 40):
-    """Damped Newton refinement of G in softmax coordinates.
-
-    Away from the moment-matched kink G is smooth, and on a desk-scale
-    support the Hessian (finite differences of the analytic gradient in
-    the softmax parameterization) is tiny, so a few damped Newton steps
-    reach the boundary-case optima that both the projection candidate
-    and diminishing-step descent miss. Iterates stay inside the simplex
-    by construction and only ever improve the tracked best value.
-    """
-    m = best_ps.shape[0]
-    if m == 1:
-        return best_val, best_ps
-    z = np.log(np.maximum(best_ps, 1e-300))
-
-    def softmax(zv):
-        w = np.exp(zv - np.max(zv))
-        return w / w.sum()
-
-    def grad_z(zv):
-        p = softmax(zv)
-        gp = obj.subgradient(p)
-        return p * gp - p * float(p @ gp), p
-
-    val = float(best_val)
-    for _ in range(rounds):
-        gz, p = grad_z(z)
-        gnorm = float(np.linalg.norm(gz))
-        if gnorm <= 1e-13:
-            break
-        h = 1e-6 * max(1.0, float(np.max(np.abs(z))) if np.all(np.isfinite(z)) else 1.0)
-        H = np.empty((m, m))
-        for j in range(m):
-            zj = z.copy()
-            zj[j] += h
-            gj, _ = grad_z(zj)
-            H[:, j] = (gj - gz) / h
-        H = 0.5 * (H + H.T) + 1e-10 * np.eye(m)
-        try:
-            step = np.linalg.solve(H, -gz)
-        except np.linalg.LinAlgError:
-            step = -gz
-        if float(gz @ step) > 0.0:
-            step = -gz  # Hessian model not a descent model; fall back
-        t = 1.0
-        improved = False
-        while t > 1e-12:
-            z_c = z + t * step
-            p_c = softmax(z_c)
-            v_c = obj.value(p_c)
-            if v_c < val - 1e-16:
-                z, val = z_c, v_c
-                if v_c < best_val:
-                    best_val = v_c
-                    best_ps = p_c.copy()
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return best_val, best_ps
 
 
 def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> SolveReport:
@@ -544,7 +275,8 @@ def duality_gap(
 ) -> GapReport:
     """Run both solvers on one instance and report the certified gap.
 
-    The supremum side approaches the optimum from below and the
+    The dual scores the primal report's tilt (see
+    :func:`restricted_div_dual`). The supremum side approaches the optimum from below and the
     infimum side from above, so every logged primal value must stay
     below every logged dual value; the worst pairwise violation is
     reported alongside the final gap.
@@ -556,13 +288,8 @@ def duality_gap(
             abs_gap=math.nan, rel_gap=math.nan, weak_duality_worst=math.nan,
             status="not_applicable",
         )
-    if isinstance(p_spec, QuadraticCoefficientPenalty):
-        p_rep = regularized_div_primal(g, P, Q, p_spec, primal_cfg)
-    else:
-        p_rep = restricted_div_primal(g, P, Q, p_spec, primal_cfg)
-    ref = float(p_rep.value) if p_rep.value.is_finite else None
-    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal_value=ref,
-                                pprime=p_rep.pprime if ref is not None else None)
+    p_rep = _primal_solve(g, P, Q, p_spec, primal_cfg)
+    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal=p_rep)
 
     pv, dv = p_rep.value, d_rep.value
     if pv.is_finite and dv.is_finite:

@@ -438,19 +438,25 @@ def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: 
     Returns ``(t, values)``. The box is cut to the domain of f* as by
     :meth:`FGenerator.fstar_box_upper`. The maximizer is the root of the
     non-increasing p_i - q_i f*'(t), found by bracketed Newton steps
-    (bisection for a conjugate with kinks) from t = f'(p_i / q_i), which
-    is the root for an exact conjugate pair; ``tol`` bounds the last
-    step, or the final bracket. The values are evaluated exactly at t.
+    (bisection for a conjugate with kinks) from the seed t = f'(p_i / q_i),
+    which is the root for an exact conjugate pair; ``tol`` bounds the
+    last step, or the final bracket. A finite seed outside the box
+    widens that coordinate's box to reach it, so a maximizer beyond the
+    cap is not cut to the box end. The values are evaluated exactly at t.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     with np.errstate(all="ignore"):
         seed = g.f_prime_vec(p / q)
     second = g.fstar_second_vec
+    fin = np.isfinite(seed)
     t = newton_root_nonincreasing(
         lambda t: p - q * g.fstar_prime_vec(t),
         None if second is None else (lambda t: q * second(t)),
-        seed, -cap, g.fstar_box_upper(cap), tol,
+        seed,
+        np.where(fin & (seed < -cap), seed, -cap),
+        np.where(fin & (seed > cap), seed, g.fstar_box_upper(cap)),
+        tol,
     )
     vals, fin = g.fstar_vec(t)
     return t, np.where(fin, p * t - q * vals, -np.inf)

@@ -71,7 +71,6 @@ def bisect_sign_change(
     max_iter: int = 200,
     d_lo: float | None = None,
     d_hi: float | None = None,
-    guess: float | None = None,
 ):
     """Bisect for the zero crossing of a non-decreasing function.
 
@@ -80,16 +79,15 @@ def bisect_sign_change(
     sign of their (sub)derivative.
 
     When the caller already holds ``d_lo = dfun(lo)`` and
-    ``d_hi = dfun(hi)``, regula falsi steps (the first one at ``guess``,
-    if it lies inside) narrow the crossing to a bracket below
-    ``tol / 4``. The halvings then read the sign of every midpoint
-    outside that bracket from the bracket itself and call ``dfun`` only
-    inside it. They visit the same midpoints and return the same point
+    ``d_hi = dfun(hi)``, regula falsi steps narrow the crossing to a
+    bracket below ``tol / 4``. The halvings then read the sign of every
+    midpoint outside that bracket from the bracket itself and call
+    ``dfun`` only inside it. They visit the same midpoints and return the same point
     as without the values, after a handful of calls instead of one per
     halving when ``dfun`` is smooth.
     """
     if d_lo is not None and d_hi is not None and d_lo <= 0.0 < d_hi:
-        a_in, b_in = _regula_falsi(dfun, float(lo), float(hi), d_lo, d_hi, 0.25 * tol, guess)
+        a_in, b_in = _regula_falsi(dfun, float(lo), float(hi), d_lo, d_hi, 0.25 * tol)
         evaluate = dfun
 
         def dfun(m: float) -> float:
@@ -111,26 +109,24 @@ def bisect_sign_change(
     return 0.5 * (a + b)
 
 
-def _regula_falsi(dfun, a, b, da, db, tol, guess=None):
+def _regula_falsi(dfun, a, b, da, db, tol):
     """Narrow ``dfun(a) <= 0 < dfun(b)`` towards width ``tol`` (Illinois variant).
 
     A step after two steps that together did not halve the bracket is a
     bisection, so the bracket at least halves every three calls. Every
     end it returns was either given or evaluated with that sign.
     """
-    x = guess if guess is not None and a < guess < b else None
     side = 0
     w_two_back = w_one_back = math.inf
     for _ in range(_FALSI_MAX_CALLS):
         w = b - a
         if w <= tol:
             break
-        if x is None:
-            if w <= 0.5 * w_two_back and db - da > 0.0:
-                # Stay tol/2 inside the bracket so that every step shrinks it.
-                x = min(max(a - da * (w / (db - da)), a + 0.5 * tol), b - 0.5 * tol)
-            else:
-                x = 0.5 * (a + b)
+        if w <= 0.5 * w_two_back and db - da > 0.0:
+            # Stay tol/2 inside the bracket so that every step shrinks it.
+            x = min(max(a - da * (w / (db - da)), a + 0.5 * tol), b - 0.5 * tol)
+        else:
+            x = 0.5 * (a + b)
         w_two_back, w_one_back = w_one_back, w
         dx = dfun(x)
         if dx <= 0.0:
@@ -143,5 +139,4 @@ def _regula_falsi(dfun, a, b, da, db, tol, guess=None):
             if side > 0:
                 da *= 0.5
             side = 1
-        x = None
     return a, b

@@ -98,8 +98,8 @@ class SolveReport:
     holds it, or for a primal solve builds it on first read (the fits'
     inner solves never read it). ``route`` names what produced the
     result: the primal's ``newton`` or ``closed_form``, the moment
-    projection's ``newton``, or the dual stage whose candidate was
-    returned.
+    projection's ``newton``, or the dual's candidate (``q``, ``p``,
+    ``primal_tilt``).
     """
 
     value: ExtReal

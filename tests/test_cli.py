@@ -88,6 +88,24 @@ def test_divergence_command(instance_path, tmp_path, capsys):
     assert str(doc["results"]["value"]).startswith("0.143841")
 
 
+def test_variational_divergence_command_past_the_cap(tmp_path, instance_doc):
+    # Reverse KL's maximizer at the first atom is -q/p = -5000, past the
+    # default cap of 1e3; the report must carry the closed form's value.
+    instance_doc["generator"] = "reverse_kl"
+    instance_doc["dists"]["P"] = [1e-4, 1.0 - 1e-4]
+    instance_doc["dists"]["Q"] = [0.5, 0.5]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(instance_doc))
+    values = []
+    for mode in ("closed", "variational"):
+        out = str(tmp_path / f"{mode}.json")
+        assert main(["divergence", "--instance", str(path), "--p", "P", "--q", "Q", "--mode", mode,
+                     "--out", out]) == 0
+        values.append(float(_load(out)["results"]["value"]))
+    assert values[1] == pytest.approx(values[0], abs=1e-12)
+    assert values[0] == pytest.approx(math.log(0.5 / 1e-4) * 0.5 + 0.5 * math.log(0.5 / (1.0 - 1e-4)), abs=1e-12)
+
+
 def test_gap_command_identical_dists(tmp_path, instance_doc, capsys):
     instance_doc["q"] = "P"
     path = tmp_path / "self.json"
@@ -273,13 +291,14 @@ def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
 
 def test_solver_configs_ignore_removed_keys(tmp_path, instance_doc):
     # step_init and seed set the first step and the restarts of the ascent
-    # that the Newton loop replaced, and nothing read dual_config's seed. An
-    # instance that still carries them solves exactly as one without them,
-    # and its report keeps the seed it names.
+    # that the Newton loop replaced, max_iters and smoothing_eps the dual's
+    # mirror descent, and nothing read dual_config's seed. An instance that
+    # still carries them solves exactly as one without them, and its report
+    # keeps the seed it names.
     instance_doc["discriminator"] = {"variant": "linear_ball", "features": "phi", "p": 1, "radius": 1}
     for command, section, extra in (
         ("primal", "primal_config", {"step_init": 0.5, "seed": 7}),
-        ("dual", "dual_config", {"seed": 7}),
+        ("dual", "dual_config", {"max_iters": 5, "smoothing_eps": 1e-3, "seed": 7}),
         ("gap", "primal_config", {"step_init": 0.5, "seed": 7}),
     ):
         docs = []
@@ -292,7 +311,9 @@ def test_solver_configs_ignore_removed_keys(tmp_path, instance_doc):
             docs.append(_load(out))
         assert docs[0]["results"] == docs[1]["results"]
         assert (docs[0]["seed"], docs[1]["seed"]) == (0, 7)
-        assert not {"step_init", "seed"} & set(docs[1]["config"].get(section, {}))
+        assert not set(extra) & set(docs[1]["config"].get(section, {}))
+        if command == "dual":
+            assert docs[1]["results"]["route"] == "primal_tilt"
         instance_doc.pop(section)
 
 

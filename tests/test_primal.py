@@ -404,7 +404,7 @@ def test_objectives_share_full_support_arrays():
     # which under full support copies nothing.
     P, Q, phi = random_instance(63, 30, 2)
     obj = _ReducedObjective(builtin("squared_hellinger"), P, Q, phi)
-    dual_obj = _DualObjective(KL, P, Q, IndicatorOf(LinearBall(phi, 2, finite(1.0))), 0.0)
+    dual_obj = _DualObjective(KL, P, Q, IndicatorOf(LinearBall(phi, 2, finite(1.0))))
     for o in (obj, dual_obj):
         assert o.qs is Q.p and o.phi_s is phi.values
 
