@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -224,28 +225,20 @@ class InstanceFile:
         """The report's seed: ``--seed``, else the section's ``seed`` key (the solvers ignore it), else 0."""
         return int(self.raw.get(section, {}).get("seed", 0)) if seed is None else seed
 
+    def _config(self, cls, section: str, **override):
+        """``cls`` from the keys of ``section`` that name its fields, each cast
+        to the type of the field's default; other keys are ignored."""
+        doc = {**self.raw.get(section, {}), **override}
+        return cls(**{f.name: type(f.default)(doc[f.name]) for f in dataclasses.fields(cls) if f.name in doc})
+
     def primal_config(self) -> PrimalConfig:
-        doc = self.raw.get("primal_config", {})
-        return PrimalConfig(
-            max_iters=int(doc.get("max_iters", 10_000)),
-            tol=float(doc.get("tol", 1e-8)),
-        )
+        return self._config(PrimalConfig, "primal_config")
 
     def dual_config(self) -> DualConfig:
-        doc = self.raw.get("dual_config", {})
-        return DualConfig(tol=float(doc.get("tol", 1e-4)))
+        return self._config(DualConfig, "dual_config")
 
     def fit_config(self, seed: int | None) -> FitConfig:
-        doc = dict(self.raw.get("fit_config", {}))
-        if seed is not None:
-            doc["seed"] = seed
-        return FitConfig(
-            max_iters=int(doc.get("max_iters", 150)),
-            tol=float(doc.get("tol", 1e-8)),
-            seed=int(doc.get("seed", 0)),
-            starts=int(doc.get("starts", 5)),
-            inner_tol=float(doc.get("inner_tol", 1e-10)),
-        )
+        return self._config(FitConfig, "fit_config", **({} if seed is None else {"seed": seed}))
 
 
 def parse_instance(source) -> InstanceFile:

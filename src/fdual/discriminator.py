@@ -12,6 +12,8 @@ an explicit test hook and are rejected by the gap computations.
 regularizer at the signed measure P - P'. For a p-ball this is
 ``R * || E_P[phi] - E_P'[phi] ||_q`` with 1/p + 1/q = 1, the
 norm-duality maximum of ``a . (E_P[phi] - E_P'[phi])`` over the ball.
+``gap_conjugate`` is that formula at a given moment gap, which the
+dual objective of :mod:`fdual.dual` also evaluates.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "dual_exponent",
     "pnorm",
     "holder_extremal",
+    "gap_conjugate",
     "lambda_star_gap",
     "membership",
     "realize",
@@ -170,6 +173,15 @@ def _regularizer_space(reg: RegularizerSpec) -> OutcomeSpace:
     return reg.space
 
 
+def gap_conjugate(reg: RegularizerSpec, d: np.ndarray) -> float:
+    """The regularizer's conjugate at a moment gap ``d`` = E_P[phi] - E_P'[phi]:
+    ``||d||^2 / (4 weight)`` for a quadratic penalty, ``R ||d||_q`` for a
+    finite p-ball of radius R, with 1/p + 1/q = 1."""
+    if isinstance(reg, QuadraticCoefficientPenalty):
+        return float(d @ d) / (4.0 * reg.weight)
+    return reg.spec.radius.value * pnorm(d, dual_exponent(reg.spec.p))
+
+
 def lambda_star_gap(reg: RegularizerSpec, P: Dist, Pp: Dist) -> ExtReal:
     """Conjugate of the regularizer evaluated at P - P'.
 
@@ -181,7 +193,7 @@ def lambda_star_gap(reg: RegularizerSpec, P: Dist, Pp: Dist) -> ExtReal:
         raise SpaceMismatch("distributions and regularizer live on different spaces")
     if isinstance(reg, QuadraticCoefficientPenalty):
         gap = feature_means(P, reg.phi) - feature_means(Pp, reg.phi)
-        return finite(float(gap @ gap) / (4.0 * reg.weight))
+        return finite(gap_conjugate(reg, gap))
     spec = reg.spec
     if isinstance(spec, FullSpace):
         if float(np.max(np.abs(P.p - Pp.p))) <= DIST_EQ_TOL:
@@ -189,8 +201,7 @@ def lambda_star_gap(reg: RegularizerSpec, P: Dist, Pp: Dist) -> ExtReal:
         return POS_INF
     gap = feature_means(P, spec.phi) - feature_means(Pp, spec.phi)
     if spec.radius.is_finite:
-        q = dual_exponent(spec.p)
-        return finite(spec.radius.value * pnorm(gap, q))
+        return finite(gap_conjugate(reg, gap))
     if float(np.max(np.abs(gap))) <= MEAN_EQ_TOL:
         return finite(0.0)
     return POS_INF

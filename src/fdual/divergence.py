@@ -4,7 +4,8 @@ On a finite space the variational objective
 ``sup_h E_P[h] - E_Q[f*(h)]`` separates across outcomes, so the
 supremum is a sum of independent one-dimensional concave problems,
 solved here by bracketed Newton steps on their first-order condition,
-seeded at ``f'(p_i / q_i)``. The closed form
+seeded at ``f'(p_i / q_i)``, which is the exact maximizer where f* has
+kinks. The closed form
 ``sum_{q_i > 0} q_i f(p_i / q_i) + f'(inf) * (P-mass outside supp Q)``
 is evaluated directly; the two agree whenever both are finite, a fact
 the test suite leans on as its master oracle.
@@ -12,7 +13,11 @@ the test suite leans on as its master oracle.
 The R-functional ``R(h) = inf_b E_Q[f*(h + b)] - b`` optimizes the
 free intercept out of the conjugate term. It is the workhorse of the
 primal reduction: a linear discriminator class contributes
-``a . E_P[phi] - R(a . phi)`` once the intercept is absorbed.
+``a . E_P[phi] - R(a . phi)`` once the intercept is absorbed. KL and
+total variation have closed forms; for every other generator the
+optimal intercept is the root of E_Q[f*'(h + b)] = 1, found by
+:func:`intercept_root` with safeguarded Newton steps. The supremum
+side of :mod:`fdual.primal` calls the same root with a warm start.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Unbounded
+from .errors import ValidationError
 from .extreal import ExtReal, POS_INF, finite, scale_mass
 from .fgen import FGenerator, conjugate_sup
-from .optim1d import bisect_sign_change
 from .space import Dist, FunctionOnSpace, _require_same_space
 
 __all__ = [
@@ -33,6 +37,8 @@ __all__ = [
     "T_CAP",
     "df_closed",
     "df_variational_full",
+    "intercept_ends",
+    "intercept_root",
     "kl_bar",
     "r_functional",
     "r_functional_numeric",
@@ -40,7 +46,6 @@ __all__ = [
 ]
 
 T_CAP = 1e3
-B_BOX = 1e3
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,8 @@ def df_variational_full(
     Each outcome contributes ``sup_t (p_i t - q_i f*(t))``, maximized
     per coordinate over [-t_cap, t_cap] by :func:`fgen.conjugate_sup`,
     a box widened to reach the maximizer f'(p_i / q_i) where p_i, q_i > 0:
-    ``tol`` bounds the last Newton step in t, or the final bisection
-    bracket where f* has kinks, and the value is evaluated exactly at
+    ``tol`` bounds the last Newton step in t (where f* has kinks the
+    seed itself is the maximizer), and the value is evaluated exactly at
     the t returned. Coordinates where the supremum is approached at
     infinity report a truncated maximizer (+-t_cap, ``capped`` set);
     coordinates where it diverges make the value +infinity. Agrees with
@@ -141,111 +146,84 @@ def log_expectation_exp(Q: Dist, h_values: np.ndarray) -> float:
     return m + math.log(float(qs @ np.exp(hs - m)))
 
 
-def r_functional(
-    g: FGenerator,
-    Q: Dist,
-    h: FunctionOnSpace,
-    tol_b: float = 1e-10,
-) -> tuple[float, float]:
+def intercept_ends(g: FGenerator, qs: np.ndarray) -> tuple[float, float]:
+    """Ends of :func:`intercept_root`'s bracket for masses ``qs``, less max h.
+
+    f*'(f'(1)) = 1, so d <= 0 at the lower end; the upper end is the
+    domain end U of f*, or where U is infinite f'(2 / q_min), at which
+    the top atom alone has q_min f*' >= 2.
+    """
+    hi = g.fstar_box_upper(math.inf, margin=0.0)
+    return g.f_prime(1.0), (g.f_prime(2.0 / float(qs.min())) if math.isinf(hi) else hi)
+
+
+def intercept_root(g: FGenerator, qs: np.ndarray, hs: np.ndarray, ends: tuple[float, float],
+                   b0: float | None = None):
+    """(b*, f*'(h + b*), f*''(h + b*)): the root of d(b) = E_Q[f*'(h + b)] - 1,
+    by safeguarded Newton steps, with the slopes at it.
+
+    ``qs`` and ``hs`` are Q and h on the support of Q, ``ends`` comes from
+    :func:`intercept_ends`, and ``b0`` is a warm start, used where it lies
+    inside the bracket. d is nondecreasing and convex, so from the lower
+    end Newton steps land right of the root, then descend to it
+    monotonically; a step off the bracket, or a slope that underflows,
+    bisects it. The loop stops before it moves b, so the slopes of its
+    last step are taken at b* itself; only if all 200 steps run are they
+    evaluated afresh.
+    """
+    top = float(hs.max())
+    lo, hi = ends[0] - top, ends[1] - top
+    b = b0 if b0 is not None and lo < b0 < hi else lo
+    for _ in range(200):
+        t = hs + b
+        fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
+        excess = float(qs @ fp) - 1.0
+        lo, hi = (lo, b) if excess > 0.0 else (b, hi)
+        slope = float(qs @ fpp)
+        nb = b - excess / slope if slope > 0.0 else hi
+        if excess == 0.0 or abs(nb - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)):
+            break
+        b = nb if lo < nb < hi else 0.5 * (lo + hi)
+    else:
+        t = hs + b
+        fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
+    return b, fp, fpp
+
+
+def r_functional(g: FGenerator, Q: Dist, h: FunctionOnSpace) -> tuple[float, float]:
     """Intercept-optimized conjugate term ``inf_b E_Q[f*(h+b)] - b``.
 
     Returns ``(value, b_star)`` with the infimum attained at ``b_star``.
-    For the KL generator the closed form ``ln E_Q[e^h]`` is returned
-    (with ``b_star = 1 - ln E_Q[e^h]``); other generators are solved by
-    sign bisection on the derivative of the convex inner problem.
-
-    Raises :class:`Unbounded` if no sign change is bracketed inside
-    ``|b| <= 1e3``.
+    KL has the closed form ``ln E_Q[e^h]``, with ``b_star = 1 - ln E_Q[e^h]``.
+    Total variation has d/db = Q(h + b > -1/2) - 1 <= 0, so
+    ``b_star = 1/2 - max h`` over the support of Q puts max h at the
+    domain's end, and the value is ``E_Q[max(h + b_star, -1/2)] - b_star``.
+    Other generators go through :func:`r_functional_numeric`.
     """
     _require_same_space(Q, h)
     if g.name == "kl":
         lse = log_expectation_exp(Q, h.values)
         return lse, 1.0 - lse
-    return r_functional_numeric(g, Q, h, tol_b=tol_b)
+    if g.name == "total_variation":
+        mask = Q.p > 0.0
+        hs = h.values[mask]
+        b = 0.5 - float(hs.max())
+        return float(Q.p[mask] @ np.maximum(hs + b, -0.5)) - b, b
+    return r_functional_numeric(g, Q, h)
 
 
-def r_functional_numeric(
-    g: FGenerator,
-    Q: Dist,
-    h: FunctionOnSpace,
-    tol_b: float = 1e-10,
-) -> tuple[float, float]:
-    """Numeric inner solve behind :func:`r_functional`.
+def r_functional_numeric(g: FGenerator, Q: Dist, h: FunctionOnSpace) -> tuple[float, float]:
+    """:func:`r_functional` for any generator with a smooth conjugate.
 
-    Exposed separately so the KL closed form can be cross-checked
-    against the generic path.
+    The intercept is the root of :func:`intercept_root`, and the value
+    is evaluated exactly there. Exposed separately so the KL closed form
+    can be cross-checked against it.
     """
     _require_same_space(Q, h)
-    q = Q.p
-    mask = q > 0.0
-    qs = q[mask]
-    hs = h.values[mask]
-
-    def psi(b: float) -> float:
-        vals, fin = g.fstar_vec(hs + b)
-        if not np.all(fin):
-            return math.inf
-        return float(qs @ vals) - b
-
-    def dpsi(b: float) -> float:
-        return float(qs @ g.fstar_prime_vec(hs + b)) - 1.0
-
-    up = g.fstar_domain_upper
-    h_max = float(np.max(hs))
-    if up.is_finite:
-        b_edge = up.value - h_max
-        if h_max + b_edge > up.value:
-            # Rounding put max h + b past the domain's end, where f* is +inf.
-            b_edge = math.nextafter(b_edge, -math.inf)
-        if g.fstar_domain_closed:
-            d_hi = dpsi(b_edge)
-            if d_hi <= 0.0:
-                # Derivative never crosses zero inside the domain; the
-                # boundary itself minimizes.
-                return psi(b_edge), b_edge
-            hi = b_edge
-        else:
-            hi = None
-            gap = 1.0
-            for _ in range(80):
-                cand = b_edge - gap
-                d_hi = dpsi(cand)
-                if d_hi >= 0.0:
-                    hi = cand
-                    break
-                gap *= 0.5
-            if hi is None:
-                # f*' blows up at an open boundary, so this is unreachable
-                # for catalog generators; kept as a defensive failure.
-                raise Unbounded("no upper bracket below the conjugate domain edge")
-    else:
-        hi = None
-        b = 1.0
-        while True:
-            d_hi = dpsi(b)
-            if d_hi >= 0.0:
-                hi = b
-                break
-            if b >= B_BOX:
-                raise Unbounded(f"derivative still negative at b = {B_BOX}")
-            b = min(b * 2.0, B_BOX)
-
-    lo = None
-    b = min(-1.0, hi - 1.0)
-    while True:
-        d_lo = dpsi(b)
-        if d_lo <= 0.0:
-            lo = b
-            break
-        if b <= -B_BOX:
-            raise Unbounded(f"derivative still positive at b = {-B_BOX}")
-        b = max(b * 2.0, -B_BOX)
-
-    b_star = bisect_sign_change(dpsi, lo, hi, tol=tol_b, d_lo=d_lo, d_hi=d_hi)
-    value = psi(b_star)
-    if up.is_finite and g.fstar_domain_closed:
-        # A closed boundary can undercut the interior bisection point.
-        v_edge = psi(up.value - h_max)
-        if v_edge < value:
-            return v_edge, up.value - h_max
-    return value, b_star
+    if not g.conjugate_smooth:
+        raise ValidationError(f"{g.name} has no smooth conjugate for the Newton intercept")
+    mask = Q.p > 0.0
+    qs, hs = Q.p[mask], h.values[mask]
+    b, _, _ = intercept_root(g, qs, hs, intercept_ends(g, qs))
+    vals, fin = g.fstar_vec(hs + b)
+    return (float(qs @ vals) - b if fin.all() else math.inf), b

@@ -34,7 +34,7 @@ from .discriminator import (
     LinearBall,
     QuadraticCoefficientPenalty,
     RegularizerSpec,
-    dual_exponent,
+    gap_conjugate,
 )
 from .divergence import df_closed
 from .errors import ValidationError
@@ -101,20 +101,12 @@ class _DualObjective:
     def __init__(self, g: FGenerator, P: Dist, Q: Dist, reg: RegularizerSpec):
         self.g = g
         self.space = P.space
+        self.reg = reg
         if isinstance(reg, QuadraticCoefficientPenalty):
             phi = reg.phi
-            self.kind = "quad"
-            self.weight = reg.weight
-            self.radius = math.nan
-            self.qexp = 2.0
         else:
-            spec = reg.spec
-            assert isinstance(spec, LinearBall)
-            phi = spec.phi
-            self.kind = "ball"
-            self.weight = math.nan
-            self.radius = float(spec.radius)
-            self.qexp = dual_exponent(spec.p)
+            assert isinstance(reg.spec, LinearBall)
+            phi = reg.spec.phi
         self.mask, self.qs, self.phi_s = _restrict_to_support(Q, phi)
         self.target = feature_means(P, phi)
 
@@ -127,17 +119,8 @@ class _DualObjective:
             return math.inf
         return float(self.qs @ vals)
 
-    def _penalty(self, d: np.ndarray) -> float:
-        if self.kind == "quad":
-            return float(d @ d) / (4.0 * self.weight)
-        if self.qexp == 2.0:
-            return self.radius * float(np.linalg.norm(d))
-        if math.isinf(self.qexp):
-            return self.radius * float(np.max(np.abs(d)))
-        return self.radius * float(np.linalg.norm(d, ord=self.qexp))
-
     def value(self, ps: np.ndarray) -> float:
-        return self._div_term(ps) + self._penalty(self.moment_gap(ps))
+        return self._div_term(ps) + gap_conjugate(self.reg, self.moment_gap(ps))
 
 
 def _primal_solve(g, P, Q, spec, cfg: PrimalConfig | None) -> SolveReport:

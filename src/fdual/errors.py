@@ -47,10 +47,6 @@ class UnsupportedNorm(FdualError, ValueError):
     """Ball projection requested for a norm exponent outside {1, 2, inf}."""
 
 
-class Unbounded(FdualError):
-    """A one-dimensional auxiliary problem has no minimizer in the search box."""
-
-
 class SupportViolation(FdualError):
     """Data distribution is not dominated by a family member."""
 

@@ -437,12 +437,14 @@ def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: 
 
     Returns ``(t, values)``. The box is cut to the domain of f* as by
     :meth:`FGenerator.fstar_box_upper`. The maximizer is the root of the
-    non-increasing p_i - q_i f*'(t), found by bracketed Newton steps
-    (bisection for a conjugate with kinks) from the seed t = f'(p_i / q_i),
-    which is the root for an exact conjugate pair; ``tol`` bounds the
-    last step, or the final bracket. A finite seed outside the box
-    widens that coordinate's box to reach it, so a maximizer beyond the
-    cap is not cut to the box end. The values are evaluated exactly at t.
+    non-increasing p_i - q_i f*'(t), and the seed t = f'(p_i / q_i) is
+    that root for an exact conjugate pair. Where f* has kinks the seed
+    is returned as it is (for total variation, the kink -1/2 when
+    p_i < q_i and the domain's end 1/2 when p_i > q_i); otherwise
+    bracketed Newton steps start from it, and ``tol`` bounds the last
+    step. A finite seed outside the box widens that coordinate's box to
+    reach it, so a maximizer beyond the cap is not cut to the box end.
+    The values are evaluated exactly at t.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -450,14 +452,13 @@ def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: 
         seed = g.f_prime_vec(p / q)
     second = g.fstar_second_vec
     fin = np.isfinite(seed)
-    t = newton_root_nonincreasing(
-        lambda t: p - q * g.fstar_prime_vec(t),
-        None if second is None else (lambda t: q * second(t)),
-        seed,
-        np.where(fin & (seed < -cap), seed, -cap),
-        np.where(fin & (seed > cap), seed, g.fstar_box_upper(cap)),
-        tol,
-    )
+    lo = np.where(fin & (seed < -cap), seed, -cap)
+    hi = np.where(fin & (seed > cap), seed, g.fstar_box_upper(cap))
+    if second is None:
+        t = np.clip(seed, lo, hi)
+    else:
+        t = newton_root_nonincreasing(lambda t: p - q * g.fstar_prime_vec(t), lambda t: q * second(t),
+                                      seed, lo, hi, tol)
     vals, fin = g.fstar_vec(t)
     return t, np.where(fin, p * t - q * vals, -np.inf)
 

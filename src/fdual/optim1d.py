@@ -2,9 +2,10 @@
 
 Bracketed Newton steps for the roots of non-increasing functions,
 batched across independent coordinates (the first-order conditions of
-the conjugate suprema in :mod:`fdual.fgen`), and sign bisection, with
-regula falsi narrowing, for the zero crossing of a non-decreasing
-derivative (the intercept of :mod:`fdual.divergence`).
+the conjugate suprema in :mod:`fdual.fgen`). The intercept's root is
+:func:`fdual.divergence.intercept_root`. Sign bisection, with regula
+falsi narrowing, has no caller in the package; it is kept because the
+benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ def newton_root_nonincreasing(d, slope, t0, lo, hi, tol: float, max_iter: int = 
     """Coordinatewise root of non-increasing functions by bracketed Newton steps.
 
     ``d`` maps an array of abscissas to the values d_i(t_i), and
-    ``slope`` to -d_i'(t_i) >= 0; it is ``None`` where d has jumps, and
-    then every step bisects. ``lo`` and ``hi`` broadcast against ``t0``.
+    ``slope`` to -d_i'(t_i) >= 0. ``lo`` and ``hi`` broadcast against ``t0``.
     Each coordinate starts at ``t0`` clipped into [lo_i, hi_i] (at the
     midpoint where ``t0`` is NaN) and keeps a bracket that d > 0 moves
     up and d < 0 moves down. A Newton step bisects the bracket instead
@@ -48,7 +48,7 @@ def newton_root_nonincreasing(d, slope, t0, lo, hi, tol: float, max_iter: int = 
             # Stopped coordinates stay put, so moving their ends is harmless.
             a = np.where(dt > 0.0, t, a)
             b = np.where(dt < 0.0, t, b)
-            step = np.where(dt == 0.0, 0.0, dt / slope(t) if slope is not None else np.nan)
+            step = np.where(dt == 0.0, 0.0, dt / slope(t))
             nt = t + step
             size = np.abs(step)
             # A step within rounding may not clear t, which is a bracket end.
@@ -75,8 +75,9 @@ def bisect_sign_change(
     """Bisect for the zero crossing of a non-decreasing function.
 
     Requires ``dfun(lo) <= 0 <= dfun(hi)``; narrows to width ``tol`` and
-    returns the midpoint. Used for minimizing convex functions via the
-    sign of their (sub)derivative.
+    returns the midpoint. No package code calls it: the intercept is a
+    Newton root (:func:`fdual.divergence.intercept_root`). It stays
+    because the benchmark's tracer wraps it by name.
 
     When the caller already holds ``d_lo = dfun(lo)`` and
     ``d_hi = dfun(hi)``, regula falsi steps narrow the crossing to a

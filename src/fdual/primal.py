@@ -9,7 +9,9 @@ with R the intercept-optimized conjugate term from
 :mod:`fdual.divergence`. Its gradient is ``E_P[phi] - E_Q~[phi]``,
 where Q~ reweights Q by the conjugate slope q_i f*'(a . phi_i + b*) at
 the optimal intercept b*, and its Hessian is ``-(sum w) Cov_w(phi)``
-with w_i = q_i f*''(a . phi_i + b*) (for KL, w = Q~).
+with w_i = q_i f*''(a . phi_i + b*) (for KL, w = Q~). Outside KL, b*
+and both slopes come from one Newton root,
+:func:`~fdual.divergence.intercept_root`, warm-started at the last b*.
 
 Every generator and coefficient set is solved by one projected Newton
 loop, on a 2-ball or at infinite radius, where it also certifies an
@@ -38,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .discriminator import DiscriminatorSpec, FullSpace, QuadraticCoefficientPenalty
-from .divergence import df_variational_full, r_functional
+from .divergence import df_variational_full, intercept_ends, intercept_root, r_functional
 from .errors import UnsupportedNorm, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator
@@ -182,17 +184,12 @@ class _ReducedObjective:
         self._b_hint: float | None = None
         self._is_kl = g.name == "kl"
         if g.conjugate_smooth and not self._is_kl:
-            # Ends of the intercept's bracket, less max h: f*'(f'(1)) = 1, and
-            # the top atom alone has f*' >= 2 / q_min at f'(2 / q_min).
-            self._t_lo = g.f_prime(1.0)
-            self._t_hi = g.fstar_box_upper(math.inf, margin=0.0)
-            if math.isinf(self._t_hi):
-                self._t_hi = g.f_prime(2.0 / float(self.qs.min()))
+            self._ends = intercept_ends(g, self.qs)
 
     def exact(self, a: np.ndarray) -> tuple[float, float]:
         """(J(a), optimal intercept), by exact evaluation.
 
-        Where f* has kinks (total variation) R is evaluated by
+        Where f* has kinks (total variation) R is the closed form of
         :func:`r_functional`, whose intercept puts max h at the closed end
         of the domain of f*.
         """
@@ -210,44 +207,14 @@ class _ReducedObjective:
         hs = a @ self.phi_s
         return hs if self.pin is None else hs + self.pin
 
-    def _intercept(self, hs: np.ndarray):
-        """(b*, f*'(h + b*), f*''(h + b*)): the root of d(b) = E_Q[f*'(h + b)] - 1,
-        by safeguarded Newton steps, with the slopes at it.
-
-        d is nondecreasing and convex, d(f'(1) - max h) <= 0 as f*'(f'(1))
-        = 1, and d >= 0 at the end U - max h of the domain of f*, or where
-        U is infinite at f'(2 / q_min) - max h. Newton steps land right of
-        the root, then descend to it monotonically; a step off the bracket,
-        or a slope that underflows, bisects it. The loop stops before it
-        moves b, so the slopes of its last step are taken at b* itself;
-        only if all 200 steps run are they evaluated afresh.
-        """
-        g, qs, top = self.g, self.qs, float(hs.max())
-        lo, hi = self._t_lo - top, self._t_hi - top
-        b = self._b_hint if self._b_hint is not None and lo < self._b_hint < hi else lo
-        for _ in range(200):
-            t = hs + b
-            fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
-            excess = float(qs @ fp) - 1.0
-            lo, hi = (lo, b) if excess > 0.0 else (b, hi)
-            slope = float(qs @ fpp)
-            nb = b - excess / slope if slope > 0.0 else hi
-            if excess == 0.0 or abs(nb - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)):
-                break
-            b = nb if lo < nb < hi else 0.5 * (lo + hi)
-        else:
-            t = hs + b
-            fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
-        self._b_hint = b
-        return b, fp, fpp
-
     def moments(self, a: np.ndarray):
         """(J(a), grad J(a), C, intercept, size, gerr), C = -Hessian of J.
 
         ``size`` is the magnitude of the terms of J, the scale of its
         rounding error; ``gerr`` bounds the gradient's rounding error.
-        Outside KL the conjugate slopes come from :meth:`_intercept`,
-        which returns them at the intercept it finds.
+        Outside KL the conjugate slopes come from :func:`intercept_root`,
+        which returns them at the intercept it finds, warm-started at
+        the last one.
         """
         hs = self._hs(a)
         lin = float(a @ self.m_p)
@@ -264,7 +231,8 @@ class _ReducedObjective:
             g = self.g
             # Pinned atoms overflow to slopes of exactly 0.
             with np.errstate(over="ignore"):
-                b, fp, fpp = self._intercept(hs)
+                b, fp, fpp = intercept_root(g, self.qs, hs, self._ends, self._b_hint)
+                self._b_hint = b
                 fs, _ = g.fstar_vec(hs + b)
                 w = self.qs * fpp
                 mean = self.phi_s @ (self.qs * fp)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from fdual.divergence import (
     r_functional,
     r_functional_numeric,
 )
-from fdual.errors import Unbounded
 from fdual.fgen import builtin, builtin_names
 from fdual.optim1d import bisect_sign_change
 from fdual.space import FunctionOnSpace, OutcomeSpace, make_dist, random_instance
@@ -220,12 +220,15 @@ def test_intercept_bridge_identity():
             assert abs(direct - (e_p - r_val)) <= 1e-8
 
 
-def test_r_functional_unbounded(space2):
-    g = builtin("pearson_chi2")
-    Q = make_dist(space2, [1, 1])
-    # The derivative stays negative until b ~ 3000, beyond the search box.
-    with pytest.raises(Unbounded):
-        r_functional(g, Q, FunctionOnSpace(space2, [-3000.0, -3000.0]))
+def test_r_functional_constant_far_from_zero(space2):
+    # R(c) = c for every constant, however far from 0: the intercept b* is
+    # near -c, so no fixed search box for b can hold it.
+    Q = make_dist(space2, [1, 3])
+    for name in ALL:
+        g = builtin(name)
+        for c in (-1e6, -3000.0, 3000.0, 1e6):
+            val, _ = r_functional(g, Q, FunctionOnSpace(space2, [c, c]))
+            assert val == pytest.approx(c, rel=1e-12), (name, c)
 
 
 def test_variational_penalizes_zero_p_coordinate(space2):
@@ -298,27 +301,14 @@ def test_bisect_endpoint_values_keep_the_bisection_point():
             assert bisect_sign_change(dpsi, lo, hi, d_lo=d_lo, d_hi=d_hi) == expected
 
 
-def test_r_functional_numeric_needs_few_derivative_calls(monkeypatch):
+def test_r_functional_numeric_needs_few_derivative_calls():
     # A slowly moving discriminator, each intercept solved from scratch.
     # Plain bisection needs about 35 derivative calls per solve to reach
-    # the 1e-10 bracket.
-    import fdual.divergence as divergence
-
-    calls = [0]
-    original = divergence.bisect_sign_change
-
-    def counting(dfun, *args, **kwargs):
-        def counted(b):
-            calls[0] += 1
-            return dfun(b)
-
-        return original(counted, *args, **kwargs)
-
-    monkeypatch.setattr(divergence, "bisect_sign_change", counting)
+    # a 1e-10 bracket.
     P, Q, phi = random_instance(3, 6, 1)
     for name in ("js_gan", "squared_hellinger", "reverse_kl", "pearson_chi2"):
-        g = builtin(name)
-        calls[0] = 0
+        counted, calls = _counting(builtin(name).fstar_prime_vec)
+        g = dataclasses.replace(builtin(name), fstar_prime_vec=counted)
         for t in range(30):
             h = FunctionOnSpace(P.space, (0.2 + 0.02 * t) * phi.values[0])
             r_functional_numeric(g, Q, h)

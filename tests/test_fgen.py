@@ -316,21 +316,15 @@ def test_newton_root_from_bad_seeds_reaches_the_same_root(name):
         assert np.max(np.abs(t - t_ref)) <= tol, (name, seed[0])
 
 
-def test_conjugate_sup_total_variation_bisects_to_the_kink_and_the_domain_end():
+def test_conjugate_sup_total_variation_returns_the_kink_and_the_domain_end():
     # f* = max(t, -1/2) on t <= 1/2 has no second derivative: p < q puts
     # the maximizer at the kink -1/2, p > q at the closed end 1/2, and the
-    # values are |p - q| / 2.
-    g = builtin("total_variation")
-    p = np.array([0.1, 0.3, 0.7, 0.9])
-    q = np.array([0.4, 0.6, 0.2, 0.5])
-    tol = 1e-10
-    t, vals = conjugate_sup(g, p, q, 1e3, tol)
-    assert np.all(np.abs(t[:2] + 0.5) <= tol)
-    assert np.all(np.abs(t[2:] - 0.5) <= tol)
-    assert np.max(np.abs(vals - 0.5 * np.abs(p - q))) <= tol
-    # From a seed at the far end of the box the same points come out.
-    def d(s):
-        return p - q * g.fstar_prime_vec(s)
-
-    box_lo, box_hi = np.full(4, -1e3), np.full(4, 0.5)
-    assert np.max(np.abs(newton_root_nonincreasing(d, None, box_lo, box_lo, box_hi, tol) - t)) <= tol
+    # values are |p - q| / 2. The seed f'(p/q) is that maximizer, so no
+    # derivative of f* is evaluated.
+    g, calls = _counting_generator(builtin("total_variation"))
+    p = np.array([0.1, 0.3, 0.7, 0.9, 0.5])
+    q = np.array([0.4, 0.6, 0.2, 0.5, 0.5])
+    t, vals = conjugate_sup(g, p, q, 1e3, 1e-10)
+    assert t.tolist() == [-0.5, -0.5, 0.5, 0.5, 0.0]
+    assert np.max(np.abs(vals - 0.5 * np.abs(p - q))) <= 1e-15
+    assert calls["fstar_prime_vec"] == 0

@@ -425,8 +425,7 @@ def test_radius_below_tol_is_solved(name):
 
 def test_intercept_beyond_former_search_box():
     # chi-square(P||Q) = 809 999.01 is reached at a = -1.8e5 with an
-    # intercept near 1.8e6; a bisection bracket limited to |b| <= 1e3
-    # raised Unbounded here.
+    # intercept near 1.8e6, far outside any fixed search box for b.
     space = OutcomeSpace.of_size(2)
     P = make_dist(space, [0.9, 0.1])
     Q = make_dist(space, [1e-6, 1.0 - 1e-6])
