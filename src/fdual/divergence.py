@@ -167,13 +167,16 @@ def intercept_root(g: FGenerator, qs: np.ndarray, hs: np.ndarray, ends: tuple[fl
     inside the bracket. d is nondecreasing and convex, so from the lower
     end Newton steps land right of the root, then descend to it
     monotonically; a step off the bracket, or a slope that underflows,
-    bisects it. The loop stops before it moves b, so the slopes of its
-    last step are taken at b* itself; only if all 200 steps run are they
-    evaluated afresh.
+    bisects it; a b with max h + b rounded onto the upper end counts as
+    right of the root, so f* is evaluated inside its domain. The loop
+    stops before it moves b, so the slopes of its last step are taken at
+    b* itself; only if all 200 steps run are they evaluated afresh. Once
+    no float splits the bracket, d jumps across 0 within rounding of the
+    domain's end: the jump is the top atoms', and their slopes take it up.
     """
     top = float(hs.max())
     lo, hi = ends[0] - top, ends[1] - top
-    b = b0 if b0 is not None and lo < b0 < hi else lo
+    b = b0 if b0 is not None and lo < b0 < hi and top + b0 < ends[1] else lo
     for _ in range(200):
         t = hs + b
         fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)
@@ -183,7 +186,13 @@ def intercept_root(g: FGenerator, qs: np.ndarray, hs: np.ndarray, ends: tuple[fl
         nb = b - excess / slope if slope > 0.0 else hi
         if excess == 0.0 or abs(nb - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)):
             break
-        b = nb if lo < nb < hi else 0.5 * (lo + hi)
+        nb = nb if lo < nb < hi else 0.5 * (lo + hi)
+        while lo < nb < hi and top + nb >= ends[1]:
+            hi, nb = nb, 0.5 * (lo + nb)
+        if not lo < nb < hi:
+            fp[hs == top] -= excess / float(qs[hs == top].sum())
+            break
+        b = nb
     else:
         t = hs + b
         fp, fpp = g.fstar_prime_vec(t), g.fstar_second_vec(t)

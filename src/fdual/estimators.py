@@ -19,6 +19,8 @@ adversarial objective Danskin's gradient with the envelope Hessian of
 its inner solve. The descent runs over the closure of the family: when
 the objective falls toward a face of it (members with no mass on some
 atoms), the limit member on that face is reported, with no parameter.
+A face is tried where two full Newton steps each halved the mass off
+it, or where theta . psi splits the atoms at a gap.
 Every report carries the cross-table of all three criteria at the
 fitted member, so the estimators can be compared on equal footing; the
 adversarial fit also carries the dual's intermediate distribution P'*.
@@ -26,6 +28,7 @@ adversarial fit also carries the dual's intermediate distribution P'*.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -262,12 +265,17 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray, basis: np.ndarray) -> 
     return -(basis @ (vecs @ coef))
 
 
+def _rounding(psi: np.ndarray, normal: np.ndarray) -> float:  # of normal . (psi_i - psi_j)
+    return 8.0 * sum(psi.shape) * np.finfo(float).eps * float(np.abs(normal) @ np.abs(psi).max(axis=1))
+
+
 def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
     """Masks of the atoms off each certified face that ``theta`` heads to, top face first.
 
     The atoms split at a gap above ``FACE_GAP`` in theta . psi, and the
     split is a face of the hull of the psi_i (softmax: every split is),
     so the members along its normal tend to the member with no mass off it.
+    This also sees faces reached by damped or turning steps.
     """
     psi = _psi(fam)
     u = theta @ psi
@@ -275,11 +283,25 @@ def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
     if float(u[free].max() - u[free].min()) <= FACE_GAP:
         return
     rel = psi - psi[:, [free[np.argmax(u[free])]]]
-    top = np.abs(psi).max(axis=1)
-    bound = 8.0 * sum(psi.shape) * np.finfo(float).eps
-
-    for on, _ in face_splits(theta, u, free, rel, lambda normal: bound * float(np.abs(normal) @ top)):
+    for on, _ in face_splits(theta, u, free, rel, lambda normal: _rounding(psi, normal)):
         yield ~np.isin(np.arange(u.size), on)
+
+
+def _crawled_face(fam: GeneratorFamily, trail: list, d: np.ndarray, off: np.ndarray | None):
+    """The mask of the atoms off the face that the last Newton direction ``d``
+    exposes (the free atoms maximizing d . psi, where q(theta + t d) tends),
+    once the mass off it halved on each of the two full steps joining the
+    members ``trail``: Newton's unit steps on an exponential tail do that,
+    and never where that mass settles at an interior optimum.
+    """
+    if len(trail) == 3:
+        psi = _psi(fam)
+        u = d @ psi
+        free = np.ones(u.size, dtype=bool) if off is None else ~off
+        on = free & (u >= u[free].max() - _rounding(psi, d))
+        m0, m1, m2 = (float(p[~on].sum()) for p in trail)
+        if 0.0 < m1 <= 0.5 * m0 and m2 <= 0.5 * m1:
+            yield ~on
 
 
 @dataclass
@@ -296,11 +318,14 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
 
     Each start takes Levenberg-Marquardt damped Newton steps in the
     parameters with Armijo backtracking (a few ulps of the value as
-    slack), and stops when max |gradient| <= ``cfg.tol``. When the
-    atoms split at a gap above ``FACE_GAP`` along a face of the
-    family's closure (:func:`_faces`), the member with no mass off the
-    face is evaluated exactly; if it is no worse, the start goes on
-    within that face, whose normal components of theta are then idle.
+    slack), and stops when max |gradient| <= ``cfg.tol``. Two triggers
+    propose faces of the family's closure: :func:`_crawled_face` reaches
+    an exponential tail's face after two unit steps, from the members the
+    descent already has; :func:`_faces` waits for a gap of ``FACE_GAP``,
+    and stays for faces reached by damped or turning steps. Each face is
+    tried once per start: the member with no mass off it is evaluated
+    exactly, and if it is no worse the start goes on within that face,
+    whose normal components of theta are then idle.
 
     Returns (best start, total iterations, per-start values, distinct,
     starts run to ``cfg.max_iters``). Among near-equal optima the
@@ -321,22 +346,23 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     total_iters = 0
     capped = 0
     for theta0 in starts:
-        theta, off = theta0.copy(), None
+        theta, off, d = theta0.copy(), None, None
         basis = _identifiable(fam, off)
-        val, grad, hess = fun(_member(fam, theta))
+        val, grad, hess = fun(member := _member(fam, theta))
+        trail = [member.p]  # members joined by the last full Newton steps
         tried: set[bytes] = set()
         it = 0
         for it in range(1, cfg.max_iters + 1):
             if not (math.isfinite(val) and val > value_floor and np.all(np.isfinite(grad))):
                 break
-            for face_off in _faces(fam, theta, off):
+            for face_off in itertools.chain(_crawled_face(fam, trail, d, off), _faces(fam, theta, off)):
                 if face_off.tobytes() in tried:
                     continue
                 tried.add(face_off.tobytes())
-                out = fun(_member(fam, theta, face_off))
+                out = fun(member := _member(fam, theta, face_off))
                 if out[0] <= val:
                     off, (val, grad, hess) = face_off, out
-                    basis = _identifiable(fam, off)
+                    basis, trail = _identifiable(fam, off), [member.p]
                     break
             if float(np.max(np.abs(grad))) <= cfg.tol:
                 break
@@ -346,7 +372,7 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
             s = 1.0
             while s > 1e-14:
                 cand = theta + s * d
-                out = fun(_member(fam, cand, off))
+                out = fun(member := _member(fam, cand, off))
                 if out[0] <= val + 1e-4 * s * slope + slack:
                     break
                 s *= 0.5
@@ -354,6 +380,7 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
                 break
             stalled = not out[0] < val
             theta, (val, grad, hess) = cand, out
+            trail = (trail[-2:] if s == 1.0 else []) + [member.p]
             if stalled:
                 # The step is exact to the value's rounding: nothing left to gain.
                 break

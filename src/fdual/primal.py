@@ -183,8 +183,7 @@ class _ReducedObjective:
         self.space = P.space
         self._b_hint: float | None = None
         self._is_kl = g.name == "kl"
-        if g.conjugate_smooth and not self._is_kl:
-            self._ends = intercept_ends(g, self.qs)
+        self._ends = intercept_ends(g, self.qs) if g.conjugate_smooth and not self._is_kl else None
 
     def exact(self, a: np.ndarray) -> tuple[float, float]:
         """(J(a), optimal intercept), by exact evaluation.
@@ -261,8 +260,12 @@ class _ReducedObjective:
     def tilt(self, a: np.ndarray, b: float) -> Dist:
         """The conjugate-slope tilt q_i f*'(a . phi_i + b) of Q, normalized."""
         masses = np.zeros(self.space.n)
+        hs = self._hs(a)
         with np.errstate(over="ignore"):  # pinned atoms overflow to slopes of exactly 0
-            masses[self.mask] = self.qs * self.g.fstar_prime_vec(self._hs(a) + b)
+            # The root's slopes carry its jump at the end of f*'s domain, if any.
+            fp = self.g.fstar_prime_vec(hs + b) if self._ends is None else intercept_root(
+                self.g, self.qs, hs, self._ends, b)[1]
+            masses[self.mask] = self.qs * fp
         return Dist(self.space, masses / masses.sum())
 
     def fd_gradient(self, a: np.ndarray, value=None, step: float = 1e-6) -> np.ndarray:
@@ -460,7 +463,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
             sub = _newton_ball(on_face, radius, budget)
             return sub._replace(iterations=it - 1 + sub.iterations, log=tuple(log) + sub.log,
                                 fd_worst=max(fd_worst, sub.fd_worst))
-        if residual_at(a, grad) <= tol + gerr:
+        if residual_at(a, grad) <= tol + gerr < math.inf:
             status = "converged"
             break
         if infinite:
@@ -501,7 +504,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
             denom = max(1.0, _norm(grad))
             fd_worst = max(fd_worst, _norm(fd - grad) / denom)
     residual = residual_at(a, grad)
-    if residual <= tol + gerr:
+    if residual <= tol + gerr < math.inf:
         status = "converged"
     log.append(val)
     tilt = None if status == "unbounded" else partial(obj.tilt, a, b)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,22 @@ def test_fgan_readme_instance_pinned(three_point):
     assert rep.cross["fgan"] == rep.objective
 
 
+def test_fgan_readme_instance_jumps_to_the_face(three_point):
+    # Near the face the objective is V_face + c e^theta, and each Newton step
+    # has length 1: the mass off the face exposed by the step falls by e each
+    # time, so after two such steps the face member is tried and accepted.
+    # The FACE_GAP split alone lets every start crawl theta = 0, -1, ..., -8
+    # (45 outer iterations in all) to the same fit, to the last bit.
+    space, base = three_point
+    fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 0.0]]))
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    rep = fit_linear_fgan(fam, make_dist(space, [0.2, 0.5, 0.3]), KL, phi, finite(1.0))
+    assert rep.trajectory["iterations"] <= 20
+    assert np.array_equal(rep.q_star.p, [0.5, 0.0, 0.5])
+    assert rep.objective == 0.0050083668463568876
+    assert rep.trajectory["per_start"] == [0.0050083668463568876] * 5
+
+
 def test_fgan_readme_instance_outer_iterations(three_point):
     # Newton steps reach the face in a few iterations per start; plain
     # gradient steps ran all 5 starts to the cap of 150.
@@ -482,3 +499,85 @@ def test_fgan_kl_optimum_is_mle_for_intermediate_distribution():
         assert rep.theta is not None
         residual = feature_means(rep.q_star, fam.psi) - feature_means(rep.pprime, fam.psi)
         assert np.max(np.abs(residual)) <= 1e-8
+
+
+def _counted_fits(monkeypatch, fam, data, phi, radius):
+    """(inner primal solves of the f-GAN fit, objective evaluations of the GMM fit)."""
+    solves, evals = [0], [0]
+    solve, descend = estimators.restricted_div_primal, estimators._multistart_descend
+
+    def counted_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    def counted_descend(fam, fun, *args, **kwargs):
+        def counted(member):
+            evals[0] += 1
+            return fun(member)
+
+        return descend(fam, counted, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "restricted_div_primal", counted_solve)
+    fit_linear_fgan(fam, data, KL, phi, radius)
+    monkeypatch.setattr(estimators, "_multistart_descend", counted_descend)
+    fit_gmm(fam, data, phi)
+    monkeypatch.undo()
+    return solves[0], evals[0]
+
+
+def test_crawled_face_test_costs_nothing_at_interior_optima(monkeypatch):
+    # Both fits converge inside the family: the exposed-face test never
+    # fires, and the fits make exactly the solves and evaluations they made
+    # with the FACE_GAP splits alone.
+    assert _counted_fits(monkeypatch, *_pool_draw(1)) == (22, 23)
+    assert _counted_fits(monkeypatch, *_pool_draw(2)) == (20, 32)
+
+
+# f-GAN and GMM objectives of the 12-fit survey below, fitted with the
+# FACE_GAP splits alone. No fit reports theta None.
+SURVEY_OBJECTIVES = [
+    (1.1102230246251565e-16, 2.7755575615628914e-17), (0.0916004018654269, 0.2115661423030133),
+    (1.144132079949219e-16, 1.878159468825929e-11), (0.09974141688286392, 0.22001054004176845),
+    (0.0, 3.273069708340169e-17), (0.07691725859473275, 0.008403831725106977),
+    (-8.864008300704447e-18, 6.3895722339682786e-15), (0.0681755449151901, 0.22937477134998674),
+    (0.0, 1.542157893810419e-11), (0.00046641660006612167, 0.022019488152374662),
+    (0.0, 8.597071688674005e-14), (0.0020555229028040023, 0.0202424646311708),
+]
+
+
+def test_fit_survey_objectives_pinned():
+    # random_instance(800 + s, 3 + s % 4, 2), s < 12: the full simplex for
+    # even s and the tilts of Q by phi's first row for odd s, R cycling 0.5,
+    # 1, inf, the five smooth generators in turn, each with its GMM fit.
+    # Objectives sitting at 0 agree to rounding.
+    cfg = FitConfig(starts=3, max_iters=60)
+    for s, (fgan_value, gmm_value) in enumerate(SURVEY_OBJECTIVES):
+        P, Q, phi = random_instance(800 + s, 3 + s % 4, 2)
+        fam = FullSimplex(P.space) if s % 2 == 0 else ExpFamily(Q, FeatureMap(P.space, phi.values[:1]))
+        radius = (finite(0.5), finite(1.0), POS_INF)[s % 3]
+        fgan = fit_linear_fgan(fam, P, builtin(SMOOTH[s % 5]), phi, radius, cfg)
+        gmm = fit_gmm(fam, P, phi, cfg)
+        assert fgan.objective == pytest.approx(fgan_value, rel=1e-10, abs=1e-15), s
+        assert gmm.objective == pytest.approx(gmm_value, rel=1e-10, abs=1e-15), s
+        assert fgan.theta is not None and gmm.theta is not None, s
+
+
+def test_fgan_fit_through_a_pinned_intercept():
+    # The descent passes members whose inner JS solve pins the intercept at
+    # the end of the conjugate's domain (see test_primal's
+    # test_intercept_root_within_rounding_of_the_domain_end). The fit raised
+    # LinAlgError there, after RuntimeWarnings; it now ends inside the family.
+    rng = np.random.default_rng([4242, 35])
+    n = int(rng.integers(3, 7))
+    psi = rng.integers(0, 3, (1, n)).astype(float)
+    base = rng.uniform(0.5, 1.5, n)
+    data = rng.uniform(0.1, 1.0, n)
+    phi = rng.uniform(-1.0, 1.0, (2, n))
+    radius = float(rng.choice([0.5, 1.0, 2.0]))
+    space = OutcomeSpace.of_size(n)
+    fam = ExpFamily(make_dist(space, base), FeatureMap(space, psi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_linear_fgan(fam, make_dist(space, data), builtin("js_gan"), FeatureMap(space, phi), radius)
+    assert rep.theta is not None and rep.trajectory["inner_status"] == "converged"
+    assert max(rep.trajectory["per_start"]) - rep.objective <= 1e-12

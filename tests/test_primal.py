@@ -11,6 +11,7 @@ from fdual.fgen import builtin
 from fdual.dual import _DualObjective, duality_gap
 from fdual.primal import (
     PrimalConfig,
+    _newton_ball,
     _ReducedObjective,
     project_ball,
     regularized_div_primal,
@@ -521,3 +522,42 @@ def test_face_solve_respects_iteration_cap(name):
 def test_report_names_its_route(route, g, spec_of):
     P, Q, phi = random_instance(3, 3, 1)
     assert restricted_div_primal(g, P, Q, spec_of(phi)).route == route
+
+
+def test_intercept_root_within_rounding_of_the_domain_end():
+    # Q is a point mass up to atoms of mass 1e-31 and 1e-61. The top atom of
+    # h = a . phi (mass 3.7e-31) holds the intercept at the end ln 2 of the
+    # JS conjugate's domain, and the root of E_Q[f*'(h + b)] = 1 lies within
+    # 1e-30 of it, closer than a float can get. The intercept stays inside
+    # the domain and the top atom's slope carries the jump there; the solve
+    # reaches the optimum of the reduced problem, which a 1-D search over the
+    # sphere finds at 0.25961835190147475, and its tilt certifies it. A
+    # converged status at residual 1 (the gradient's rounding bound read inf)
+    # was returned at 0.034 before.
+    space = OutcomeSpace.of_size(6)
+    Q = Dist(space, np.array([1.0, 4.276424006466739e-61, 4.130148979013364e-31,
+                              4.511998187937016e-61, 1.686581545555930e-61, 3.663606548974925e-31]))
+    P = make_dist(space, [0.1617562896710927, 0.12447770436697943, 0.05676226544344049,
+                          0.24446816366590007, 0.22770634001615978, 0.18482923683642744])
+    phi = FeatureMap(space, [[-0.4209588125477435, 0.548828149938067, -0.25239742340070914,
+                              -0.37151472634415605, -0.35315534090351, 0.7989185976411086],
+                             [0.22551955137610702, -0.7228371387949788, 0.5698096992671833,
+                              -0.29675797326571063, 0.6400142889975873, -0.8837865261928255]])
+    g, spec = builtin("js_gan"), LinearBall(phi, 2, finite(2.0))
+    rep = restricted_div_primal(g, P, Q, spec, PrimalConfig(tol=1e-10))
+    assert rep.status == "converged" and rep.residual <= 1e-10
+    assert float(rep.value) == pytest.approx(0.25961835190147475, rel=1e-12)
+    assert np.max(rep.h_opt.values) < math.log(2.0)
+    gap = duality_gap(g, P, Q, spec)
+    assert gap.dual.route == "primal_tilt" and gap.rel_gap <= 1e-12
+
+
+def test_infinite_rounding_bound_never_certifies():
+    # A gradient whose rounding bound reads inf (f*'' = inf at an atom) is
+    # not known to any accuracy: the loop must not call it converged.
+    P, Q, phi = random_instance(3, 4, 2)
+    obj = _ReducedObjective(builtin("js_gan"), P, Q, phi)
+    moments = obj.moments
+    obj.moments = lambda a: (*moments(a)[:5], math.inf)
+    out = _newton_ball(obj, 1.0, PrimalConfig())
+    assert out.status == "not_converged"
