@@ -16,11 +16,15 @@ exponential tilt family over a full-support base. The moment-matching
 and adversarial fits run one seeded multistart damped Newton descent on
 exact derivatives: the moment gap's exact Hessian, and for the
 adversarial objective Danskin's gradient with the envelope Hessian of
-its inner solve. The descent runs over the closure of the family: when
-the objective falls toward a face of it (members with no mass on some
+its inner solve. For a smooth generator the adversarial descent steps
+jointly in the parameters and the discriminator: its trial points take
+one inner Newton step from the discriminator moved with the parameters,
+and exact inner solves remain where a start begins, tests a face or
+stops. The descent runs over the closure of the family: when the
+objective falls toward a face of it (members with no mass on some
 atoms), the limit member on that face is reported, with no parameter.
-A face is tried where two full Newton steps each halved the mass off
-it, or where theta . psi splits the atoms at a gap.
+A face is tried where two full Newton steps of settled length each
+halved the mass off it, or where theta . psi splits the atoms at a gap.
 Every report carries the cross-table of all three criteria at the
 fitted member, so the estimators can be compared on equal footing; the
 adversarial fit also carries the dual's intermediate distribution P'*.
@@ -40,7 +44,7 @@ from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import FGenerator, builtin
-from .primal import FACE_GAP, PrimalConfig, face_splits, restricted_div_primal
+from .primal import FACE_GAP, PrimalConfig, face_splits, newton_step, project_ball, restricted_div_primal
 from .space import (
     Dist,
     FeatureMap,
@@ -116,6 +120,10 @@ class FitConfig:
     tol: float = 1e-8
     seed: int = 0
     starts: int = 5
+    # Residual tolerance of the f-GAN fit's exact inner solves and of the
+    # cross-table's. The joint trial points of a smooth generator's fit take
+    # one inner Newton step each, with no tolerance; every reported value
+    # comes from an exact solve.
     inner_tol: float = 1e-10
 
     def __post_init__(self):
@@ -290,17 +298,27 @@ def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
 def _crawled_face(fam: GeneratorFamily, trail: list, d: np.ndarray, off: np.ndarray | None):
     """The mask of the atoms off the face that the last Newton direction ``d``
     exposes (the free atoms maximizing d . psi, where q(theta + t d) tends),
-    once the mass off it halved on each of the two full steps joining the
-    members ``trail``: Newton's unit steps on an exponential tail do that,
-    and never where that mass settles at an interior optimum.
+    once the last two full steps look like Newton's unit steps on an
+    exponential tail V_face + c u (1 + rho u), u the mass off the face.
+
+    ``trail`` holds (member, length of the full step that reached it) for
+    the members joined by the last full steps. Each of the two steps must
+    have halved the mass off the face, and the second may not be shorter
+    than the first by more than that mass, relative to its own length. On
+    the tail the steps tend to the length at which a step divides u by e,
+    from below where rho > 0 and from above where rho < 0, by about 2 rho u
+    relative; steps that still shrink by more than u come from a strongly
+    concave stretch, on which the objective can turn back before the face,
+    as a descent to a nearby interior optimum does.
     """
     if len(trail) == 3:
         psi = _psi(fam)
         u = d @ psi
         free = np.ones(u.size, dtype=bool) if off is None else ~off
         on = free & (u >= u[free].max() - _rounding(psi, d))
-        m0, m1, m2 = (float(p[~on].sum()) for p in trail)
-        if 0.0 < m1 <= 0.5 * m0 and m2 <= 0.5 * m1:
+        m0, m1, m2 = (float(p[~on].sum()) for p, _ in trail)
+        first, second = trail[1][1], trail[2][1]
+        if 0.0 < m1 <= 0.5 * m0 and m2 <= 0.5 * m1 and first - second <= m2 * second:
             yield ~on
 
 
@@ -313,7 +331,8 @@ class _Start:
     step: float  # length of the Newton step left at the end
 
 
-def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: float = -math.inf):
+def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: float = -math.inf,
+                        trial=None):
     """Seeded multistart damped Newton descent on ``fun(member) = (value, gradient, Hessian)``.
 
     Each start takes Levenberg-Marquardt damped Newton steps in the
@@ -326,6 +345,18 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     tried once per start: the member with no mass off it is evaluated
     exactly, and if it is no worse the start goes on within that face,
     whose normal components of theta are then idle.
+
+    ``trial(member, base, step, exact=False)``, if given, evaluates the
+    line search's trial points instead of ``fun``, and the first point of
+    each start after the first with ``exact`` true: ``member`` is
+    ``base`` (the current member, or the first start's) moved by the
+    parameter ``step``, and it returns (value, gradient, Hessian, exact),
+    inexact where ``exact`` is false. The line
+    search backtracks, and a start stops, only from an exact evaluation:
+    where a trial fails the Armijo test against an inexact value, or the
+    gradient test or a stall would stop the start on one, the current
+    member is evaluated by ``fun`` and the start goes on from there; a
+    start that reaches ``cfg.max_iters`` ends on such an evaluation.
 
     Returns (best start, total iterations, per-start values, distinct,
     starts run to ``cfg.max_iters``). Among near-equal optima the
@@ -348,8 +379,14 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     for theta0 in starts:
         theta, off, d = theta0.copy(), None, None
         basis = _identifiable(fam, off)
-        val, grad, hess = fun(member := _member(fam, theta))
-        trail = [member.p]  # members joined by the last full Newton steps
+        member = _member(fam, theta)
+        if trial is None or not results:
+            val, grad, hess = fun(member)
+            first = member
+        else:  # exact, from the first start's inner iterate moved with theta
+            val, grad, hess, _ = trial(member, first, theta - starts[0], exact=True)
+        exact = True
+        trail = [(member.p, 0.0)]  # members joined by the last full Newton steps
         tried: set[bytes] = set()
         it = 0
         for it in range(1, cfg.max_iters + 1):
@@ -359,11 +396,13 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
                 if face_off.tobytes() in tried:
                     continue
                 tried.add(face_off.tobytes())
-                out = fun(member := _member(fam, theta, face_off))
+                out = fun(face := _member(fam, theta, face_off))
                 if out[0] <= val:
-                    off, (val, grad, hess) = face_off, out
-                    basis, trail = _identifiable(fam, off), [member.p]
+                    off, member, (val, grad, hess), exact = face_off, face, out, True
+                    basis, trail = _identifiable(fam, off), [(member.p, 0.0)]
                     break
+            if not exact and float(np.max(np.abs(grad))) <= cfg.tol:
+                (val, grad, hess), exact = fun(member), True
             if float(np.max(np.abs(grad))) <= cfg.tol:
                 break
             d = _newton_direction(grad, hess, basis)
@@ -372,20 +411,28 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
             s = 1.0
             while s > 1e-14:
                 cand = theta + s * d
-                out = fun(member := _member(fam, cand, off))
+                new = _member(fam, cand, off)
+                out = (*fun(new), True) if trial is None else trial(new, member, s * d)
                 if out[0] <= val + 1e-4 * s * slope + slack:
                     break
-                s *= 0.5
+                s = 0.5 * s if exact else 0.0  # backtrack from exact values only
             else:
-                break
+                if exact:
+                    break
+                (val, grad, hess), exact = fun(member), True
+                continue
             stalled = not out[0] < val
-            theta, (val, grad, hess) = cand, out
-            trail = (trail[-2:] if s == 1.0 else []) + [member.p]
+            theta, member, (val, grad, hess, exact) = cand, new, out
+            trail = (trail[-2:] if s == 1.0 else []) + [(member.p, float(np.linalg.norm(d)))]
             if stalled:
                 # The step is exact to the value's rounding: nothing left to gain.
-                break
+                if exact:
+                    break
+                (val, grad, hess), exact = fun(member), True
         else:
             capped += 1
+        if not exact:
+            val, grad, hess = fun(member)
         total_iters += it
         step = np.linalg.norm(_newton_direction(grad, hess, basis)) if np.all(np.isfinite(grad)) else math.inf
         results.append(_Start(val, theta, off, basis, step))
@@ -481,52 +528,55 @@ def _descent_notes(best: _Start, distinct: bool) -> tuple[str, ...]:
     return notes
 
 
-def _envelope(fam: GeneratorFamily, g: FGenerator, Pdata: Dist, phi: FeatureMap, radius: float,
-              member: Dist, rep):
-    """(gradient, Hessian) in theta of the f-GAN objective at ``member``.
+def _envelope(fam: GeneratorFamily, feats: np.ndarray, target: np.ndarray, radius: float, member: Dist,
+              a: np.ndarray, conjugate, dh: np.ndarray | None = None):
+    """(gradient, Hessian, dz) in theta of the f-GAN objective at ``member``,
+    from the inner iterate z = (a, b) with h = a . phi + b.
 
-    ``rep`` is the inner solve there, with optimum z* = (a*, b*) and h* =
-    a* . phi + b*. By Danskin's theorem the gradient is the theta-derivative
-    of L = a . E_data[phi] + b - E_q[f*(a . phi + b)] at z* held fixed. The
-    envelope Hessian is L_tt + L_tz K^+ L_zt, with K = -L_zz the inner
-    block E_q[f*''(h*) (phi, 1)(phi, 1)^T] (the covariance that the primal's
-    ``moments`` forms, before the intercept is eliminated). When the ball's
-    multiplier lam = grad_a J . a / ||a||^2 is positive, K gains lam on the
-    a-block and is restricted to the sphere's tangent space. Atoms pinned
-    off an inner face drop out, as f*' = f*'' = 0 there, and K^+ leaves
-    out the face normal along which the inner objective is flat. Without
-    f*'' (total variation) only L_tt is used.
+    ``feats`` stacks phi over a row of ones, and ``target`` is (E_data[phi],
+    1). ``conjugate`` is (f*, f*', f*'') at h per atom, from the inner
+    solve's last pass. With z optimal, Danskin's theorem makes the gradient
+    the theta-derivative L_t of L = a . E_data[phi] + b - E_q[f*(a . phi + b)]
+    at z held fixed. Where z is one Newton step short of it, ``dh`` being
+    the step's move of h, the terms are carried along the step to first
+    order, f* by f*' dh and f*' by f*'' dh: the gradient becomes L_t + L_tz
+    (z' - z) = L_t - C K^+ L_z, z' the stepped iterate. The envelope
+    Hessian is L_tt + C K^+ C^T, with C =
+    -L_tz and K = -L_zz the inner block E_q[f*''(h) (phi, 1)(phi, 1)^T] (the
+    covariance that the primal's ``moments`` forms, before the intercept
+    is eliminated): the Schur complement of the joint KKT matrix in (theta,
+    z). ``dz`` = -K^+ C^T, its rows for a, is the first-order move of the
+    inner optimum with theta. When the ball's multiplier lam = grad_a L .
+    a / ||a||^2 is positive, K gains lam on the a-block and is restricted
+    to the sphere's tangent space. Atoms pinned off an inner face drop out,
+    as f*' = f*'' = 0 there, and K^+ leaves out the face normal along which
+    the inner objective is flat.
     """
-    on = member.p > 0.0
-    h = rep.h_opt.values
-    fs, slope, curv = np.zeros(h.size), np.zeros(h.size), np.zeros(h.size)
-    with np.errstate(over="ignore"):  # pinned atoms overflow to slopes of exactly 0
-        fs[on] = g.fstar_vec(h[on])[0]
-        slope[on] = g.fstar_prime_vec(h[on])
-        if g.conjugate_smooth:
-            curv[on] = g.fstar_second_vec(h[on])
-    grad = -_mean_gradient(fam, member, fs)
-    hess = -_mean_hessian(fam, member, fs)
-    if not g.conjugate_smooth:
-        return grad, hess
-    feats = np.vstack([phi.values, np.ones(h.size)])
-    cross = _mean_gradient(fam, member, feats * slope)
-    block = (feats * (member.p * curv)) @ feats.T
-    a = rep.coefficients
+    fs, slope, curv = conjugate
+    if dh is not None:
+        fs, slope = fs + slope * dh, slope + curv * dh
+    p = member.p
+    psi = _psi(fam)
+    centered = psi - (psi @ p)[:, None]  # Cov(psi, v) = centered @ (p v)
+    grad = -(centered @ (p * fs))
+    hess = -((centered * (p * (fs - float(fs @ p)))) @ centered.T)
+    cross = centered @ (feats * (p * slope)).T
+    block = (feats * (p * curv)) @ feats.T
     k = a.size
-    lam = 0.0
-    if math.isfinite(radius) and np.linalg.norm(a) >= radius * (1.0 - 1e-9):
-        grad_a = phi.values @ (Pdata.p - member.p * slope)
-        lam = max(float(grad_a @ a), 0.0) / float(a @ a)
-    if lam > 0.0:
-        block[:k, :k] += lam * np.eye(k)
-        normal = np.append(a, 0.0)[None, :]
-        tangent = np.linalg.svd(normal)[2][1:].T
-        cross, block = cross @ tangent, tangent.T @ block @ tangent
+    norm2 = float(a @ a)
+    if math.isfinite(radius) and norm2 >= (radius * (1.0 - 1e-9)) ** 2:
+        lam = max(float((target - feats @ (p * slope))[:k] @ a), 0.0) / norm2
+        if lam > 0.0:
+            block[:k, :k] += lam * np.eye(k)
+            normal = np.append(a, 0.0) / math.sqrt(norm2)
+            tangent = np.eye(k + 1) - np.outer(normal, normal)
+            block = tangent @ block @ tangent  # K^+ below then drops the normal
     mu, vecs = np.linalg.eigh(block)
     keep = mu > 64.0 * np.finfo(float).eps * mu.size * max(float(mu[-1]), 1e-300)
-    half = (cross @ vecs[:, keep]) / np.sqrt(mu[keep])
-    return grad, hess + half @ half.T
+    vecs, mu = vecs[:, keep], mu[keep]
+    proj = cross @ vecs
+    half = proj / np.sqrt(mu)
+    return grad, hess + half @ half.T, -(vecs[:k] / mu) @ proj.T
 
 
 def fit_linear_fgan(
@@ -541,18 +591,27 @@ def fit_linear_fgan(
 
     The outer landscape over family parameters is generally nonconvex,
     so the seeded multistart Newton descent of :func:`_multistart_descend`
-    is used. The inner discriminator problem is solved to high accuracy
-    per evaluation (for a smooth generator on a 2-ball or an unconstrained
-    coefficient set, by the primal's Newton solve); by Danskin's theorem
-    its optimum gives the gradient, and :func:`_envelope` the Hessian.
-    Each outer iteration costs one inner solve per trial point, plus one
-    where it tests a face; the report reuses the descent's solve at
-    ``q_star``. When no minimiser exists and the objective falls toward
-    a face of the family's closure, ``q_star`` is the limit member on it
-    and ``theta`` is None. ``pprime`` is the dual's intermediate
-    distribution, the tilt q* f*'(h*) of that inner solve; for KL at an
-    attained optimum q* matches its psi-means, so q* is the
-    maximum-likelihood member for P'*.
+    is used. For a smooth generator it takes joint steps in the parameters
+    theta and the discriminator z = (a, b): an exact inner solve (residual
+    at most ``cfg.inner_tol``) gives the value, Danskin's gradient and the
+    envelope Hessian (:func:`_envelope`), and each trial point of a line
+    search moves z to first order with theta and takes one inner Newton
+    step from there (:func:`~fdual.primal.newton_step`), whose value and
+    corrected gradient are exact to second order. Exact solves stay at
+    each start's first point (after the first start, from its z moved
+    with theta), at face trials and wherever a start would stop (from the
+    z it reached); each distinct member is solved exactly once per fit,
+    and the report reuses the solve at ``q_star``.
+    Total variation has no f*'' for the joint step, so every evaluation
+    is an exact solve, and only L_tt enters its Hessian. When no
+    minimiser exists and the objective falls toward a face of the
+    family's closure, ``q_star`` is the limit member on it and ``theta``
+    is None. ``pprime`` is the dual's intermediate distribution, the tilt
+    q* f*'(h*) of the inner solve at ``q_star``; for KL at an attained
+    optimum q* matches its psi-means, so q* is the maximum-likelihood
+    member for P'*. The trajectory counts the exact inner solves
+    (``inner_solves``) and all inner Newton iterations (``inner_steps``:
+    the solves' iterations plus one per joint step).
     """
     cfg = cfg or FitConfig()
     if not isinstance(radius, ExtReal):
@@ -560,18 +619,56 @@ def fit_linear_fgan(
     _require_same_space(Pdata, phi)
     dim = family_dim(fam)
     spec = LinearBall(phi, 2, radius)
+    r = float(radius)
+    feats = np.vstack([phi.values, np.ones(phi.space.n)])
+    target = np.append(feature_means(Pdata, phi), 1.0)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
-    solves = {}  # inner reports by member, for the one at q_star
+    solved = {}  # member bytes -> (inner report, (value, gradient, Hessian))
+    joint = {}  # member bytes -> (inner iterate, its move with theta) of the last evaluation there
+    counts = {"inner_solves": 0, "inner_steps": 0}
 
     def fun(member):
-        rep = solves[member.p.tobytes()] = restricted_div_primal(g, Pdata, member, spec, inner_cfg)
+        key = member.p.tobytes()
+        if key in solved:
+            return solved[key][1]
+        warm = joint.pop(key, None)
+        rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg, start=None if warm is None else warm[0])
+        counts["inner_solves"] += 1
+        counts["inner_steps"] += rep.iterations
         if rep.h_opt is None:  # unbounded: no gradient
-            return float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan)
-        return (float(rep.value), *_envelope(fam, g, Pdata, phi, float(radius), member, rep))
+            out = float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan)
+        elif rep.conjugate is None:
+            fs = np.zeros(member.p.size)
+            on = member.p > 0.0
+            fs[on] = g.fstar_vec(rep.h_opt.values[on])[0]
+            out = float(rep.value), -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs)
+        else:
+            grad, hess, dz = _envelope(fam, feats, target, r, member, rep.coefficients, rep.conjugate())
+            out = float(rep.value), grad, hess
+            if rep.attained:
+                joint[key] = rep.coefficients, dz
+        solved[key] = rep, out
+        return out
 
-    best, iters, per_start, distinct, capped = _multistart_descend(fam, fun, cfg)
+    def trial(member, base, step, exact=False):
+        key = member.p.tobytes()
+        state = joint.get(base.p.tobytes())
+        if key in solved or state is None:  # solved already, or no inner iterate to follow (an inner face)
+            return (*fun(member), True)
+        a = project_ball(state[0] + state[1] @ step, 2.0, r)
+        if exact:
+            joint[key] = a, None  # where fun's solve starts
+            return (*fun(member), True)
+        value, stepped, conjugate, dh = newton_step(g, Pdata, member, phi, r, a)
+        counts["inner_steps"] += 1
+        grad, hess, dz = _envelope(fam, feats, target, r, member, a, conjugate, dh)
+        joint[key] = stepped, dz
+        return value, grad, hess, False
+
+    best, iters, per_start, distinct, capped = _multistart_descend(
+        fam, fun, cfg, trial=trial if g.conjugate_smooth else None)
     q_star = _member(fam, best.theta, best.off)
-    rep = solves[q_star.p.tobytes()]
+    rep = solved[q_star.p.tobytes()][0]
     notes = _descent_notes(best, distinct)
     if capped == len(per_start):
         # The reported theta then moves with the cap.
@@ -591,6 +688,7 @@ def fit_linear_fgan(
             "iterations": iters,
             "per_start": per_start,
             "inner_status": rep.status,
+            **counts,
         },
         notes=notes,
         pprime=rep.pprime,

@@ -59,6 +59,7 @@ __all__ = [
     "project_ball",
     "restricted_div_primal",
     "regularized_div_primal",
+    "newton_step",
 ]
 
 LOG_EVERY = 50
@@ -101,7 +102,9 @@ class SolveReport:
     inner solves never read it). ``route`` names what produced the
     result: the primal's ``newton`` or ``closed_form``, the moment
     projection's ``newton``, or the dual's candidate (``q``, ``p``,
-    ``primal_tilt``).
+    ``primal_tilt``). ``conjugate`` (linear primal solves of a smooth
+    generator) returns (f*, f*', f*'') of ``h_opt`` per atom, 0 off supp Q,
+    from the solve's last pass at its optimum.
     """
 
     value: ExtReal
@@ -119,6 +122,8 @@ class SolveReport:
     fd_gradient_worst: float = 0.0
     notes: tuple[str, ...] = ()
     route: str = ""
+    conjugate: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -182,6 +187,7 @@ class _ReducedObjective:
         self.phi = phi
         self.space = P.space
         self._b_hint: float | None = None
+        self._last = None  # (a, f*, f*', f*'') over supp Q of the last moments pass
         self._is_kl = g.name == "kl"
         self._ends = intercept_ends(g, self.qs) if g.conjugate_smooth and not self._is_kl else None
 
@@ -213,19 +219,22 @@ class _ReducedObjective:
         rounding error; ``gerr`` bounds the gradient's rounding error.
         Outside KL the conjugate slopes come from :func:`intercept_root`,
         which returns them at the intercept it finds, warm-started at
-        the last one.
+        the last one. The pass keeps f*, f*' and f*'' at h for
+        :meth:`conjugate`.
         """
         hs = self._hs(a)
         lin = float(a @ self.m_p)
         if self._is_kl:
             m = float(hs.max())
-            e = self.qs * np.exp(hs - m)
+            t = np.exp(hs - m)
+            e = self.qs * t
             z = float(e.sum())
             w = e / z
             r = m + math.log(z)
             b = 1.0 - r
             size = abs(lin) + abs(r)
             mean = mu = self.phi_s @ w
+            fs = fp = fpp = t / z  # f* = f*' = f*'' = e^(h + b - 1)
         else:
             g = self.g
             # Pinned atoms overflow to slopes of exactly 0.
@@ -239,6 +248,7 @@ class _ReducedObjective:
             size = abs(lin) + float(self.qs @ np.abs(fs)) + abs(b)
             # f*'' underflows on every atom where a smoothed kink is far from all of them.
             mu = self.phi_s @ w / max(float(w.sum()), np.finfo(float).tiny)
+        self._last = (a, fs, fp, fpp)
         centered = self.phi_s - mu[:, None]
         cov = (centered * w) @ centered.T
         val = lin - r
@@ -256,6 +266,18 @@ class _ReducedObjective:
             cov = cov + t_curv
             gerr += t_err
         return val, grad, cov, b, size, gerr
+
+    def conjugate(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f*, f*', f*'') at h = a . phi + b per atom, b the optimal intercept,
+        0 off supp Q: from the last :meth:`moments` pass if it was at ``a``."""
+        if self._last is None or self._last[0] is not a:
+            self.moments(a)
+        if self.qs is self.Q.p:  # full support
+            return self._last[1:]
+        out = (np.zeros(self.space.n), np.zeros(self.space.n), np.zeros(self.space.n))
+        for full, part in zip(out, self._last[1:]):
+            full[self.mask] = part
+        return out
 
     def tilt(self, a: np.ndarray, b: float) -> Dist:
         """The conjugate-slope tilt q_i f*'(a . phi_i + b) of Q, normalized."""
@@ -312,26 +334,28 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
     flat = mu == 0.0
     r[flat & (np.abs(r) <= 64.0 * eps * (1.0 + float(np.abs(rhs).max())))] = 0.0
     r_flat = _norm(r[flat])
-    if r_flat == 0.0:
-        coef = np.divide(r, mu, out=np.zeros_like(r), where=~flat)
-        if _norm(coef) <= radius:
-            return vecs @ coef
-    lam = r_flat / radius
-    for _ in range(100):
-        denom = mu + lam
-        coef = np.divide(r, denom, out=np.zeros_like(r), where=denom > 0.0)
-        nrm = _norm(coef)
-        if nrm <= radius:
-            break
-        if not nrm < 1e100:
-            # Curvature this far below rhs is rounding: the model is linear,
-            # and the secular equation would overflow.
-            return vecs @ (r * (radius / _norm(r)))
-        slope = float((coef**2 / np.where(denom > 0.0, denom, np.inf)).sum()) / nrm**3
-        step = (1.0 / radius - 1.0 / nrm) / slope
-        if not step > 1e-15 * lam:
-            break
-        lam += step
+    # Where the curvature is far below rhs, ||x|| overflows to inf; see below.
+    with np.errstate(over="ignore"):
+        if r_flat == 0.0:
+            coef = np.divide(r, mu, out=np.zeros_like(r), where=~flat)
+            if _norm(coef) <= radius:
+                return vecs @ coef
+        lam = r_flat / radius
+        for _ in range(100):
+            denom = mu + lam
+            coef = np.divide(r, denom, out=np.zeros_like(r), where=denom > 0.0)
+            nrm = _norm(coef)
+            if nrm <= radius:
+                break
+            if not nrm < 1e100:
+                # Curvature this far below rhs is rounding: the model is linear,
+                # and the secular equation would overflow.
+                return vecs @ (r * (radius / _norm(r)))
+            slope = float((coef**2 / np.where(denom > 0.0, denom, np.inf)).sum()) / nrm**3
+            step = (1.0 / radius - 1.0 / nrm) / slope
+            if not step > 1e-15 * lam:
+                break
+            lam += step
     return project_ball(vecs @ coef, 2.0, radius)
 
 
@@ -635,11 +659,11 @@ def _path(problem: _ReducedObjective, stages, radius: float, cfg: PrimalConfig) 
 
 
 def _solve(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term, p: float, radius: float,
-           cfg: PrimalConfig) -> _Solve:
-    """Maximize J(a) + term(a) over the p-ball of ``radius``."""
+           cfg: PrimalConfig, a0=None) -> _Solve:
+    """Maximize J(a) + term(a) over the p-ball of ``radius``; the direct Newton route starts at ``a0``."""
     problem = _ReducedObjective(g, P, Q, phi, term)
     if g.conjugate_smooth and (p == 2.0 or math.isinf(radius)):
-        return _newton_ball(problem, radius, cfg)
+        return _newton_ball(problem, radius, cfg, a0)
     if math.isfinite(radius) and p not in (1.0, 2.0, math.inf):
         raise UnsupportedNorm(f"finite balls implemented for p in {{1, 2, inf}}, got {p}")
     return _path(problem, _stages(g, P, Q, phi, term, p, radius), radius if p == 2.0 else math.inf, cfg)
@@ -670,12 +694,14 @@ def _report(out: _Solve, phi: FeatureMap) -> SolveReport:
         status=out.status,
         attained=attained,
         notes=notes,
+        conjugate=partial(out.obj.conjugate, out.a) if out.obj.g.conjugate_smooth else None,
         **common,
     )
 
 
 def restricted_div_primal(
-    g: FGenerator, P: Dist, Q: Dist, spec: DiscriminatorSpec, cfg: PrimalConfig | None = None
+    g: FGenerator, P: Dist, Q: Dist, spec: DiscriminatorSpec, cfg: PrimalConfig | None = None,
+    *, start: np.ndarray | None = None,
 ) -> SolveReport:
     """Divergence restricted to a discriminator class, supremum side.
 
@@ -687,7 +713,10 @@ def restricted_div_primal(
     make the objective grow along a ray, reported as status ``unbounded``
     with value +inf, and means on a face of the features' hull give a
     supremum that is not attained (``attained`` false). ``pprime`` is the
-    conjugate-slope tilt of Q at the optimum.
+    conjugate-slope tilt of Q at the optimum. ``start`` (coefficients in
+    the ball) warm-starts the direct route, a smooth generator on a 2-ball
+    or at infinite radius, for a caller that solves nearby problems in
+    turn; the other routes start from 0.
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
@@ -710,7 +739,35 @@ def restricted_div_primal(
             "they exist only as a test hook"
         )
     _require_same_space(P, spec.phi)
-    return _report(_solve(g, P, Q, spec.phi, None, spec.p, float(spec.radius), cfg), spec.phi)
+    return _report(_solve(g, P, Q, spec.phi, None, spec.p, float(spec.radius), cfg, start), spec.phi)
+
+
+def newton_step(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, radius: float, a: np.ndarray):
+    """One step of the Newton loop of a smooth generator on the 2-ball of
+    ``radius`` (or at infinite radius), from ``a``, with no tolerance test.
+
+    One :meth:`~_ReducedObjective.moments` pass gives J(a) and the model
+    step, as :func:`_newton_ball` takes it. Returns (value, stepped
+    iterate, conjugate, dh): the value is J(a) plus the model's gain, the
+    supremum to second order in the step when ``a`` is near the optimum;
+    ``conjugate`` is (f*, f*', f*'') at ``a``, as ``SolveReport.conjugate``
+    gives them; ``dh`` is the first-order move of h = a . phi + b per atom,
+    the optimal intercept moving with the step (off supp Q, where those
+    terms are 0, it is immaterial). It serves a caller that follows the
+    optimum along a path of nearby Q, from the last iterate moved to
+    first order.
+    """
+    obj = _ReducedObjective(g, P, Q, phi)
+    val, grad, cov, _, _, _ = obj.moments(a)
+    if math.isinf(radius):
+        step = _ball_model_max(cov, grad, RAY_NORM)
+    else:
+        step = _ball_model_max(cov, grad + cov @ a, radius) - a
+    gain = float(grad @ step) - 0.5 * float(step @ cov @ step)
+    conjugate = obj.conjugate(a)
+    w = Q.p * conjugate[2]
+    shift = float(step @ (phi.values @ w)) / max(float(w.sum()), np.finfo(float).tiny)
+    return val + max(gain, 0.0), a + step, conjugate, step @ phi.values - shift
 
 
 def regularized_div_primal(

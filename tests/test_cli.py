@@ -346,3 +346,5 @@ def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
     assert [float(x) for x in results["q_star"]] == [0.5, 0.0, 0.5]
     assert any("face of the family's closure" in note for note in results["notes"])
     assert len(results["pprime"]) == 3
+    assert results["trajectory"]["inner_solves"] >= 1
+    assert results["trajectory"]["inner_steps"] >= results["trajectory"]["inner_solves"]

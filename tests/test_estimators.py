@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdual import estimators
+from fdual import estimators, primal
 from fdual.cli import _jsonify
 from fdual.discriminator import LinearBall
 from fdual.divergence import kl_bar
@@ -527,10 +527,148 @@ def _counted_fits(monkeypatch, fam, data, phi, radius):
 
 def test_crawled_face_test_costs_nothing_at_interior_optima(monkeypatch):
     # Both fits converge inside the family: the exposed-face test never
-    # fires, and the fits make exactly the solves and evaluations they made
-    # with the FACE_GAP splits alone.
-    assert _counted_fits(monkeypatch, *_pool_draw(1)) == (22, 23)
-    assert _counted_fits(monkeypatch, *_pool_draw(2)) == (20, 32)
+    # fires, and the fits make exactly the exact inner solves and the
+    # evaluations they make with the FACE_GAP splits alone.
+    with pytest.MonkeyPatch.context() as off:
+        off.setattr(estimators, "_crawled_face", lambda *args: iter(()))
+        without = [_counted_fits(monkeypatch, *_pool_draw(j)) for j in (1, 2)]
+    assert without == [(10, 23), (11, 32)]
+    assert [_counted_fits(monkeypatch, *_pool_draw(j)) for j in (1, 2)] == without
+
+
+def _face_heavy_draw(s):
+    """Draw s of a survey of tilt families with integer psi, whose fits often end on faces."""
+    rng = np.random.default_rng([9090, s])
+    n = int(rng.integers(3, 7))
+    psi = rng.integers(0, 3, (1 + s % 2, n)).astype(float)
+    base, data = rng.uniform(0.5, 1.5, n), rng.uniform(0.1, 1.0, n)
+    phi = rng.uniform(-1.0, 1.0, (2, n))
+    radius = (finite(0.5), finite(1.0), finite(2.0), POS_INF)[rng.integers(0, 4)]
+    space = OutcomeSpace.of_size(n)
+    fam = ExpFamily(make_dist(space, base), FeatureMap(space, psi))
+    return fam, make_dist(space, data), builtin(SMOOTH[s % 5]), FeatureMap(space, phi), radius
+
+
+def _evaluated_members(monkeypatch, fit, *args):
+    """The members whose objective ``fit`` evaluates, exactly or at trial points."""
+    members, descend = [], estimators._multistart_descend
+
+    def recording(fam, fun, *rest, **kwargs):
+        trial = kwargs.get("trial")
+
+        def exact(member):
+            members.append(member.p)
+            return fun(member)
+
+        def inexact(member, *more, **options):
+            members.append(member.p)
+            return trial(member, *more, **options)
+
+        if trial is not None:
+            kwargs["trial"] = inexact
+        return descend(fam, exact, *rest, **kwargs)
+
+    monkeypatch.setattr(estimators, "_multistart_descend", recording)
+    fit(*args)
+    monkeypatch.undo()
+    return members
+
+
+def test_crawled_face_waits_for_steps_of_settled_length(monkeypatch):
+    # Draw 44 (squared Hellinger, psi = (2, 1, 1, 1, 2, 0), R = 0.5) has its
+    # optimum inside the family, at theta = 2.6. Two starts from theta near 0
+    # halve the mass off the face {psi = 2} twice on their way there, but
+    # their unit steps shrink (|d| 1.257 -> 1.091 and 1.176 -> 1.073) by more
+    # than the mass left off the face (0.117 and 0.091). Testing the face
+    # member cost two evaluations at the same iterations.
+    fam, data, g, phi, radius = _face_heavy_draw(44)
+    assert np.array_equal(fam.psi.values, [[2.0, 1.0, 1.0, 1.0, 2.0, 0.0]]) and radius == finite(0.5)
+    cfg = FitConfig(starts=3, max_iters=60)
+    members = _evaluated_members(monkeypatch, fit_linear_fgan, fam, data, g, phi, radius, cfg)
+    with pytest.MonkeyPatch.context() as off:
+        off.setattr(estimators, "_crawled_face", lambda *args: iter(()))
+        without = _evaluated_members(monkeypatch, fit_linear_fgan, fam, data, g, phi, radius, cfg)
+    assert all(np.all(p > 0.0) for p in members)
+    assert len(members) == len(without)
+
+
+def _readme_instance():
+    space = OutcomeSpace.of_size(3)
+    fam = ExpFamily(make_dist(space, [1, 1, 1]), FeatureMap(space, [[0.0, 1.0, 0.0]]))
+    return fam, make_dist(space, [0.2, 0.5, 0.3]), FeatureMap(space, [[0.0, 1.0, 2.0]]), finite(1.0)
+
+
+def test_fgan_fits_take_joint_steps(monkeypatch):
+    # A trial point takes one inner Newton step from the discriminator moved
+    # with theta, where it took a solve from a = 0: the default fits of the
+    # README instance and pool draws 1 and 2 made 84, 78 and 88 passes over
+    # the inner objective that way.
+    passes = [0]
+    moments = primal._ReducedObjective.moments
+
+    def counted(self, a):
+        passes[0] += 1
+        return moments(self, a)
+
+    monkeypatch.setattr(primal._ReducedObjective, "moments", counted)
+    out = []
+    for fam, data, phi, radius in (_readme_instance(), _pool_draw(1), _pool_draw(2)):
+        passes[0] = 0
+        fit_linear_fgan(fam, data, KL, phi, radius)
+        out.append(passes[0])
+    assert out == [32, 40, 50]
+
+
+def test_fgan_trajectory_counts_inner_work(monkeypatch):
+    # inner_solves counts the exact inner solves; inner_steps counts their
+    # Newton iterations plus the joint steps, which make one pass over the
+    # inner objective each outside any solve. Every value the fit reports
+    # comes from an exact solve that converged.
+    reports, joint, depth = [], [0], [0]
+    solve, moments = estimators.restricted_div_primal, primal._ReducedObjective.moments
+
+    def counted_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            rep = solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        reports.append(rep)
+        return rep
+
+    def counted_moments(self, a):
+        joint[0] += depth[0] == 0
+        return moments(self, a)
+
+    monkeypatch.setattr(estimators, "restricted_div_primal", counted_solve)
+    monkeypatch.setattr(primal._ReducedObjective, "moments", counted_moments)
+    for fam, data, phi, radius in (_readme_instance(), _pool_draw(1), _pool_draw(2)):
+        reports.clear()
+        joint[0] = 0
+        rep = fit_linear_fgan(fam, data, KL, phi, radius)
+        assert rep.trajectory["inner_solves"] == len(reports)
+        assert rep.trajectory["inner_steps"] == sum(r.iterations for r in reports) + joint[0]
+        assert joint[0] > 0
+        exact = {float(r.value) for r in reports if r.converged and r.residual <= FitConfig().inner_tol}
+        assert rep.objective in exact and set(rep.trajectory["per_start"]) <= exact
+        assert rep.trajectory["inner_status"] == "converged"
+
+
+def test_fgan_solves_each_member_once(monkeypatch):
+    # Every start of the README fit ends on the face member (1/2, 0, 1/2),
+    # which is solved once and reported by each of them.
+    members = []
+    solve = estimators.restricted_div_primal
+
+    def counted(g, P, Q, *args, **kwargs):
+        members.append(Q.p.tobytes())
+        return solve(g, P, Q, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "restricted_div_primal", counted)
+    fam, data, phi, radius = _readme_instance()
+    rep = fit_linear_fgan(fam, data, KL, phi, radius)
+    assert len(members) == len(set(members))
+    assert rep.trajectory["per_start"] == [rep.objective] * 5
 
 
 # f-GAN and GMM objectives of the 12-fit survey below, fitted with the
