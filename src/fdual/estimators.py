@@ -290,8 +290,8 @@ def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
     free = np.arange(u.size) if off is None else np.flatnonzero(~off)
     if float(u[free].max() - u[free].min()) <= FACE_GAP:
         return
-    rel = psi - psi[:, [free[np.argmax(u[free])]]]
-    for on, _ in face_splits(theta, u, free, rel, lambda normal: _rounding(psi, normal)):
+    top = psi[:, free[np.argmax(u[free])]]
+    for on, _ in face_splits(theta, u, free, psi, top, lambda normal: _rounding(psi, normal)):
         yield ~np.isin(np.arange(u.size), on)
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -70,6 +71,8 @@ PIN = -1e300
 FACE_GAP = 8.0
 # A barrier or smoothing path stops once the value it can give up is at most this.
 PATH_GAP = 1e-10
+# Per thread, the last (centered, weighted) pair of _ReducedObjective.moments.
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,20 @@ def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
     raise UnsupportedNorm(f"projection implemented for p in {{1, 2, inf}}, got {p}")
 
 
+def _centering_pair(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two k x n buffers for :meth:`_ReducedObjective.moments`.
+
+    They are kept while passes keep the shape of ``phi_s`` and replaced
+    when it changes; the last shape's pair is released first, so the
+    workspace never holds more than the two arrays one pass needs.
+    """
+    pair = getattr(_workspace, "pair", None)
+    if pair is None or pair[0].shape != shape:
+        pair = _workspace.pair = None
+        pair = _workspace.pair = (np.empty(shape), np.empty(shape))
+    return pair
+
+
 class _ReducedObjective:
     """J(a) = a . m_P - R(a . phi) + term(a).
 
@@ -171,7 +188,12 @@ class _ReducedObjective:
     the last bit: J is then the objective on the face plus f(0) times the
     mass off it. ``qs`` and ``phi_s`` restrict Q and phi to supp Q (see
     :func:`~fdual.space._restrict_to_support`): under full support they
-    are ``Q.p`` and ``phi.values`` themselves.
+    are ``Q.p`` and ``phi.values`` themselves. ``phi_top`` is max |phi|
+    per feature over supp Q, ``phi_scale`` the same over the whole space.
+    Neither forms |phi|, and :meth:`moments` writes its k x n
+    intermediates into a per-thread workspace (:func:`_centering_pair`):
+    on wide spaces fresh arrays of that size cost page faults on every
+    pass.
     """
 
     def __init__(self, g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term=None):
@@ -181,7 +203,7 @@ class _ReducedObjective:
         self.m_p = feature_means(P, phi)
         self.term = term
         self.mask, self.qs, self.phi_s = _restrict_to_support(Q, phi)
-        self.phi_top = np.abs(self.phi_s).max(axis=1, initial=0.0)
+        self.phi_top = np.maximum(self.phi_s.max(axis=1, initial=0.0), -self.phi_s.min(axis=1, initial=0.0))
         self.pin: np.ndarray | None = None
         self.Q = Q
         self.phi = phi
@@ -190,6 +212,11 @@ class _ReducedObjective:
         self._last = None  # (a, f*, f*', f*'') over supp Q of the last moments pass
         self._is_kl = g.name == "kl"
         self._ends = intercept_ends(g, self.qs) if g.conjugate_smooth and not self._is_kl else None
+
+    @cached_property
+    def phi_scale(self) -> np.ndarray:
+        values = self.phi.values
+        return np.maximum(values.max(axis=1), -values.min(axis=1))
 
     def exact(self, a: np.ndarray) -> tuple[float, float]:
         """(J(a), optimal intercept), by exact evaluation.
@@ -220,7 +247,10 @@ class _ReducedObjective:
         Outside KL the conjugate slopes come from :func:`intercept_root`,
         which returns them at the intercept it finds, warm-started at
         the last one. The pass keeps f*, f*' and f*'' at h for
-        :meth:`conjugate`.
+        :meth:`conjugate`. C is (centered * w) @ centered.T with
+        centered = phi_s - mu; both k x n factors are written into this
+        thread's workspace (:func:`_centering_pair`) rather than fresh
+        arrays, with the same arithmetic, so C is the same to the bit.
         """
         hs = self._hs(a)
         lin = float(a @ self.m_p)
@@ -249,8 +279,9 @@ class _ReducedObjective:
             # f*'' underflows on every atom where a smoothed kink is far from all of them.
             mu = self.phi_s @ w / max(float(w.sum()), np.finfo(float).tiny)
         self._last = (a, fs, fp, fpp)
-        centered = self.phi_s - mu[:, None]
-        cov = (centered * w) @ centered.T
+        centered, weighted = _centering_pair(self.phi_s.shape)
+        np.subtract(self.phi_s, mu[:, None], out=centered)
+        cov = np.multiply(centered, w, out=weighted) @ centered.T
         val = lin - r
         grad = self.m_p - mean
         # Sums of n terms up to |E_P[phi]| or max |phi| (slopes sum to one), and
@@ -362,7 +393,7 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
 def _rounding(obj: _ReducedObjective, a: np.ndarray) -> float:
     """Rounding bound of a . (phi_i - E_P[phi]), sums of n and k terms."""
     k, n = obj.phi.values.shape
-    scale = float(np.abs(a) @ np.max(np.abs(obj.phi.values), axis=1))
+    scale = float(np.abs(a) @ obj.phi_scale)
     return 8.0 * (n + k) * np.finfo(float).eps * scale
 
 
@@ -375,18 +406,22 @@ def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
     return float(a @ obj.m_p) - float(np.max(obj._hs(a))) > _rounding(obj, a)
 
 
-def face_splits(a: np.ndarray, u: np.ndarray, free: np.ndarray, rel: np.ndarray, rounding):
+def face_splits(a: np.ndarray, u: np.ndarray, free: np.ndarray, points: np.ndarray, origin: np.ndarray,
+                rounding):
     """Certified faces among the splits of the atoms ``free`` at a gap
     above ``FACE_GAP`` in ``u``, top face first.
 
     Yields (on, normal): the indices above the split and a unit normal.
     The normal is the part of ``a`` orthogonal to the columns ``rel[:, on]``
-    (points relative to one on the face); it certifies the face when
-    normal . rel is zero on it and negative on the other free atoms,
-    beyond ``rounding(normal)``.
+    of rel = points - origin (``origin`` a point of the face's affine
+    hull); it certifies the face when normal . rel is zero on it and
+    negative on the other free atoms, beyond ``rounding(normal)``. rel
+    is formed only once some split passes the gap test.
     """
     order = free[np.argsort(-u[free], kind="stable")]
-    for cut in np.flatnonzero(u[order[:-1]] - u[order[1:]] > FACE_GAP):
+    cuts = np.flatnonzero(u[order[:-1]] - u[order[1:]] > FACE_GAP)
+    rel = points - origin[:, None] if cuts.size else None
+    for cut in cuts:
         on, off = order[: cut + 1], order[cut + 1 :]
         basis, sing, _ = np.linalg.svd(rel[:, on], full_matrices=False)
         basis = basis[:, sing > sing[0] * max(rel.shape) * np.finfo(float).eps]
@@ -421,8 +456,7 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
         if obj.g.f_prime(0.0) > -math.inf:
             return None
     free = np.arange(u.size) if obj.pin is None else np.flatnonzero(obj.pin == 0.0)
-    rel = obj.phi_s - obj.m_p[:, None]
-    for on, normal in face_splits(a, u, free, rel, lambda nrm: _rounding(obj, nrm)):
+    for on, normal in face_splits(a, u, free, obj.phi_s, obj.m_p, lambda nrm: _rounding(obj, nrm)):
         return np.isin(np.arange(u.size), on), normal
     return None
 

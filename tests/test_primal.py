@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +12,13 @@ from fdual.errors import UnsupportedNorm, ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
 from fdual.dual import _DualObjective, duality_gap
+from fdual import primal
 from fdual.primal import (
+    PIN,
     PrimalConfig,
     _newton_ball,
     _ReducedObjective,
+    _separates,
     project_ball,
     regularized_div_primal,
     restricted_div_primal,
@@ -408,6 +414,128 @@ def test_objectives_share_full_support_arrays():
     dual_obj = _DualObjective(KL, P, Q, IndicatorOf(LinearBall(phi, 2, finite(1.0))))
     for o in (obj, dual_obj):
         assert o.qs is Q.p and o.phi_s is phi.values
+
+
+def _peak_growth(fn) -> int:
+    """Bytes by which traced memory peaks above its level before ``fn()``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ("kl", "squared_hellinger"))
+def test_wide_passes_allocate_no_k_by_n_block(name):
+    # Fresh k x n arrays cost page faults on every pass over a wide space:
+    # the pass writes phi_s - mu and its weighted copy into the workspace,
+    # and neither the construction nor the rounding bound forms |phi|. The
+    # few n-vectors a pass keeps alive at once stay below one k x n block.
+    P, Q, phi = random_instance(64, 4096, 8)
+    block = phi.values.nbytes
+    g = builtin(name)
+    a = np.linspace(-0.3, 0.3, 8)
+    obj = _ReducedObjective(g, P, Q, phi)
+    obj.moments(a)
+    _separates(obj, a)
+    assert _peak_growth(lambda: obj.moments(a)) < block
+    assert _peak_growth(lambda: _ReducedObjective(g, P, Q, phi)) < block
+    assert _peak_growth(lambda: _separates(obj, a)) < block
+
+
+def _reference_moments(obj, a):
+    """``obj.moments(a)`` with fresh k x n temporaries in place of the workspace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primal, "_centering_pair", lambda shape: (np.empty(shape), np.empty(shape)))
+        return obj.moments(a)
+
+
+def _same_bits(x, y) -> bool:
+    return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(x, y))
+
+
+def test_moments_workspace_is_reused_safely():
+    # Objectives of different shapes take turns with the one workspace;
+    # every pass matches, bit for bit, the same pass on fresh temporaries,
+    # and the workspace ends holding the last shape's pair alone.
+    P, Q, phi = random_instance(65, 40, 3)
+    q = Q.p.copy()
+    q[-1] = 0.0
+    dropped = Dist(Q.space, q / q.sum())
+    _, _, phi2 = random_instance(66, 40, 2)
+
+    def objectives():
+        pinned = _ReducedObjective(KL, P, Q, phi)
+        pinned.pin = np.where(np.arange(40) % 4 == 0, PIN, 0.0)
+        return [_ReducedObjective(KL, P, Q, phi), _ReducedObjective(KL, P, dropped, phi),
+                _ReducedObjective(builtin("squared_hellinger"), P, dropped, phi), pinned,
+                _ReducedObjective(builtin("js_gan"), P, Q, phi2)]
+
+    points = [np.linspace(-s, s, 3) for s in (0.0, 0.5, 2.0)]
+    expected = [[_reference_moments(obj, a[: obj.phi_s.shape[0]]) for a in points] for obj in objectives()]
+    objs = objectives()
+    got = [[] for _ in objs]
+    for a in points:
+        for j in (0, 4, 1, 3, 2):
+            got[j].append(objs[j].moments(a[: objs[j].phi_s.shape[0]]))
+    for exp_runs, got_runs in zip(expected, got):
+        assert len(got_runs) == len(points)
+        for exp, out in zip(exp_runs, got_runs):
+            assert _same_bits(exp, out)
+    pair = primal._workspace.pair
+    assert vars(primal._workspace).keys() == {"pair"}
+    assert [x.shape for x in pair] == [objs[2].phi_s.shape] * 2
+    objs[1].moments(points[0])
+    assert primal._workspace.pair is pair
+
+
+def test_threads_solving_different_shapes_match_serial_solves():
+    # The workspace is per thread: concurrent solves and moments passes,
+    # two of one shape and one of another, give the serial results to the
+    # bit. A workspace shared by all threads corrupts only the odd pass
+    # of two threads of one shape (about one in a hundred here), so the
+    # passes repeat.
+    cases = []
+    for seed, n, k, name, drop in ((67, 1000, 3, "kl", False), (68, 1000, 3, "squared_hellinger", False),
+                                   (69, 800, 2, "kl", True)):
+        P, Q, phi = random_instance(seed, n, k)
+        if drop:
+            q = Q.p.copy()
+            q[-1] = 0.0
+            Q = Dist(Q.space, q / q.sum())
+        cases.append((builtin(name), P, Q, phi))
+
+    def run(case, out, start=None):
+        if start is not None:
+            start.wait(timeout=60)
+        g, P, Q, phi = case
+        obj, a = _ReducedObjective(g, P, Q, phi), np.linspace(-1.0, 1.0, phi.k)
+        out.extend(obj.moments(a)[2].tobytes() for _ in range(4000))
+        for _ in range(10):
+            rep = restricted_div_primal(g, P, Q, LinearBall(phi, 2, finite(1.0)))
+            out.append((float(rep.value), rep.status, rep.iterations, rep.coefficients.tobytes(),
+                        rep.pprime.p.tobytes()))
+
+    serial = []
+    for case in cases:
+        serial.append([])
+        run(case, serial[-1])
+    concurrent = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+    threads = [threading.Thread(target=run, args=(case, out, start)) for case, out in zip(cases, concurrent)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert concurrent == serial
 
 
 @pytest.mark.parametrize("name", ("kl", "squared_hellinger"))
