@@ -16,7 +16,11 @@ exponential tilt family over a full-support base. The moment-matching
 and adversarial fits run one seeded multistart damped Newton descent on
 exact derivatives: the moment gap's exact Hessian, and for the
 adversarial objective Danskin's gradient with the envelope Hessian of
-its inner solve. For a smooth generator the adversarial descent steps
+its inner solve. Its starts advance in lockstep, one step each per pass
+with their array work stacked, and each start's trajectory is the one it
+would take alone: the starts share only the first start's first
+evaluation, which the others' first inner solves start from, and the
+fit's cache of exact solves. For a smooth generator the adversarial descent steps
 jointly in the parameters and the discriminator: its trial points take
 one inner Newton step from the discriminator moved with the parameters,
 and exact inner solves remain where a start begins, tests a face or
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +134,9 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.starts < 1:
             raise ValidationError("max_iters and starts must be at least 1")
+        for name in ("tol", "inner_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -219,11 +227,19 @@ def _psi(fam: GeneratorFamily) -> np.ndarray:
 def _member(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None = None) -> Dist:
     """The member at ``theta``, with no mass on the atoms ``off`` (a face of the closure)."""
     logw = theta.copy() if isinstance(fam, FullSimplex) else np.log(fam.base.p) + theta @ fam.psi.values
+    return Dist(fam.space, _normalized(logw, off))
+
+
+def _normalized(logw: np.ndarray, off: np.ndarray | None) -> np.ndarray:
+    """exp(``logw``) scaled to sum to one along the last axis, zero on the atoms ``off``.
+
+    Overwrites ``logw``.
+    """
     if off is not None:
         logw[off] = -math.inf
-    logw -= np.max(logw)
-    w = np.exp(logw)
-    return Dist(fam.space, w / w.sum())
+    logw -= np.max(logw, axis=-1, keepdims=True)
+    w = np.exp(logw, out=logw)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _mean_gradient(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
@@ -255,41 +271,39 @@ def _identifiable(fam: GeneratorFamily, off: np.ndarray | None) -> np.ndarray:
     return basis[:, sing > sing[0] * max(psi.shape) * np.finfo(float).eps]
 
 
-def _newton_direction(grad: np.ndarray, hess: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Levenberg-Marquardt step -(H + mu I)^-1 grad within the span of ``basis``.
+def _newton_directions(grad: np.ndarray, hess: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt steps -(H + mu I)^-1 grad within the span of ``basis``,
+    one per row of ``grad`` (and matrix of ``hess``).
 
     mu is 0 where H is positive definite there. Otherwise (negative
     curvature, a flat valley) it lifts the least eigenvalue to ||grad||,
     so that no direction steps further than unit length.
     """
-    g = basis.T @ grad
+    g = grad @ basis
     lam, vecs = np.linalg.eigh(basis.T @ hess @ basis)
-    if lam.size == 0:
+    if lam.shape[1] == 0:
         return np.zeros_like(grad)
-    floor = 64.0 * np.finfo(float).eps * lam.size * max(float(np.abs(lam).max()), 1e-300)
-    mu = 0.0 if lam[0] > floor else np.linalg.norm(g) - lam[0]
-    denom = lam + mu
-    coef = np.divide(vecs.T @ g, denom, out=np.zeros_like(lam), where=denom > 0.0)
-    return -(basis @ (vecs @ coef))
+    floor = 64.0 * np.finfo(float).eps * lam.shape[1] * np.maximum(np.abs(lam).max(axis=1), 1e-300)
+    mu = np.where(lam[:, 0] > floor, 0.0, np.sqrt(np.einsum("ij,ij->i", g, g)) - lam[:, 0])
+    denom = lam + mu[:, None]
+    coef = np.divide(np.einsum("mji,mj->mi", vecs, g), denom, out=np.zeros_like(lam), where=denom > 0.0)
+    return -(np.einsum("mij,mj->mi", vecs, coef) @ basis.T)
 
 
 def _rounding(psi: np.ndarray, normal: np.ndarray) -> float:  # of normal . (psi_i - psi_j)
     return 8.0 * sum(psi.shape) * np.finfo(float).eps * float(np.abs(normal) @ np.abs(psi).max(axis=1))
 
 
-def _faces(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None):
+def _faces(psi: np.ndarray, theta: np.ndarray, u: np.ndarray, off: np.ndarray | None):
     """Masks of the atoms off each certified face that ``theta`` heads to, top face first.
 
-    The atoms split at a gap above ``FACE_GAP`` in theta . psi, and the
-    split is a face of the hull of the psi_i (softmax: every split is),
+    ``u`` is theta . psi, whose spread over the free atoms exceeds
+    ``FACE_GAP``. The atoms split at a gap above ``FACE_GAP`` in it, and
+    the split is a face of the hull of the psi_i (softmax: every split is),
     so the members along its normal tend to the member with no mass off it.
     This also sees faces reached by damped or turning steps.
     """
-    psi = _psi(fam)
-    u = theta @ psi
     free = np.arange(u.size) if off is None else np.flatnonzero(~off)
-    if float(u[free].max() - u[free].min()) <= FACE_GAP:
-        return
     top = psi[:, free[np.argmax(u[free])]]
     for on, _ in face_splits(theta, u, free, psi, top, lambda normal: _rounding(psi, normal)):
         yield ~np.isin(np.arange(u.size), on)
@@ -314,21 +328,27 @@ def _crawled_face(fam: GeneratorFamily, trail: list, d: np.ndarray, off: np.ndar
     if len(trail) == 3:
         psi = _psi(fam)
         u = d @ psi
-        free = np.ones(u.size, dtype=bool) if off is None else ~off
-        on = free & (u >= u[free].max() - _rounding(psi, d))
-        m0, m1, m2 = (float(p[~on].sum()) for p, _ in trail)
+        if off is not None:
+            u[off] = -math.inf
+        rest = u < u.max() - _rounding(psi, d)  # the atoms off the exposed face
+        m0, m1, m2 = (float(p[rest].sum()) for p, _ in trail)
         first, second = trail[1][1], trail[2][1]
         if 0.0 < m1 <= 0.5 * m0 and m2 <= 0.5 * m1 and first - second <= m2 * second:
-            yield ~on
+            yield rest
 
 
-@dataclass
-class _Start:
-    value: float
-    theta: np.ndarray
-    off: np.ndarray | None
-    basis: np.ndarray
-    step: float  # length of the Newton step left at the end
+@lru_cache(maxsize=64)
+def _start_points(seed: int, dim: int, starts: int) -> np.ndarray:
+    """The descent's start points, one per row: the origin, then seeded standard normals.
+
+    Cached and read-only: spawning and seeding a generator per start costs
+    more than a pass of the descent.
+    """
+    theta = np.zeros((starts, dim))
+    for row, child in zip(theta[1:], np.random.SeedSequence([seed, dim]).spawn(starts - 1)):
+        row[:] = np.random.default_rng(child).normal(0.0, 1.0, size=dim)
+    theta.setflags(write=False)
+    return theta
 
 
 def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: float = -math.inf,
@@ -346,6 +366,19 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     exactly, and if it is no worse the start goes on within that face,
     whose normal components of theta are then idle.
 
+    The starts advance in lockstep: theta is one (starts, dim) array, and
+    each pass takes one iteration of every start still descending. Their
+    array work is stacked: the members' log-weights, the finiteness and
+    gradient tests, the ``FACE_GAP`` spread of theta . psi, the directions
+    (one eigendecomposition of a stack of Hessians per face) and the
+    slopes; the line search backtracks in lockstep, each start with its
+    own step length. Each start still makes its own evaluations, with the
+    arguments and in the order it would make them alone, so its trajectory
+    is the one it would take alone (with several parameters, up to the
+    rounding of the stacked products); the only links between starts are the
+    first start's first evaluation, which runs before any other start's,
+    and whatever ``fun`` and ``trial`` cache per member.
+
     ``trial(member, base, step, exact=False)``, if given, evaluates the
     line search's trial points instead of ``fun``, and the first point of
     each start after the first with ``exact`` true: ``member`` is
@@ -358,98 +391,156 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     member is evaluated by ``fun`` and the start goes on from there; a
     start that reaches ``cfg.max_iters`` ends on such an evaluation.
 
-    Returns (best start, total iterations, per-start values, distinct,
-    starts run to ``cfg.max_iters``). Among near-equal optima the
-    lexicographically smallest parameter wins, which keeps reports
-    reproducible when the objective has flat stretches; ``distinct`` is
-    true when two of them differ by more than their remaining Newton
-    steps and rounding, in the directions that move the member.
+    Returns ((theta, off, member) of the best start, total iterations,
+    per-start values, distinct, starts run to ``cfg.max_iters``); ``off``
+    masks the atoms off the face the best start ended on, or is None.
+    Among near-equal optima the lexicographically smallest parameter
+    wins, which keeps reports reproducible when the objective has flat
+    stretches; ``distinct`` is true when two of them differ by more than
+    their remaining Newton steps and rounding, in the directions that
+    move the member.
     """
-    dim = family_dim(fam)
-    rng_root = np.random.SeedSequence([int(cfg.seed), dim])
-    children = rng_root.spawn(max(cfg.starts - 1, 0))
-    starts = [np.zeros(dim)]
-    for child in children:
-        starts.append(np.random.default_rng(child).normal(0.0, 1.0, size=dim))
+    dim, starts = family_dim(fam), cfg.starts
+    theta = _start_points(int(cfg.seed), dim, starts).copy()
+    psi = _psi(fam)
+    log_base = None if isinstance(fam, FullSimplex) else np.log(fam.base.p)
+    off = np.zeros((starts, fam.space.n), dtype=bool)  # the atoms off each start's face
+    face = [None] * starts  # off[i].tobytes() once start i is on a face
+    bases = {None: _identifiable(fam, None)}  # by face
 
-    eps = np.finfo(float).eps
-    results = []
-    total_iters = 0
-    capped = 0
-    for theta0 in starts:
-        theta, off, d = theta0.copy(), None, None
-        basis = _identifiable(fam, off)
-        member = _member(fam, theta)
-        if trial is None or not results:
-            val, grad, hess = fun(member)
-            first = member
+    def members(rows, thetas):  # at the rows of thetas, on the faces of the starts ``rows``
+        logw = thetas.copy() if log_base is None else log_base + thetas @ psi
+        return [Dist(fam.space, p) for p in _normalized(logw, off[rows] if any(face) else None)]
+
+    def directions(rows):  # one stacked solve per face that the starts ``rows`` are on
+        groups = {}
+        for i in rows:
+            groups.setdefault(face[i], []).append(i)
+        for key, at in groups.items():
+            at = np.array(at)
+            d[at] = _newton_directions(grad[at], hess[at], bases[key])
+
+    val, exact = [math.nan] * starts, [True] * starts
+    grad, hess = np.empty((starts, dim)), np.empty((starts, dim, dim))
+
+    def evaluate(i):
+        val[i], grad[i], hess[i] = fun(member[i])
+        exact[i] = True
+
+    member = members(slice(None), theta)
+    evaluate(0)
+    for i in range(1, starts):
+        if trial is None:
+            evaluate(i)
         else:  # exact, from the first start's inner iterate moved with theta
-            val, grad, hess, _ = trial(member, first, theta - starts[0], exact=True)
-        exact = True
-        trail = [(member.p, 0.0)]  # members joined by the last full Newton steps
-        tried: set[bytes] = set()
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            if not (math.isfinite(val) and val > value_floor and np.all(np.isfinite(grad))):
-                break
-            for face_off in itertools.chain(_crawled_face(fam, trail, d, off), _faces(fam, theta, off)):
-                if face_off.tobytes() in tried:
-                    continue
-                tried.add(face_off.tobytes())
-                out = fun(face := _member(fam, theta, face_off))
-                if out[0] <= val:
-                    off, member, (val, grad, hess), exact = face_off, face, out, True
-                    basis, trail = _identifiable(fam, off), [(member.p, 0.0)]
-                    break
-            if not exact and float(np.max(np.abs(grad))) <= cfg.tol:
-                (val, grad, hess), exact = fun(member), True
-            if float(np.max(np.abs(grad))) <= cfg.tol:
-                break
-            d = _newton_direction(grad, hess, basis)
-            slope = float(grad @ d)
-            slack = 8.0 * eps * (1.0 + abs(val))
-            s = 1.0
-            while s > 1e-14:
-                cand = theta + s * d
-                new = _member(fam, cand, off)
-                out = (*fun(new), True) if trial is None else trial(new, member, s * d)
-                if out[0] <= val + 1e-4 * s * slope + slack:
-                    break
-                s = 0.5 * s if exact else 0.0  # backtrack from exact values only
-            else:
-                if exact:
-                    break
-                (val, grad, hess), exact = fun(member), True
+            val[i], grad[i], hess[i], _ = trial(member[i], member[0], theta[i] - theta[0], exact=True)
+    trail = [[(m.p, 0.0)] for m in member]  # members joined by the last full Newton steps
+    tried = [set() for _ in range(starts)]
+    d = np.zeros((starts, dim))  # each start's last Newton direction
+    iters = [0] * starts
+    rows = list(range(starts))  # the starts still descending
+    eps = np.finfo(float).eps
+    for _ in range(cfg.max_iters):
+        if not rows:
+            break
+        finite = np.isfinite(grad).all(axis=1)
+        u = theta @ psi
+        wide = np.where(off, -math.inf, u).max(axis=1) - np.where(off, math.inf, u).min(axis=1) > FACE_GAP
+        live = []
+        for i in rows:
+            iters[i] += 1
+            if not (math.isfinite(val[i]) and val[i] > value_floor and finite[i]):
                 continue
-            stalled = not out[0] < val
-            theta, member, (val, grad, hess, exact) = cand, new, out
-            trail = (trail[-2:] if s == 1.0 else []) + [(member.p, float(np.linalg.norm(d)))]
+            live.append(i)
+            off_i = None if face[i] is None else off[i]
+            faces = _faces(psi, theta[i], u[i], off_i) if wide[i] else ()
+            for face_off in itertools.chain(_crawled_face(fam, trail[i], d[i], off_i), faces):
+                if face_off.tobytes() in tried[i]:
+                    continue
+                tried[i].add(face_off.tobytes())
+                out = fun(on := _member(fam, theta[i], face_off))
+                if out[0] <= val[i]:
+                    off[i], face[i], member[i], trail[i] = face_off, face_off.tobytes(), on, [(on.p, 0.0)]
+                    if face[i] not in bases:
+                        bases[face[i]] = _identifiable(fam, face_off)
+                    val[i], grad[i], hess[i] = out
+                    exact[i] = True
+                    break
+
+        gmax = np.abs(grad).max(axis=1)
+        rows = []
+        for i in live:
+            small = gmax[i] <= cfg.tol
+            if small and not exact[i]:
+                evaluate(i)
+                small = np.abs(grad[i]).max() <= cfg.tol
+            if not small:
+                rows.append(i)
+        if not rows:
+            continue
+
+        directions(rows)
+        at = np.array(rows)
+        dr = d[at]
+        slope = np.einsum("ij,ij->i", grad[at], dr).tolist()
+        length = np.sqrt(np.einsum("ij,ij->i", dr, dr)).tolist()
+        slack = [8.0 * eps * (1.0 + abs(val[i])) for i in rows]
+        s, out, new = [1.0] * len(rows), [None] * len(rows), [None] * len(rows)
+        search = list(range(len(rows)))  # positions in rows still backtracking
+        while search:
+            at = np.array([rows[j] for j in search])
+            step = np.array([s[j] for j in search])[:, None] * d[at]
+            cand = theta[at] + step
+            for j, i, m, st, pt in zip(search, at, members(at, cand), step, cand):
+                out[j] = (*fun(m), True) if trial is None else trial(m, member[i], st)
+                new[j] = m, pt
+            back = []
+            for j, i in zip(search, at):
+                if not out[j][0] <= val[i] + 1e-4 * s[j] * slope[j] + slack[j]:
+                    s[j] = 0.5 * s[j] if exact[i] else 0.0  # backtrack from exact values only
+                    if s[j] > 1e-14:
+                        back.append(j)
+                    else:
+                        out[j] = None  # no acceptable step
+            search = back
+
+        descending = []
+        for j, i in enumerate(rows):
+            if out[j] is None:  # stop where exact, else evaluate exactly and go on
+                if not exact[i]:
+                    evaluate(i)
+                    descending.append(i)
+                continue
+            stalled = not out[j][0] < val[i]
+            member[i], theta[i] = new[j]
+            val[i], grad[i], hess[i], exact[i] = out[j]
+            trail[i] = (trail[i][-2:] if s[j] == 1.0 else []) + [(member[i].p, length[j])]
             if stalled:
                 # The step is exact to the value's rounding: nothing left to gain.
-                if exact:
-                    break
-                (val, grad, hess), exact = fun(member), True
-        else:
-            capped += 1
-        if not exact:
-            val, grad, hess = fun(member)
-        total_iters += it
-        step = np.linalg.norm(_newton_direction(grad, hess, basis)) if np.all(np.isfinite(grad)) else math.inf
-        results.append(_Start(val, theta, off, basis, step))
+                if exact[i]:
+                    continue
+                evaluate(i)
+            descending.append(i)
+        rows = descending
+    capped = len(rows)
+    for i in range(starts):
+        if not exact[i]:
+            evaluate(i)
 
-    best_val = min(r.value for r in results)
-    contenders = sorted((r for r in results if r.value <= best_val + 1e-10), key=lambda r: tuple(r.theta))
+    finite = np.isfinite(grad).all(axis=1)
+    directions(np.flatnonzero(finite).tolist())
+    step = np.where(finite, np.linalg.norm(d, axis=1), math.inf)  # of the Newton step left at the end
+    best_val = min(val)
+    contenders = sorted((i for i in range(starts) if val[i] <= best_val + 1e-10), key=lambda i: tuple(theta[i]))
     best = contenders[0]
-
-    def same(r):
-        if (r.off is None) != (best.off is None) or (r.off is not None and np.any(r.off != best.off)):
-            return False
-        gap = np.linalg.norm(r.basis.T @ (r.theta - best.theta))
-        rounding = 64.0 * eps * dim * (1.0 + np.linalg.norm(r.theta) + np.linalg.norm(best.theta))
-        return gap <= r.step + best.step + rounding
-
-    distinct = not all(same(r) for r in contenders)
-    return best, total_iters, [r.value for r in results], distinct, capped
+    distinct = any(face[i] != face[best] for i in contenders)
+    if not distinct:  # apart by more than their steps left and rounding, in the directions that move q
+        gap = np.linalg.norm((theta[contenders] - theta[best]) @ bases[face[best]], axis=1)
+        size = np.linalg.norm(theta[contenders], axis=1)
+        rounding = 64.0 * eps * dim * (1.0 + size + size[0])
+        distinct = not np.all(gap <= step[contenders] + step[best] + rounding)
+    best_off = None if face[best] is None else off[best].copy()
+    return (theta[best].copy(), best_off, member[best]), sum(iters), val, distinct, capped
 
 
 def fit_gmm(
@@ -502,14 +593,13 @@ def fit_gmm(
         jac_t = _mean_gradient(fam, member, phi.values)
         return 0.5 * float(d @ d), -jac_t @ d, jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
 
-    best, iters, per_start, distinct, _ = _multistart_descend(fam, fun, cfg, value_floor=1e-24)
-    q_star = _member(fam, best.theta, best.off)
+    (theta, off, q_star), iters, per_start, distinct, _ = _multistart_descend(fam, fun, cfg, value_floor=1e-24)
     objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
-    notes = _descent_notes(best, distinct)
+    notes = _descent_notes(off, distinct)
     return FitReport(
         estimator="gmm",
         q_star=q_star,
-        theta=best.theta if best.off is None else None,
+        theta=theta if off is None else None,
         objective=objective,
         cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
         trajectory={"starts": cfg.starts, "iterations": iters, "per_start": per_start},
@@ -517,11 +607,11 @@ def fit_gmm(
     )
 
 
-def _descent_notes(best: _Start, distinct: bool) -> tuple[str, ...]:
+def _descent_notes(off: np.ndarray | None, distinct: bool) -> tuple[str, ...]:
     notes = ()
     if distinct:
         notes += ("multiple near-optimal parameters; lexicographically smallest reported",)
-    if best.off is not None:
+    if off is not None:
         notes += ("the descent ran off to a face of the family's closure: q_star is the limit "
                   "member on that face, no worse than the parameters the descent reached, and "
                   "has no parameter",)
@@ -665,11 +755,10 @@ def fit_linear_fgan(
         joint[key] = stepped, dz
         return value, grad, hess, False
 
-    best, iters, per_start, distinct, capped = _multistart_descend(
+    (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(
         fam, fun, cfg, trial=trial if g.conjugate_smooth else None)
-    q_star = _member(fam, best.theta, best.off)
     rep = solved[q_star.p.tobytes()][0]
-    notes = _descent_notes(best, distinct)
+    notes = _descent_notes(off, distinct)
     if capped == len(per_start):
         # The reported theta then moves with the cap.
         notes += (
@@ -679,7 +768,7 @@ def fit_linear_fgan(
     return FitReport(
         estimator="fgan",
         q_star=q_star,
-        theta=best.theta if best.off is None else None,
+        theta=theta if off is None else None,
         objective=float(rep.value),
         cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi), cfg.inner_tol),
                "fgan": float(rep.value)},

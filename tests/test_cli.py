@@ -348,3 +348,14 @@ def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
     assert len(results["pprime"]) == 3
     assert results["trajectory"]["inner_solves"] >= 1
     assert results["trajectory"]["inner_steps"] >= results["trajectory"]["inner_solves"]
+
+
+@pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}, {"inner_tol": "nan"}])
+def test_fit_config_with_bad_tolerance_exits_1(tmp_path, instance_doc, capsys, extra):
+    instance_doc["fit_config"] = extra
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    assert main(["fit", "--instance", str(path), "--estimator", "gmm", "--out", out]) == 1
+    assert f"{next(iter(extra))} must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out)

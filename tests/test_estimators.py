@@ -719,3 +719,127 @@ def test_fgan_fit_through_a_pinned_intercept():
         rep = fit_linear_fgan(fam, make_dist(space, data), builtin("js_gan"), FeatureMap(space, phi), radius)
     assert rep.theta is not None and rep.trajectory["inner_status"] == "converged"
     assert max(rep.trajectory["per_start"]) - rep.objective <= 1e-12
+
+
+# Per-start outcomes of default fits: (per_start, iterations, theta is None,
+# inner_solves, inner_steps), the last two for the f-GAN fits only. Face-heavy
+# draws 10 and 54 (GMM) end one start of five on a face and the others inside;
+# draw 48 (Pearson f-GAN) ends four on a face, and the fit reports that face.
+PER_START_PINS = {
+    ("readme", "fgan"): ([0.0050083668463568876] * 5, 16, True, 6, 32),
+    ("readme", "gmm"): ([0.005000000000000009] * 4 + [0.00500000000000002], 5, False),
+    ("pool 1", "fgan"): ([0.00014514142528439591, 0.00014514142528443755, 0.0001451414252843855,
+                          0.00014514142528433, 0.00014514142528436816], 20, False, 10, 40),
+    ("pool 1", "gmm"): ([5.035686255732406e-06, 5.0356862557341986e-06, 5.035686255732273e-06,
+                         5.035686255773758e-06, 5.035686255751812e-06], 23, False),
+    ("pool 2", "fgan"): ([0.005189795183036104, 0.005189795183036187, 0.005189795183036819,
+                          0.005189795183036187, 0.005189795183036257], 25, False, 11, 50),
+    ("pool 2", "gmm"): ([0.0014178586537364653, 0.0014178586537362734, 0.0014178586537362714,
+                         0.0014178586537362745, 0.0014178586537362703], 29, False),
+    ("face-heavy 10", "gmm"): ([0.003637137685933055, 0.0036371376859330594, 0.023887810037463077,
+                                0.003637137685933059, 0.0036371376859330594], 26, False),
+    ("face-heavy 48", "fgan"): ([0.011941064924950201] * 4 + [0.02127040532615529], 98, True, 7, 106),
+    ("face-heavy 54", "gmm"): ([1.7320089766383902e-06, 1.7320089766300553e-06, 0.07397452328307902,
+                                1.7320089766302497e-06, 1.7320089766975474e-06], 20, False),
+}
+
+
+def _pinned_fits():
+    """(name, estimator) -> default fit, for every key of PER_START_PINS."""
+    for name, (fam, data, phi, radius) in (("readme", _readme_instance()), ("pool 1", _pool_draw(1)),
+                                           ("pool 2", _pool_draw(2))):
+        yield (name, "fgan"), fit_linear_fgan(fam, data, KL, phi, radius)
+        yield (name, "gmm"), fit_gmm(fam, data, phi)
+    for s, estimator in ((10, "gmm"), (48, "fgan"), (54, "gmm")):
+        fam, data, g, phi, radius = _face_heavy_draw(s)
+        rep = fit_linear_fgan(fam, data, g, phi, radius) if estimator == "fgan" else fit_gmm(fam, data, phi)
+        yield (f"face-heavy {s}", estimator), rep
+
+
+def _outcome(rep):
+    t = rep.trajectory
+    inner = (t["inner_solves"], t["inner_steps"]) if rep.estimator == "fgan" else ()
+    return (t["per_start"], t["iterations"], rep.theta is None, *inner)
+
+
+def test_per_start_outcomes_pinned():
+    # Each start's value, the fit's outer iterations and inner work, to the
+    # bit: the starts advance together, but each takes the path it would alone.
+    fits = dict(_pinned_fits())
+    assert set(fits) == set(PER_START_PINS)
+    for key, rep in fits.items():
+        assert _outcome(rep) == PER_START_PINS[key], key
+
+
+def test_starts_that_stop_at_different_passes():
+    # Pool draw 1 at max_iters=4: some starts stop on their own, others run
+    # to the cap, so no cap note.
+    fam, data, phi, radius = _pool_draw(1)
+    rep = fit_linear_fgan(fam, data, KL, phi, radius, FitConfig(max_iters=4))
+    assert _outcome(rep) == ([0.00014514142528439591, 0.00014514142528443755, 0.00014514142594578353,
+                              0.00014514142528433, 0.00014514142528436816], 18, False, 10, 39)
+    assert not any("max_iters" in note for note in rep.notes)
+    # Data equal to the base of pool draw 2's family: start 0 meets the GMM
+    # value floor at its first point while the others descend.
+    fam, _, phi, _ = _pool_draw(2)
+    rep = fit_gmm(fam, fam.base, phi)
+    assert _outcome(rep) == ([2.1666711874356403e-34, 7.999402683474193e-21, 2.527111527076122e-21,
+                              4.066196210988152e-26, 4.778698926739113e-22], 22, False)
+
+
+def test_full_simplex_fit_with_several_parameters_pinned():
+    # random_instance(802, 5, 4) on the full simplex (5 parameters): stacked
+    # products may move the last bits of each step, not the fit. Four
+    # features on five atoms leave one member with the data's phi-means, the
+    # data, so the optimum is isolated in the directions that move it; the
+    # objective sits at 0, and the per-start values agree to rounding only.
+    P, _, phi = random_instance(802, 5, 4)
+    rep = fit_linear_fgan(FullSimplex(P.space), P, KL, phi, finite(1.0), FitConfig(starts=3, max_iters=60))
+    assert rep.trajectory["iterations"] == 26 and not rep.notes
+    assert rep.trajectory["per_start"] == pytest.approx(
+        [1.7592833162236344e-17, -5.862653965203006e-17, -1.1042598870855861e-16], rel=1e-10, abs=1e-15)
+    assert rep.theta == pytest.approx([-1.4391410834334555, 0.7865548264866694, -0.9826250963701427,
+                                       0.5474615173633697, 0.6946032224216445], rel=1e-10)
+    assert rep.q_star.p == pytest.approx([0.03626388412135685, 0.3358008339576475, 0.057244885676287674,
+                                          0.2643899030303471, 0.306300493214361], rel=1e-10)
+
+
+@pytest.mark.parametrize("field", ["tol", "inner_tol"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0])
+def test_fit_config_rejects_non_positive_tolerances(field, value):
+    # A NaN or non-positive tol never passes the gradient test, so starts ran
+    # until they stalled; a bad inner_tol failed only inside the first inner
+    # solve, and GMM and MLE fits, which make none, never raised.
+    with pytest.raises(ValidationError, match=f"^{field} must be positive"):
+        FitConfig(**{field: value})
+
+
+def _reference_direction(grad, hess, basis):
+    """One start's Levenberg-Marquardt step, computed alone."""
+    g = basis.T @ grad
+    lam, vecs = np.linalg.eigh(basis.T @ hess @ basis)
+    floor = 64.0 * np.finfo(float).eps * lam.size * max(float(np.abs(lam).max()), 1e-300)
+    mu = 0.0 if lam[0] > floor else np.linalg.norm(g) - lam[0]
+    denom = lam + mu
+    coef = np.divide(vecs.T @ g, denom, out=np.zeros_like(lam), where=denom > 0.0)
+    return -(basis @ (vecs @ coef))
+
+
+def test_stacked_directions_match_each_start_alone():
+    # Definite, indefinite and singular Hessians in one stack, in the span of
+    # bases of rank 1 to 3: each row is the step its start takes alone, to
+    # the bit with one parameter and to rounding with more.
+    rng = np.random.default_rng(7)
+    for dim, rank in ((1, 1), (3, 2), (4, 3), (5, 4)):
+        basis = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
+        grad = rng.normal(size=(6, dim))
+        a = rng.normal(size=(6, dim, dim))
+        hess = a @ a.transpose(0, 2, 1) - np.array([0.0, 0.5, 2.0, 0.0, 0.0, 0.0])[:, None, None] * np.eye(dim)
+        hess[3] = 0.0
+        hess[4] = np.outer(grad[4], grad[4])
+        stacked = estimators._newton_directions(grad, hess, basis)
+        alone = np.array([_reference_direction(g, h, basis) for g, h in zip(grad, hess)])
+        if dim == 1:
+            assert np.array_equal(stacked, alone)
+        else:
+            assert np.allclose(stacked, alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
