@@ -134,6 +134,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.starts < 1:
             raise ValidationError("max_iters and starts must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         for name in ("tol", "inner_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
@@ -351,9 +353,8 @@ def _start_points(seed: int, dim: int, starts: int) -> np.ndarray:
     return theta
 
 
-def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: float = -math.inf,
-                        trial=None):
-    """Seeded multistart damped Newton descent on ``fun(member) = (value, gradient, Hessian)``.
+def _multistart_descend(fam: GeneratorFamily, evaluate, cfg: FitConfig, value_floor: float = -math.inf):
+    """Seeded multistart damped Newton descent on the objective that ``evaluate`` gives.
 
     Each start takes Levenberg-Marquardt damped Newton steps in the
     parameters with Armijo backtracking (a few ulps of the value as
@@ -377,19 +378,20 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     is the one it would take alone (with several parameters, up to the
     rounding of the stacked products); the only links between starts are the
     first start's first evaluation, which runs before any other start's,
-    and whatever ``fun`` and ``trial`` cache per member.
+    and whatever ``evaluate`` caches per member.
 
-    ``trial(member, base, step, exact=False)``, if given, evaluates the
-    line search's trial points instead of ``fun``, and the first point of
-    each start after the first with ``exact`` true: ``member`` is
-    ``base`` (the current member, or the first start's) moved by the
-    parameter ``step``, and it returns (value, gradient, Hessian, exact),
-    inexact where ``exact`` is false. The line
-    search backtracks, and a start stops, only from an exact evaluation:
-    where a trial fails the Armijo test against an inexact value, or the
-    gradient test or a stall would stop the start on one, the current
-    member is evaluated by ``fun`` and the start goes on from there; a
-    start that reaches ``cfg.max_iters`` ends on such an evaluation.
+    ``evaluate(member, base=None, step=None, exact=True)`` returns (value,
+    gradient, Hessian, exact) at ``member``, which is ``base`` moved by the
+    parameter ``step`` where those are given: the first point of each start
+    after the first, from the first start's, and the line search's trial
+    points, from the current member. Only the trial points pass ``exact``
+    false, and only they may come back inexact; face members and
+    re-evaluations pass the member alone. The line search backtracks, and a
+    start stops, only from an exact evaluation: where a trial fails the
+    Armijo test against an inexact value, or the gradient test or a stall
+    would stop the start on one, the current member is evaluated again and
+    the start goes on from there; a start that reaches ``cfg.max_iters``
+    ends on such an evaluation.
 
     Returns ((theta, off, member) of the best start, total iterations,
     per-start values, distinct, starts run to ``cfg.max_iters``); ``off``
@@ -423,17 +425,13 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
     val, exact = [math.nan] * starts, [True] * starts
     grad, hess = np.empty((starts, dim)), np.empty((starts, dim, dim))
 
-    def evaluate(i):
-        val[i], grad[i], hess[i] = fun(member[i])
-        exact[i] = True
+    def settle(i):  # evaluate start i's current member exactly
+        val[i], grad[i], hess[i], exact[i] = evaluate(member[i])
 
     member = members(slice(None), theta)
-    evaluate(0)
+    settle(0)
     for i in range(1, starts):
-        if trial is None:
-            evaluate(i)
-        else:  # exact, from the first start's inner iterate moved with theta
-            val[i], grad[i], hess[i], _ = trial(member[i], member[0], theta[i] - theta[0], exact=True)
+        val[i], grad[i], hess[i], exact[i] = evaluate(member[i], member[0], theta[i] - theta[0])
     trail = [[(m.p, 0.0)] for m in member]  # members joined by the last full Newton steps
     tried = [set() for _ in range(starts)]
     d = np.zeros((starts, dim))  # each start's last Newton direction
@@ -458,13 +456,12 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
                 if face_off.tobytes() in tried[i]:
                     continue
                 tried[i].add(face_off.tobytes())
-                out = fun(on := _member(fam, theta[i], face_off))
+                out = evaluate(on := _member(fam, theta[i], face_off))
                 if out[0] <= val[i]:
                     off[i], face[i], member[i], trail[i] = face_off, face_off.tobytes(), on, [(on.p, 0.0)]
                     if face[i] not in bases:
                         bases[face[i]] = _identifiable(fam, face_off)
-                    val[i], grad[i], hess[i] = out
-                    exact[i] = True
+                    val[i], grad[i], hess[i], exact[i] = out
                     break
 
         gmax = np.abs(grad).max(axis=1)
@@ -472,7 +469,7 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
         for i in live:
             small = gmax[i] <= cfg.tol
             if small and not exact[i]:
-                evaluate(i)
+                settle(i)
                 small = np.abs(grad[i]).max() <= cfg.tol
             if not small:
                 rows.append(i)
@@ -492,7 +489,7 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
             step = np.array([s[j] for j in search])[:, None] * d[at]
             cand = theta[at] + step
             for j, i, m, st, pt in zip(search, at, members(at, cand), step, cand):
-                out[j] = (*fun(m), True) if trial is None else trial(m, member[i], st)
+                out[j] = evaluate(m, member[i], st, exact=False)
                 new[j] = m, pt
             back = []
             for j, i in zip(search, at):
@@ -508,7 +505,7 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
         for j, i in enumerate(rows):
             if out[j] is None:  # stop where exact, else evaluate exactly and go on
                 if not exact[i]:
-                    evaluate(i)
+                    settle(i)
                     descending.append(i)
                 continue
             stalled = not out[j][0] < val[i]
@@ -519,13 +516,13 @@ def _multistart_descend(fam: GeneratorFamily, fun, cfg: FitConfig, value_floor: 
                 # The step is exact to the value's rounding: nothing left to gain.
                 if exact[i]:
                     continue
-                evaluate(i)
+                settle(i)
             descending.append(i)
         rows = descending
     capped = len(rows)
     for i in range(starts):
         if not exact[i]:
-            evaluate(i)
+            settle(i)
 
     finite = np.isfinite(grad).all(axis=1)
     directions(np.flatnonzero(finite).tolist())
@@ -588,12 +585,14 @@ def fit_gmm(
             notes=notes,
         )
 
-    def fun(member):  # the gap's Jacobian is -J, J = Cov(phi, psi)
-        d = target - feature_means(member, phi)
+    def evaluate(member, base=None, step=None, exact=True):  # exact everywhere
+        d = target - feature_means(member, phi)  # the gap, whose Jacobian is -J, J = Cov(phi, psi)
         jac_t = _mean_gradient(fam, member, phi.values)
-        return 0.5 * float(d @ d), -jac_t @ d, jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
+        hess = jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
+        return 0.5 * float(d @ d), -jac_t @ d, hess, True
 
-    (theta, off, q_star), iters, per_start, distinct, _ = _multistart_descend(fam, fun, cfg, value_floor=1e-24)
+    (theta, off, q_star), iters, per_start, distinct, _ = _multistart_descend(
+        fam, evaluate, cfg, value_floor=1e-24)
     objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
     notes = _descent_notes(off, distinct)
     return FitReport(
@@ -682,18 +681,19 @@ def fit_linear_fgan(
     The outer landscape over family parameters is generally nonconvex,
     so the seeded multistart Newton descent of :func:`_multistart_descend`
     is used. For a smooth generator it takes joint steps in the parameters
-    theta and the discriminator z = (a, b): an exact inner solve (residual
-    at most ``cfg.inner_tol``) gives the value, Danskin's gradient and the
-    envelope Hessian (:func:`_envelope`), and each trial point of a line
-    search moves z to first order with theta and takes one inner Newton
-    step from there (:func:`~fdual.primal.newton_step`), whose value and
-    corrected gradient are exact to second order. Exact solves stay at
-    each start's first point (after the first start, from its z moved
-    with theta), at face trials and wherever a start would stop (from the
-    z it reached); each distinct member is solved exactly once per fit,
-    and the report reuses the solve at ``q_star``.
-    Total variation has no f*'' for the joint step, so every evaluation
-    is an exact solve, and only L_tt enters its Hessian. When no
+    theta and the discriminator z = (a, b). Its evaluation hook starts from
+    the base member's z moved to first order with theta, else from where
+    the member's last joint step left z. An exact inner solve (residual at
+    most ``cfg.inner_tol``) gives the value, Danskin's gradient and the
+    envelope Hessian (:func:`_envelope`); at a line search's trial point,
+    one inner Newton step from the moved z (:func:`~fdual.primal.newton_step`)
+    gives them instead, with value and corrected gradient exact to second
+    order. Exact solves stay at each start's first point, at face trials
+    and wherever a start would stop; each distinct member is solved
+    exactly once per fit, and the report reuses the solve at ``q_star``.
+    Only a smooth generator's solves leave a z to move, so under total
+    variation, which has no f*'' for the joint step, every evaluation is
+    an exact solve, and only L_tt enters its Hessian. When no
     minimiser exists and the objective falls toward a face of the
     family's closure, ``q_star`` is the limit member on it and ``theta``
     is None. ``pprime`` is the dual's intermediate distribution, the tilt
@@ -713,50 +713,43 @@ def fit_linear_fgan(
     feats = np.vstack([phi.values, np.ones(phi.space.n)])
     target = np.append(feature_means(Pdata, phi), 1.0)
     inner_cfg = PrimalConfig(tol=cfg.inner_tol)
-    solved = {}  # member bytes -> (inner report, (value, gradient, Hessian))
+    solved = {}  # member bytes -> (inner report, (value, gradient, Hessian, True))
     joint = {}  # member bytes -> (inner iterate, its move with theta) of the last evaluation there
     counts = {"inner_solves": 0, "inner_steps": 0}
 
-    def fun(member):
+    def evaluate(member, base=None, step=None, exact=True):
         key = member.p.tobytes()
         if key in solved:
             return solved[key][1]
-        warm = joint.pop(key, None)
-        rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg, start=None if warm is None else warm[0])
+        state = None if base is None else joint.get(base.p.tobytes())
+        start = joint.pop(key, (None,))[0]  # where this member's last joint step left z
+        if state is not None:  # the base's z, moved to first order with theta
+            start = project_ball(state[0] + state[1] @ step, 2.0, r)
+            if not exact:
+                value, stepped, conjugate, dh = newton_step(g, Pdata, member, phi, r, start)
+                counts["inner_steps"] += 1
+                grad, hess, dz = _envelope(fam, feats, target, r, member, start, conjugate, dh)
+                joint[key] = stepped, dz
+                return value, grad, hess, False
+        rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg, start=start)
         counts["inner_solves"] += 1
         counts["inner_steps"] += rep.iterations
         if rep.h_opt is None:  # unbounded: no gradient
-            out = float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan)
+            out = float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan), True
         elif rep.conjugate is None:
             fs = np.zeros(member.p.size)
             on = member.p > 0.0
             fs[on] = g.fstar_vec(rep.h_opt.values[on])[0]
-            out = float(rep.value), -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs)
+            out = float(rep.value), -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs), True
         else:
             grad, hess, dz = _envelope(fam, feats, target, r, member, rep.coefficients, rep.conjugate())
-            out = float(rep.value), grad, hess
+            out = float(rep.value), grad, hess, True
             if rep.attained:
                 joint[key] = rep.coefficients, dz
         solved[key] = rep, out
         return out
 
-    def trial(member, base, step, exact=False):
-        key = member.p.tobytes()
-        state = joint.get(base.p.tobytes())
-        if key in solved or state is None:  # solved already, or no inner iterate to follow (an inner face)
-            return (*fun(member), True)
-        a = project_ball(state[0] + state[1] @ step, 2.0, r)
-        if exact:
-            joint[key] = a, None  # where fun's solve starts
-            return (*fun(member), True)
-        value, stepped, conjugate, dh = newton_step(g, Pdata, member, phi, r, a)
-        counts["inner_steps"] += 1
-        grad, hess, dz = _envelope(fam, feats, target, r, member, a, conjugate, dh)
-        joint[key] = stepped, dz
-        return value, grad, hess, False
-
-    (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(
-        fam, fun, cfg, trial=trial if g.conjugate_smooth else None)
+    (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(fam, evaluate, cfg)
     rep = solved[q_star.p.tobytes()][0]
     notes = _descent_notes(off, distinct)
     if capped == len(per_start):

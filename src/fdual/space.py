@@ -197,16 +197,13 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = _frozen_array(self.values, "feature matrix")
         if arr.ndim != 2 or arr.shape[1] != self.space.n:
             raise DimensionMismatch(
                 f"feature matrix has shape {arr.shape}, expected (k, {self.space.n})"
             )
         if arr.shape[0] < 1:
             raise DimensionMismatch("feature map needs at least one feature")
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch("feature matrix contains non-finite entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property

@@ -359,3 +359,12 @@ def test_fit_config_with_bad_tolerance_exits_1(tmp_path, instance_doc, capsys, e
     assert main(["fit", "--instance", str(path), "--estimator", "gmm", "--out", out]) == 1
     assert f"{next(iter(extra))} must be positive" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_fit_with_negative_seed_exits_1(instance_path, tmp_path, capsys):
+    # The seed reached numpy's SeedSequence, whose ValueError made an
+    # internal error (exit 3).
+    out = str(tmp_path / "report.json")
+    assert main(["fit", "--instance", instance_path, "--estimator", "gmm", "--seed", "-1", "--out", out]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -290,17 +290,24 @@ class _Objective(Exception):
 
 
 def _outer_objective(monkeypatch, fit, fam, *args):
-    """theta -> (value, gradient, Hessian) of the objective ``fit`` hands to its descent."""
+    """theta -> (value, gradient, Hessian) of the objective ``fit`` hands to its descent,
+    as its evaluation hook gives it for a member alone: exactly."""
 
-    def capture(fam, fun, *rest, **kwargs):
-        raise _Objective(fun)
+    def capture(fam, evaluate, *rest, **kwargs):
+        raise _Objective(evaluate)
 
     monkeypatch.setattr(estimators, "_multistart_descend", capture)
     with pytest.raises(_Objective) as caught:
         fit(fam, *args)
     monkeypatch.undo()
-    fun = caught.value.args[0]
-    return lambda theta: fun(family_member(fam, theta))
+    evaluate = caught.value.args[0]
+
+    def objective(theta):
+        value, grad, hess, exact = evaluate(family_member(fam, theta))
+        assert exact
+        return value, grad, hess
+
+    return objective
 
 
 def _worst_fd_disagreement(fun, theta, h=1e-5):
@@ -370,7 +377,7 @@ def test_outer_hessians_match_central_differences(monkeypatch):
     assert worst <= 1e-6
 
 
-def test_gmm_hessian_is_gauss_newton_where_moments_match():
+def test_gmm_hessian_is_gauss_newton_where_moments_match(monkeypatch):
     # Where the member's phi-means match the data's, the residual term
     # vanishes and the Hessian is J^T J, J the Jacobian of the phi-means
     # by central differences.
@@ -378,17 +385,7 @@ def test_gmm_hessian_is_gauss_newton_where_moments_match():
     fam = ExpFamily(Q, FeatureMap(P.space, [[0.3, -0.8, 0.1, 0.9, -0.2], [0.5, 0.2, -0.7, 0.0, 0.4]]))
     theta = np.array([0.4, -0.3])
     data = family_member(fam, theta)
-    captured = []
-
-    def capture(fam, fun, *rest, **kwargs):
-        captured.append(fun)
-        raise _Objective
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_multistart_descend", capture)
-        with pytest.raises(_Objective):
-            fit_gmm(fam, data, phi)
-    value, grad, hess = captured[0](data)
+    value, grad, hess = _outer_objective(monkeypatch, fit_gmm, fam, data, phi)(theta)
     h = 1e-6
     jac = np.empty((phi.k, theta.size))
     for j in range(theta.size):
@@ -510,10 +507,10 @@ def _counted_fits(monkeypatch, fam, data, phi, radius):
         solves[0] += 1
         return solve(*args, **kwargs)
 
-    def counted_descend(fam, fun, *args, **kwargs):
-        def counted(member):
+    def counted_descend(fam, evaluate, *args, **kwargs):
+        def counted(member, *more, **options):
             evals[0] += 1
-            return fun(member)
+            return evaluate(member, *more, **options)
 
         return descend(fam, counted, *args, **kwargs)
 
@@ -553,20 +550,12 @@ def _evaluated_members(monkeypatch, fit, *args):
     """The members whose objective ``fit`` evaluates, exactly or at trial points."""
     members, descend = [], estimators._multistart_descend
 
-    def recording(fam, fun, *rest, **kwargs):
-        trial = kwargs.get("trial")
-
-        def exact(member):
+    def recording(fam, evaluate, *rest, **kwargs):
+        def recorded(member, *more, **options):
             members.append(member.p)
-            return fun(member)
+            return evaluate(member, *more, **options)
 
-        def inexact(member, *more, **options):
-            members.append(member.p)
-            return trial(member, *more, **options)
-
-        if trial is not None:
-            kwargs["trial"] = inexact
-        return descend(fam, exact, *rest, **kwargs)
+        return descend(fam, recorded, *rest, **kwargs)
 
     monkeypatch.setattr(estimators, "_multistart_descend", recording)
     fit(*args)
@@ -812,6 +801,43 @@ def test_fit_config_rejects_non_positive_tolerances(field, value):
     # solve, and GMM and MLE fits, which make none, never raised.
     with pytest.raises(ValidationError, match=f"^{field} must be positive"):
         FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_fit_config_rejects_bad_seeds(seed):
+    # -1 reached the start points' SeedSequence, which raised numpy's
+    # ValueError; 1.5 was truncated to 1 there.
+    with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):
+        FitConfig(seed=seed)
+
+
+def test_total_variation_fit_is_exact_everywhere(monkeypatch):
+    # Total variation's solves leave no discriminator for a joint step to
+    # move, so every evaluation of its fit, trial points included, is an
+    # exact inner solve: no inner Newton step is taken outside them, and
+    # inner_steps is the sum of the solves' iterations.
+    iterations, steps = [], [0]
+    solve, step = estimators.restricted_div_primal, estimators.newton_step
+
+    def counted_solve(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        iterations.append(rep.iterations)
+        return rep
+
+    def counted_step(*args, **kwargs):
+        steps[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "restricted_div_primal", counted_solve)
+    monkeypatch.setattr(estimators, "newton_step", counted_step)
+    P, _, phi = random_instance(900, 3, 1)
+    rep = fit_linear_fgan(FullSimplex(P.space), P, builtin("total_variation"), phi, finite(1.0),
+                          FitConfig(starts=2, max_iters=3))
+    assert steps[0] == 0
+    assert rep.trajectory["inner_solves"] == len(iterations) == 50
+    assert rep.trajectory["inner_steps"] == sum(iterations) == 1071
+    assert rep.trajectory["iterations"] == 6
+    assert rep.objective == 7.766858008850797e-06
 
 
 def _reference_direction(grad, hess, basis):
