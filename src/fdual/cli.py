@@ -28,13 +28,8 @@ import tempfile
 import numpy as np
 
 from . import divergence as divmod_
-from .discriminator import (
-    FullSpace,
-    IndicatorOf,
-    LinearBall,
-    QuadraticCoefficientPenalty,
-)
-from .dual import DualConfig, duality_gap, restricted_div_dual
+from .discriminator import FullSpace, LinearBall, QuadraticCoefficientPenalty
+from .dual import DualConfig, _primal_solve, duality_gap, restricted_div_dual
 from .errors import FdualError, ParseError, ValidationError
 from .estimators import (
     CrossContext,
@@ -47,7 +42,7 @@ from .estimators import (
 )
 from .extreal import ExtReal, POS_INF, finite
 from .fgen import builtin, check_generator
-from .primal import PrimalConfig, regularized_div_primal, restricted_div_primal
+from .primal import PrimalConfig
 from .space import Dist, FeatureMap, OutcomeSpace, make_dist
 from .verify import SUITE_NAMES, run_suite
 
@@ -118,6 +113,19 @@ def validate_report(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, typ: type, where: str):
+    """An instance's number ``value`` read as ``typ``, float or int (an int takes
+    any integral number: "1e3" reads 1000); else a ValidationError naming ``where``."""
+    try:
+        x = float(value)
+        if typ is int and not x.is_integer():
+            raise ValueError
+        return typ(value) if isinstance(value, int) else typ(x)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if typ is int else "a number"
+        raise ValidationError(f"field {where!r} must be {kind}, got {value!r}") from None
+
+
 class InstanceFile:
     """A parsed, validated instance document.
 
@@ -186,13 +194,13 @@ class InstanceFile:
         if variant == "linear_ball":
             phi = self.feature_map(str(doc.get("features")))
             p = doc.get("p", 2)
-            p = math.inf if p in ("inf", "infinity") else float(p)
+            p = math.inf if p in ("inf", "infinity") else _number(p, float, "discriminator.p")
             radius = doc.get("radius", "inf")
-            r = POS_INF if radius in ("inf", "infinity") else finite(float(radius))
+            r = POS_INF if radius in ("inf", "infinity") else finite(_number(radius, float, "discriminator.radius"))
             return LinearBall(phi, p, r)
         if variant == "quadratic_penalty":
             phi = self.feature_map(str(doc.get("features")))
-            return QuadraticCoefficientPenalty(phi, float(doc.get("weight", 1.0)))
+            return QuadraticCoefficientPenalty(phi, _number(doc.get("weight", 1.0), float, "discriminator.weight"))
         raise ValidationError(f"unknown discriminator variant {variant!r}")
 
     def family(self):
@@ -223,13 +231,16 @@ class InstanceFile:
 
     def seed(self, section: str, seed: int | None) -> int:
         """The report's seed: ``--seed``, else the section's ``seed`` key (the solvers ignore it), else 0."""
-        return int(self.raw.get(section, {}).get("seed", 0)) if seed is None else seed
+        if seed is None:
+            seed = _number(self.raw.get(section, {}).get("seed", 0), int, f"{section}.seed")
+        return seed
 
     def _config(self, cls, section: str, **override):
-        """``cls`` from the keys of ``section`` that name its fields, each cast
-        to the type of the field's default; other keys are ignored."""
+        """``cls`` from the keys of ``section`` that name its fields, each read
+        as the type of the field's default; other keys are ignored."""
         doc = {**self.raw.get(section, {}), **override}
-        return cls(**{f.name: type(f.default)(doc[f.name]) for f in dataclasses.fields(cls) if f.name in doc})
+        return cls(**{f.name: _number(doc[f.name], type(f.default), f"{section}.{f.name}")
+                      for f in dataclasses.fields(cls) if f.name in doc})
 
     def primal_config(self) -> PrimalConfig:
         return self._config(PrimalConfig, "primal_config")
@@ -308,14 +319,6 @@ def _emit(report: dict, out: str | None, csv_rows: list[dict] | None, use_csv: b
 
 
 def _print_table(doc: dict) -> None:
-    def short(v):
-        if isinstance(v, str):
-            try:
-                return f"{float(v):.12g}"
-            except ValueError:
-                return v
-        return v
-
     results = doc.get("results", {})
     sys.stdout.write(f"command: {doc.get('command')}\n")
     for key in sorted(results):
@@ -323,7 +326,7 @@ def _print_table(doc: dict) -> None:
         if isinstance(value, (dict, list)):
             sys.stdout.write(f"  {key}: {json.dumps(_shorten(value))}\n")
         else:
-            sys.stdout.write(f"  {key}: {short(value)}\n")
+            sys.stdout.write(f"  {key}: {_shorten(value)}\n")
 
 
 def _shorten(node):
@@ -416,10 +419,7 @@ def _cmd_primal(args) -> int:
     P, Q = inst.pair()
     spec = inst.discriminator()
     cfg = inst.primal_config()
-    if isinstance(spec, QuadraticCoefficientPenalty):
-        rep = regularized_div_primal(g, P, Q, spec, cfg)
-    else:
-        rep = restricted_div_primal(g, P, Q, spec, cfg)
+    rep = _primal_solve(g, P, Q, spec, cfg)
     _emit(
         {
             "command": "primal",
@@ -472,8 +472,8 @@ def _cmd_gap(args) -> int:
         "weak_duality_worst": gr.weak_duality_worst
         if math.isfinite(gr.weak_duality_worst)
         else None,
-        "primal": None if gr.primal is None else _solve_report_payload(gr.primal),
-        "dual": None if gr.dual is None else _solve_report_payload(gr.dual),
+        "primal": _solve_report_payload(gr.primal),
+        "dual": _solve_report_payload(gr.dual),
     }
     _emit(
         {
@@ -493,8 +493,6 @@ def _cmd_gap(args) -> int:
         ],
         args.csv,
     )
-    if gr.status == "not_applicable":
-        return 0
     # The gap certifies both values; a primal solve that stopped on its float
     # resolution floor with a certified gap is not a failure.
     return 0 if gr.rel_gap <= dcfg.tol else 2
@@ -514,7 +512,7 @@ def _cmd_fit(args) -> int:
     gen = builtin(str(inst.raw["generator"])) if inst.raw.get("generator") else None
     if estimator == "mle":
         ctx = CrossContext(generator=gen, phi=phi, radius=radius)
-        rep = fit_mle(fam, data, cfg, cross_context=ctx)
+        rep = fit_mle(fam, data, cross_context=ctx)
     elif estimator == "gmm":
         if phi is None:
             raise ValidationError("gmm estimator needs a linear_ball discriminator for features")

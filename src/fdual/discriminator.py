@@ -5,11 +5,12 @@ and affine functions ``a . phi(x) + b`` whose coefficient vector is
 confined to a p-norm ball of radius R (R = inf meaning unconstrained
 coefficients). The intercept is always part of the class; closure
 under adding constants is what makes the intercept-reduction and the
-whole duality machinery sound, so intercept-free classes exist only as
-an explicit test hook and are rejected by the gap computations.
+whole duality machinery sound.
 
-``lambda_star_gap`` evaluates the conjugate of the indicator (or soft)
-regularizer at the signed measure P - P'. For a p-ball this is
+A class acts as its own regularizer: the indicator that is zero on the
+class and infinite outside it. The one soft regularizer is
+:class:`QuadraticCoefficientPenalty`. ``lambda_star_gap`` evaluates the
+conjugate of either kind at the signed measure P - P'. For a p-ball this is
 ``R * || E_P[phi] - E_P'[phi] ||_q`` with 1/p + 1/q = 1, the
 norm-duality maximum of ``a . (E_P[phi] - E_P'[phi])`` over the ball.
 ``gap_conjugate`` is that formula at a given moment gap, which the
@@ -31,9 +32,7 @@ __all__ = [
     "FullSpace",
     "LinearBall",
     "DiscriminatorSpec",
-    "IndicatorOf",
     "QuadraticCoefficientPenalty",
-    "RegularizerSpec",
     "DIST_EQ_TOL",
     "MEAN_EQ_TOL",
     "dual_exponent",
@@ -60,16 +59,12 @@ class FullSpace:
 class LinearBall:
     """Affine discriminators with p-ball-constrained coefficients.
 
-    ``radius`` may be infinite (unconstrained coefficients). The
-    ``intercept`` flag exists only so tests can construct the broken
-    intercept-free variant; every supported computation requires it to
-    be True.
+    ``radius`` may be infinite (unconstrained coefficients).
     """
 
     phi: FeatureMap
     p: float
     radius: ExtReal
-    intercept: bool = True
 
     def __post_init__(self):
         r = self.radius
@@ -96,13 +91,6 @@ DiscriminatorSpec = FullSpace | LinearBall
 
 
 @dataclass(frozen=True)
-class IndicatorOf:
-    """Hard regularizer: zero on the class, infinite outside."""
-
-    spec: DiscriminatorSpec
-
-
-@dataclass(frozen=True)
 class QuadraticCoefficientPenalty:
     """Soft regularizer ``weight * ||a||_2^2`` on the feature coefficients.
 
@@ -126,9 +114,6 @@ class QuadraticCoefficientPenalty:
     @property
     def space(self) -> OutcomeSpace:
         return self.phi.space
-
-
-RegularizerSpec = IndicatorOf | QuadraticCoefficientPenalty
 
 
 def dual_exponent(p: float) -> float:
@@ -167,41 +152,30 @@ def holder_extremal(d: np.ndarray, p: float, radius: float) -> np.ndarray:
     return radius * w / pnorm(w, p)
 
 
-def _regularizer_space(reg: RegularizerSpec) -> OutcomeSpace:
-    if isinstance(reg, IndicatorOf):
-        return reg.spec.space
-    return reg.space
-
-
-def gap_conjugate(reg: RegularizerSpec, d: np.ndarray) -> float:
+def gap_conjugate(spec: DiscriminatorSpec | QuadraticCoefficientPenalty, d: np.ndarray) -> float:
     """The regularizer's conjugate at a moment gap ``d`` = E_P[phi] - E_P'[phi]:
     ``||d||^2 / (4 weight)`` for a quadratic penalty, ``R ||d||_q`` for a
     finite p-ball of radius R, with 1/p + 1/q = 1."""
-    if isinstance(reg, QuadraticCoefficientPenalty):
-        return float(d @ d) / (4.0 * reg.weight)
-    return reg.spec.radius.value * pnorm(d, dual_exponent(reg.spec.p))
+    if isinstance(spec, QuadraticCoefficientPenalty):
+        return float(d @ d) / (4.0 * spec.weight)
+    return spec.radius.value * pnorm(d, dual_exponent(spec.p))
 
 
-def lambda_star_gap(reg: RegularizerSpec, P: Dist, Pp: Dist) -> ExtReal:
+def lambda_star_gap(spec: DiscriminatorSpec | QuadraticCoefficientPenalty, P: Dist, Pp: Dist) -> ExtReal:
     """Conjugate of the regularizer evaluated at P - P'.
 
-    Equals ``sup_h E_P[h] - E_P'[h] - lambda(h)``; for indicator
-    regularizers that is the supremum of the mean gap over the class.
+    Equals ``sup_h E_P[h] - E_P'[h] - lambda(h)``; for a class, its own
+    indicator, that is the supremum of the mean gap over the class.
     """
-    space = _regularizer_space(reg)
-    if P.space != space or Pp.space != space:
+    if P.space != spec.space or Pp.space != spec.space:
         raise SpaceMismatch("distributions and regularizer live on different spaces")
-    if isinstance(reg, QuadraticCoefficientPenalty):
-        gap = feature_means(P, reg.phi) - feature_means(Pp, reg.phi)
-        return finite(gap_conjugate(reg, gap))
-    spec = reg.spec
     if isinstance(spec, FullSpace):
         if float(np.max(np.abs(P.p - Pp.p))) <= DIST_EQ_TOL:
             return finite(0.0)
         return POS_INF
     gap = feature_means(P, spec.phi) - feature_means(Pp, spec.phi)
-    if spec.radius.is_finite:
-        return finite(gap_conjugate(reg, gap))
+    if isinstance(spec, QuadraticCoefficientPenalty) or spec.radius.is_finite:
+        return finite(gap_conjugate(spec, gap))
     if float(np.max(np.abs(gap))) <= MEAN_EQ_TOL:
         return finite(0.0)
     return POS_INF
@@ -217,11 +191,7 @@ def membership(spec: DiscriminatorSpec, h: FunctionOnSpace, tol: float = 1e-9) -
     _require_same_space(spec if isinstance(spec, FullSpace) else spec.phi, h)
     if isinstance(spec, FullSpace):
         return True
-    n = spec.space.n
-    cols = [spec.phi.values.T]
-    if spec.intercept:
-        cols.append(np.ones((n, 1)))
-    design = np.hstack(cols)
+    design = np.hstack([spec.phi.values.T, np.ones((spec.space.n, 1))])
     coef, *_ = np.linalg.lstsq(design, h.values, rcond=None)
     residual = float(np.linalg.norm(design @ coef - h.values))
     if residual > tol:

@@ -82,18 +82,16 @@ def df_closed(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
     return DivergenceValue(total)
 
 
-def df_variational_full(
-    g: FGenerator, P: Dist, Q: Dist, t_cap: float = T_CAP, tol: float = 1e-12
-) -> DivergenceValue:
+def df_variational_full(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
     """Divergence as a supremum over all functions on the space.
 
     Each outcome contributes ``sup_t (p_i t - q_i f*(t))``, maximized
-    per coordinate over [-t_cap, t_cap] by :func:`fgen.conjugate_sup`,
+    per coordinate over [-T_CAP, T_CAP] by :func:`fgen.conjugate_sup`,
     a box widened to reach the maximizer f'(p_i / q_i) where p_i, q_i > 0:
-    ``tol`` bounds the last Newton step in t (where f* has kinks the
+    1e-12 bounds the last Newton step in t (where f* has kinks the
     seed itself is the maximizer), and the value is evaluated exactly at
     the t returned. Coordinates where the supremum is approached at
-    infinity report a truncated maximizer (+-t_cap, ``capped`` set);
+    infinity report a truncated maximizer (+-T_CAP, ``capped`` set);
     coordinates where it diverges make the value +infinity. Agrees with
     :func:`df_closed` whenever both are finite.
     """
@@ -107,21 +105,21 @@ def df_variational_full(
     esc = (q == 0.0) & (p > 0.0)
     if np.any(esc):
         # Nothing penalizes these coordinates, so p_i * t grows freely.
-        h[esc] = t_cap
+        h[esc] = T_CAP
         capped = True
         total = POS_INF
 
     zero_p = (q > 0.0) & (p == 0.0)
     if np.any(zero_p):
         # sup_t (-q_i f*(t)) = q_i f(0), approached as t -> -inf.
-        h[zero_p] = -t_cap
+        h[zero_p] = -T_CAP
         capped = True
         for qi in q[zero_p]:
             total = total + scale_mass(float(qi), g.f_at_zero)
 
     inner = (q > 0.0) & (p > 0.0)
     if np.any(inner):
-        t_best, v_best = conjugate_sup(g, p[inner], q[inner], t_cap, tol)
+        t_best, v_best = conjugate_sup(g, p[inner], q[inner], T_CAP, 1e-12)
         h[inner] = t_best
         total = total + finite(float(np.sum(v_best)))
 

@@ -30,10 +30,8 @@ import numpy as np
 from .discriminator import (
     DiscriminatorSpec,
     FullSpace,
-    IndicatorOf,
     LinearBall,
     QuadraticCoefficientPenalty,
-    RegularizerSpec,
     gap_conjugate,
 )
 from .divergence import df_closed
@@ -77,10 +75,11 @@ class DualConfig:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Primal and dual values of the same instance, with their gap."""
+    """Primal and dual values of the same instance, with their gap.
+    ``status`` always reads ``ok``; it stays for callers that read it."""
 
-    primal: SolveReport | None
-    dual: SolveReport | None
+    primal: SolveReport
+    dual: SolveReport
     primal_value: ExtReal
     dual_value: ExtReal
     abs_gap: float
@@ -98,17 +97,12 @@ class _DualObjective:
     otherwise.
     """
 
-    def __init__(self, g: FGenerator, P: Dist, Q: Dist, reg: RegularizerSpec):
+    def __init__(self, g: FGenerator, P: Dist, Q: Dist, spec: LinearBall | QuadraticCoefficientPenalty):
         self.g = g
         self.space = P.space
-        self.reg = reg
-        if isinstance(reg, QuadraticCoefficientPenalty):
-            phi = reg.phi
-        else:
-            assert isinstance(reg.spec, LinearBall)
-            phi = reg.spec.phi
-        self.mask, self.qs, self.phi_s = _restrict_to_support(Q, phi)
-        self.target = feature_means(P, phi)
+        self.spec = spec
+        self.mask, self.qs, self.phi_s = _restrict_to_support(Q, spec.phi)
+        self.target = feature_means(P, spec.phi)
 
     def moment_gap(self, ps: np.ndarray) -> np.ndarray:
         return self.target - self.phi_s @ ps
@@ -120,11 +114,11 @@ class _DualObjective:
         return float(self.qs @ vals)
 
     def value(self, ps: np.ndarray) -> float:
-        return self._div_term(ps) + gap_conjugate(self.reg, self.moment_gap(ps))
+        return self._div_term(ps) + gap_conjugate(self.spec, self.moment_gap(ps))
 
 
 def _primal_solve(g, P, Q, spec, cfg: PrimalConfig | None) -> SolveReport:
-    """The supremum side of a linear ball or a quadratic penalty."""
+    """The supremum side of a class or a quadratic penalty."""
     if isinstance(spec, QuadraticCoefficientPenalty):
         return regularized_div_primal(g, P, Q, spec, cfg)
     return restricted_div_primal(g, P, Q, spec, cfg)
@@ -134,7 +128,7 @@ def restricted_div_dual(
     g: FGenerator,
     P: Dist,
     Q: Dist,
-    spec: DiscriminatorSpec | RegularizerSpec,
+    spec: DiscriminatorSpec | QuadraticCoefficientPenalty,
     cfg: DualConfig | None = None,
     primal: SolveReport | None = None,
 ) -> SolveReport:
@@ -156,9 +150,7 @@ def restricted_div_dual(
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
-    reg = IndicatorOf(spec) if isinstance(spec, (FullSpace, LinearBall)) else spec
-
-    if isinstance(reg, IndicatorOf) and isinstance(reg.spec, FullSpace):
+    if isinstance(spec, FullSpace):
         # The gap term pins P' = P, recovering the unrestricted divergence.
         if absolutely_continuous(P, Q):
             dv = df_closed(g, P, Q)
@@ -171,15 +163,12 @@ def restricted_div_dual(
         return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False,
                            route="closed_form")
 
-    if isinstance(reg, IndicatorOf) and isinstance(reg.spec, LinearBall):
-        if not reg.spec.intercept:
-            raise ValidationError("intercept-free linear classes are not dual-representable")
-        if not reg.spec.radius.is_finite:
-            return moment_projection(g, P, Q, reg.spec.phi)
+    if isinstance(spec, LinearBall) and not spec.radius.is_finite:
+        return moment_projection(g, P, Q, spec.phi)
 
     if primal is None:
-        primal = _primal_solve(g, P, Q, reg.spec if isinstance(reg, IndicatorOf) else reg, None)
-    obj = _DualObjective(g, P, Q, reg)
+        primal = _primal_solve(g, P, Q, spec, None)
+    obj = _DualObjective(g, P, Q, spec)
     mask = obj.mask
     candidates = [("p", P)] if absolutely_continuous(P, Q) else []
     if primal.pprime is not None:
@@ -252,7 +241,7 @@ def duality_gap(
     g: FGenerator,
     P: Dist,
     Q: Dist,
-    spec: DiscriminatorSpec | RegularizerSpec,
+    spec: DiscriminatorSpec | QuadraticCoefficientPenalty,
     primal_cfg: PrimalConfig | None = None,
     dual_cfg: DualConfig | None = None,
 ) -> GapReport:
@@ -264,14 +253,7 @@ def duality_gap(
     below every logged dual value; the worst pairwise violation is
     reported alongside the final gap.
     """
-    p_spec = spec.spec if isinstance(spec, IndicatorOf) else spec
-    if isinstance(p_spec, LinearBall) and not p_spec.intercept:
-        return GapReport(
-            primal=None, dual=None, primal_value=finite(0.0), dual_value=finite(0.0),
-            abs_gap=math.nan, rel_gap=math.nan, weak_duality_worst=math.nan,
-            status="not_applicable",
-        )
-    p_rep = _primal_solve(g, P, Q, p_spec, primal_cfg)
+    p_rep = _primal_solve(g, P, Q, spec, primal_cfg)
     d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal=p_rep)
 
     pv, dv = p_rep.value, d_rep.value
@@ -295,5 +277,4 @@ def duality_gap(
         abs_gap=abs_gap,
         rel_gap=rel_gap,
         weak_duality_worst=worst,
-        status="ok",
     )

@@ -65,6 +65,7 @@ __all__ = [
     "ExpFamily",
     "GeneratorFamily",
     "FitConfig",
+    "INNER_TOL",
     "CrossContext",
     "FitReport",
     "family_dim",
@@ -119,26 +120,27 @@ def family_member(fam: GeneratorFamily, theta: np.ndarray) -> Dist:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Outer-loop controls shared by the three estimators."""
+    """Outer-loop controls of the moment-matching and f-GAN fits."""
 
     max_iters: int = 150
     tol: float = 1e-8
     seed: int = 0
     starts: int = 5
-    # Residual tolerance of the f-GAN fit's exact inner solves and of the
-    # cross-table's. The joint trial points of a smooth generator's fit take
-    # one inner Newton step each, with no tolerance; every reported value
-    # comes from an exact solve.
-    inner_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iters < 1 or self.starts < 1:
             raise ValidationError("max_iters and starts must be at least 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        for name in ("tol", "inner_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
+        if not self.tol > 0.0:
+            raise ValidationError("tol must be positive")
+
+
+# Residual tolerance of the f-GAN fit's exact inner solves and of the
+# cross-table's. The joint trial points of a smooth generator's fit take
+# one inner Newton step each, with no tolerance; every reported value
+# comes from an exact solve.
+INNER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class FitReport:
     pprime: Dist | None = None
 
 
-def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext, inner_tol: float) -> dict:
+def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext) -> dict:
     out = {"mle": float(kl_bar(Pdata, q_star).value)}
     if ctx.phi is not None:
         gap = feature_means(Pdata, ctx.phi) - feature_means(q_star, ctx.phi)
@@ -170,7 +172,7 @@ def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext, inner_tol: float)
         if ctx.generator is not None and ctx.radius is not None:
             rep = restricted_div_primal(
                 ctx.generator, Pdata, q_star, LinearBall(ctx.phi, 2, ctx.radius),
-                PrimalConfig(tol=inner_tol),
+                PrimalConfig(tol=INNER_TOL),
             )
             out["fgan"] = float(rep.value)
     return out
@@ -179,7 +181,6 @@ def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext, inner_tol: float)
 def fit_mle(
     fam: GeneratorFamily,
     Pdata: Dist,
-    cfg: FitConfig | None = None,
     cross_context: CrossContext | None = None,
 ) -> FitReport:
     """Maximum likelihood: minimize KL(data || member).
@@ -188,7 +189,6 @@ def fit_mle(
     exponential family the optimum matches the data's psi-means: it is
     the KL moment projection of the base onto those means.
     """
-    cfg = cfg or FitConfig()
     ctx = cross_context or CrossContext()
     _require_same_space(fam.base if isinstance(fam, ExpFamily) else fam, Pdata)
     if isinstance(fam, FullSimplex):
@@ -197,7 +197,7 @@ def fit_mle(
             q_star=Pdata,
             theta=None,
             objective=0.0,
-            cross=_cross_table(Pdata, Pdata, ctx, cfg.inner_tol),
+            cross=_cross_table(Pdata, Pdata, ctx),
             trajectory={"starts": 1, "iterations": 0, "converged": True},
         )
     if not absolutely_continuous(Pdata, fam.base):
@@ -215,7 +215,7 @@ def fit_mle(
         q_star=q_star,
         theta=mp.coefficients if mp.attained else None,
         objective=objective,
-        cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
+        cross=_cross_table(Pdata, q_star, ctx),
         trajectory={"starts": 1, "converged": converged},
         notes=notes,
     )
@@ -580,7 +580,7 @@ def fit_gmm(
             q_star=q_star,
             theta=mp.coefficients if mp.attained else None,
             objective=objective,
-            cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
+            cross=_cross_table(Pdata, q_star, ctx),
             trajectory={"starts": 1, "converged": mp.status == "converged"},
             notes=notes,
         )
@@ -600,7 +600,7 @@ def fit_gmm(
         q_star=q_star,
         theta=theta if off is None else None,
         objective=objective,
-        cross=_cross_table(Pdata, q_star, ctx, cfg.inner_tol),
+        cross=_cross_table(Pdata, q_star, ctx),
         trajectory={"starts": cfg.starts, "iterations": iters, "per_start": per_start},
         notes=notes,
     )
@@ -684,7 +684,7 @@ def fit_linear_fgan(
     theta and the discriminator z = (a, b). Its evaluation hook starts from
     the base member's z moved to first order with theta, else from where
     the member's last joint step left z. An exact inner solve (residual at
-    most ``cfg.inner_tol``) gives the value, Danskin's gradient and the
+    most ``INNER_TOL``) gives the value, Danskin's gradient and the
     envelope Hessian (:func:`_envelope`); at a line search's trial point,
     one inner Newton step from the moved z (:func:`~fdual.primal.newton_step`)
     gives them instead, with value and corrected gradient exact to second
@@ -712,7 +712,7 @@ def fit_linear_fgan(
     r = float(radius)
     feats = np.vstack([phi.values, np.ones(phi.space.n)])
     target = np.append(feature_means(Pdata, phi), 1.0)
-    inner_cfg = PrimalConfig(tol=cfg.inner_tol)
+    inner_cfg = PrimalConfig(tol=INNER_TOL)
     solved = {}  # member bytes -> (inner report, (value, gradient, Hessian, True))
     joint = {}  # member bytes -> (inner iterate, its move with theta) of the last evaluation there
     counts = {"inner_solves": 0, "inner_steps": 0}
@@ -763,7 +763,7 @@ def fit_linear_fgan(
         q_star=q_star,
         theta=theta if off is None else None,
         objective=float(rep.value),
-        cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi), cfg.inner_tol),
+        cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi)),
                "fgan": float(rep.value)},
         trajectory={
             "starts": cfg.starts,

@@ -51,7 +51,6 @@ from .optim1d import newton_root_nonincreasing
 
 __all__ = [
     "FGenerator",
-    "GridSpec",
     "CheckEntry",
     "CheckReport",
     "builtin",
@@ -62,9 +61,13 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-# Box and tolerance of the numeric suprema in :func:`check_generator`.
+# Box and tolerance of the numeric suprema in :func:`check_generator`, and its grids.
 _SUP_CAP = 1e3
 _SUP_TOL = 1e-10
+_GRID_X_MAX = 10.0
+_GRID_T_LO = -10.0
+_GRID_T_HI = 3.0
+_GRID_POINTS = 201
 
 VecEval = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -382,32 +385,6 @@ def builtin(name: str) -> FGenerator:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid for :func:`check_generator`.
-
-    The x grid needs a positive end and an interior point, the t grid
-    two points on a nonempty interval; a grid without them would pass
-    every check vacuously or compare points out of order.
-    """
-
-    x_max: float = 10.0
-    x_points: int = 201
-    t_lo: float = -10.0
-    t_hi: float = 3.0
-    t_points: int = 201
-
-    def __post_init__(self):
-        if not self.x_max > 0.0:
-            raise ValidationError(f"GridSpec.x_max must be positive, got {self.x_max}")
-        if self.x_points < 3:
-            raise ValidationError(f"GridSpec.x_points must be at least 3, got {self.x_points}")
-        if self.t_points < 2:
-            raise ValidationError(f"GridSpec.t_points must be at least 2, got {self.t_points}")
-        if not self.t_lo < self.t_hi:
-            raise ValidationError(f"GridSpec needs t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
-
-
-@dataclass(frozen=True)
 class CheckEntry:
     name: str
     passed: bool
@@ -463,7 +440,7 @@ def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: 
     return t, np.where(fin, p * t - q * vals, -np.inf)
 
 
-def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
+def check_generator(g: FGenerator) -> CheckReport:
     """Run the structural property battery for a generator.
 
     Checks, each reported as a pass/fail entry with its worst violation:
@@ -475,15 +452,15 @@ def check_generator(g: FGenerator, grid: GridSpec | None = None) -> CheckReport:
     slope of ``f`` at infinity against the declared limit. The supremum
     and the biconjugate are 1-D concave maximizations on [-1e3, 1e3]
     solved by :func:`conjugate_sup`, so they lean on ``f*'`` and
-    ``f*''``. Raises :class:`ValidationError` when the t grid ends at or
-    below ``grid.t_lo`` once clipped to the domain of ``f*``.
+    ``f*''``. Its grids have 201 points, x on [0, 10] and t on [-10, 3]
+    cut to the domain of ``f*``; a t grid left empty there (no catalog
+    generator's) raises :class:`ValidationError`.
     """
-    grid = grid or GridSpec()
-    xs = np.linspace(0.0, grid.x_max, grid.x_points)
-    t_hi = g.fstar_box_upper(grid.t_hi)
-    if not t_hi > grid.t_lo:
-        raise ValidationError(f"t grid [{grid.t_lo}, {t_hi}] is empty in the domain of f* of {g.name}")
-    ts = np.linspace(grid.t_lo, t_hi, grid.t_points)
+    xs = np.linspace(0.0, _GRID_X_MAX, _GRID_POINTS)
+    t_hi = g.fstar_box_upper(_GRID_T_HI)
+    if not t_hi > _GRID_T_LO:
+        raise ValidationError(f"t grid [{_GRID_T_LO}, {t_hi}] is empty in the domain of f* of {g.name}")
+    ts = np.linspace(_GRID_T_LO, t_hi, _GRID_POINTS)
 
     entries: list[CheckEntry] = []
 

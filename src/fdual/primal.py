@@ -767,11 +767,6 @@ def restricted_div_primal(
             value_log=(float(dv.value),) if dv.value.is_finite else (),
             route="closed_form",
         )
-    if not spec.intercept:
-        raise ValidationError(
-            "intercept-free linear classes break the intercept reduction; "
-            "they exist only as a test hook"
-        )
     _require_same_space(P, spec.phi)
     return _report(_solve(g, P, Q, spec.phi, None, spec.p, float(spec.radius), cfg, start), spec.phi)
 

@@ -24,7 +24,6 @@ from .extreal import POS_INF, finite
 from .fgen import builtin, builtin_names, check_generator
 from .primal import restricted_div_primal
 from .space import (
-    Dist,
     FeatureMap,
     FunctionOnSpace,
     OutcomeSpace,

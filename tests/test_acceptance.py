@@ -172,7 +172,7 @@ def test_criterion_9_estimator_cross_check():
     cfg = FitConfig(seed=SEED)
 
     rep_f = fit_linear_fgan(fam, data, builtin("kl"), phi, radius, cfg)
-    rep_m = fit_mle(fam, data, cfg)
+    rep_m = fit_mle(fam, data)
     rep_g = fit_gmm(fam, data, phi, cfg)
 
     # Dual-form recomputation of the fitted adversarial objective.

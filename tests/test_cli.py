@@ -275,18 +275,19 @@ def test_parser_built_once_per_process(instance_path, tmp_path, capsys):
 
 
 def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
-    # fd_step set the central-difference step the descent no longer takes;
-    # an instance that still carries it fits exactly as one without it.
+    # fd_step set the central-difference step the descent no longer takes,
+    # and inner_tol the inner solves' tolerance, now a constant; an instance
+    # that still carries either fits exactly as one without it.
     reports = []
-    for extra in ({}, {"fd_step": 1e-5}):
+    for extra in ({}, {"fd_step": 1e-5}, {"inner_tol": 1e-6}):
         instance_doc["fit_config"] = {"starts": 2, **extra}
         path = tmp_path / f"fit{len(reports)}.json"
         path.write_text(json.dumps(instance_doc))
         out = str(tmp_path / f"report{len(reports)}.json")
         assert main(["fit", "--instance", str(path), "--estimator", "fgan", "--out", out]) == 0
         reports.append(open(out, "rb").read())
-    assert reports[0] == reports[1]
-    assert "fd_step" not in _load(out)["config"]["fit_config"]
+    assert reports[0] == reports[1] == reports[2]
+    assert not {"fd_step", "inner_tol"} & set(_load(out)["config"]["fit_config"])
 
 
 def test_solver_configs_ignore_removed_keys(tmp_path, instance_doc):
@@ -350,7 +351,7 @@ def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
     assert results["trajectory"]["inner_steps"] >= results["trajectory"]["inner_solves"]
 
 
-@pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}, {"inner_tol": "nan"}])
+@pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}])
 def test_fit_config_with_bad_tolerance_exits_1(tmp_path, instance_doc, capsys, extra):
     instance_doc["fit_config"] = extra
     path = tmp_path / "fit.json"
@@ -368,3 +369,63 @@ def test_fit_with_negative_seed_exits_1(instance_path, tmp_path, capsys):
     assert main(["fit", "--instance", instance_path, "--estimator", "gmm", "--seed", "-1", "--out", out]) == 1
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, section, keys",
+    [
+        ("fit", "fit_config", {"max_iters": 2.5}),
+        ("fit", "fit_config", {"seed": 1.5}),
+        ("primal", "primal_config", {"tol": "abc"}),
+        ("primal", "primal_config", {"seed": 1.5}),
+        ("primal", "discriminator", {"radius": "abc"}),
+        ("primal", "discriminator", {"p": "two"}),
+    ],
+    ids=["fit_config.max_iters", "fit_config.seed", "primal_config.tol", "primal_config.seed",
+         "discriminator.radius", "discriminator.p"],
+)
+def test_instance_number_that_does_not_fit_its_field_exits_1(tmp_path, instance_doc, capsys, command, section, keys):
+    # Each key was cast with int() or float(), whose ValueError made an
+    # internal error (exit 3).
+    instance_doc[section] = {**instance_doc.get(section, {}), **keys}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    argv = [command, "--instance", str(path), "--out", out] + (["--estimator", "gmm"] if command == "fit" else [])
+    assert main(argv) == 1
+    assert f"'{section}.{next(iter(keys))}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_integral_config_value_reads_as_an_integer(tmp_path, instance_doc, capsys):
+    # int("1e3") raised ValueError, an internal error (exit 3).
+    instance_doc["fit_config"] = {"max_iters": "1e3", "starts": 2}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    assert main(["fit", "--instance", str(path), "--estimator", "gmm", "--out", out]) == 0
+    assert _load(out)["config"]["fit_config"]["max_iters"] == 1000
+
+
+GAP_TABLE = """\
+command: gap
+  abs_gap: 5.55111512313e-17
+  dual: {"value": "0.143841036226", "coefficients": ["1.09861228867"], "intercept": null, "pprime": ["0.5", "0.5"], \
+"iterations": 5, "residual": "0", "status": "converged", "route": "newton", "attained": true, "capped": false, \
+"gap_estimate": null, "fd_gradient_worst": "0", "value_log": ["0.143841036226"], "notes": []}
+  dual_value: 0.143841036226
+  primal: {"value": "0.143841036226", "coefficients": ["1.09861229035"], "intercept": "0.594534891051", \
+"pprime": ["0.499999999579", "0.500000000421"], "iterations": 4, "residual": "4.20622203734e-10", \
+"status": "converged", "route": "newton", "attained": true, "capped": false, "gap_estimate": null, \
+"fd_gradient_worst": "0", "value_log": ["0", "0.143841036226"], "notes": []}
+  primal_value: 0.143841036226
+  rel_gap: 5.55111512313e-17
+  status: ok
+  weak_duality_worst: 5.55111512313e-17
+"""
+
+
+def test_gap_table_on_stdout(instance_path, capsys):
+    # Scalars and nested values alike print at 12 significant digits.
+    assert main(["gap", "--instance", instance_path]) == 0
+    assert capsys.readouterr().out == GAP_TABLE

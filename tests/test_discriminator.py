@@ -5,7 +5,6 @@ import pytest
 
 from fdual.discriminator import (
     FullSpace,
-    IndicatorOf,
     LinearBall,
     QuadraticCoefficientPenalty,
     dual_exponent,
@@ -32,9 +31,9 @@ def setup2():
 def test_gap_zero_when_equal(setup2):
     space, phi, P, _ = setup2
     for reg in (
-        IndicatorOf(FullSpace(space)),
-        IndicatorOf(LinearBall(phi, 2, finite(2.0))),
-        IndicatorOf(LinearBall(phi, 2, POS_INF)),
+        FullSpace(space),
+        LinearBall(phi, 2, finite(2.0)),
+        LinearBall(phi, 2, POS_INF),
         QuadraticCoefficientPenalty(phi, 1.0),
     ):
         assert float(lambda_star_gap(reg, P, P)) == 0.0
@@ -43,18 +42,18 @@ def test_gap_zero_when_equal(setup2):
 def test_gap_l2_ball_example(setup2):
     space, phi, P, Pp = setup2
     # Means are 0.5 and 0.25; radius 2 scales the absolute difference.
-    gap = lambda_star_gap(IndicatorOf(LinearBall(phi, 2, finite(2.0))), P, Pp)
+    gap = lambda_star_gap(LinearBall(phi, 2, finite(2.0)), P, Pp)
     assert float(gap) == pytest.approx(2.0 * abs(0.5 - 0.25), abs=1e-12)
 
 
 def test_gap_full_space_infinite(setup2):
     space, _, P, Pp = setup2
-    assert lambda_star_gap(IndicatorOf(FullSpace(space)), P, Pp).is_pos_inf
+    assert lambda_star_gap(FullSpace(space), P, Pp).is_pos_inf
 
 
 def test_gap_unbounded_cone_infinite(setup2):
     _, phi, P, Pp = setup2
-    assert lambda_star_gap(IndicatorOf(LinearBall(phi, 2, POS_INF)), P, Pp).is_pos_inf
+    assert lambda_star_gap(LinearBall(phi, 2, POS_INF), P, Pp).is_pos_inf
 
 
 def test_gap_quadratic(setup2):
@@ -68,7 +67,7 @@ def test_gap_space_mismatch(setup2):
     _, phi, P, _ = setup2
     other = make_dist(OutcomeSpace.of_size(3), [1, 1, 1])
     with pytest.raises(SpaceMismatch):
-        lambda_star_gap(IndicatorOf(LinearBall(phi, 2, finite(1.0))), P, other)
+        lambda_star_gap(LinearBall(phi, 2, finite(1.0)), P, other)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -79,7 +78,7 @@ def test_holder_duality(p):
         Pq, Pr, phi = random_instance(300 + trial, 6, 3)
         d = phi.values @ (Pq.p - Pr.p)
         radius = 1.7
-        gap = float(lambda_star_gap(IndicatorOf(LinearBall(phi, p, finite(radius))), Pq, Pr))
+        gap = float(lambda_star_gap(LinearBall(phi, p, finite(radius)), Pq, Pr))
         a_star = holder_extremal(d, p, radius)
         assert pnorm(a_star, p) <= radius * (1 + 1e-12)
         assert abs(float(a_star @ d) - gap) <= 1e-8
@@ -94,9 +93,9 @@ def test_holder_duality(p):
 
 def test_gap_linear_in_radius(setup2):
     _, phi, P, Pp = setup2
-    base = float(lambda_star_gap(IndicatorOf(LinearBall(phi, 2, finite(1.0))), P, Pp))
+    base = float(lambda_star_gap(LinearBall(phi, 2, finite(1.0)), P, Pp))
     for radius in (0.1, 0.5, 2.0, 10.0):
-        gap = float(lambda_star_gap(IndicatorOf(LinearBall(phi, 2, finite(radius))), P, Pp))
+        gap = float(lambda_star_gap(LinearBall(phi, 2, finite(radius)), P, Pp))
         assert gap == pytest.approx(radius * base, rel=1e-15)
 
 

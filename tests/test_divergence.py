@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdual.divergence import (
+    T_CAP,
     df_closed,
     df_variational_full,
     kl_bar,
@@ -245,8 +246,8 @@ def test_variational_penalizes_zero_p_coordinate(space2):
 
 
 def test_variational_capped_coordinates_keep_their_values():
-    # Coordinates with p_i = 0 sit at -t_cap and add q_i f(0); coordinates
-    # with q_i = 0 < p_i sit at +t_cap and make the value +inf. Only the
+    # Coordinates with p_i = 0 sit at -T_CAP and add q_i f(0); coordinates
+    # with q_i = 0 < p_i sit at +T_CAP and make the value +inf. Only the
     # remaining coordinates go through the 1-D solver.
     space = OutcomeSpace.of_size(4)
     P = make_dist(space, [0.0, 0.3, 0.3, 0.4])
@@ -254,11 +255,11 @@ def test_variational_capped_coordinates_keep_their_values():
     Q_in = make_dist(space, [0.2, 0.5, 0.2, 0.1])
     for name in ALL:
         g = builtin(name)
-        var = df_variational_full(g, P, Q, t_cap=500.0)
+        var = df_variational_full(g, P, Q)
         assert var.value.is_pos_inf and var.capped
-        assert var.attained_h.values[0] == -500.0 and var.attained_h.values[3] == 500.0
+        assert var.attained_h.values[0] == -T_CAP and var.attained_h.values[3] == T_CAP
         var = df_variational_full(g, P, Q_in)
-        assert var.capped and var.attained_h.values[0] == -1e3
+        assert var.capped and var.attained_h.values[0] == -T_CAP
         closed = df_closed(g, P, Q_in)
         if g.f_at_zero.is_finite:
             assert abs(float(var.value) - float(closed.value)) <= 1e-12

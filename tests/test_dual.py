@@ -5,7 +5,6 @@ import pytest
 
 from fdual.discriminator import (
     FullSpace,
-    IndicatorOf,
     LinearBall,
     QuadraticCoefficientPenalty,
 )
@@ -241,12 +240,6 @@ def test_duality_gap_quadratic_regularizer(two_point):
     assert float(gr.primal_value) == pytest.approx(float(p_rep.value), abs=1e-10)
 
 
-def test_duality_gap_intercept_free_not_applicable(two_point):
-    _, P, Q, phi = two_point
-    gr = duality_gap(KL, P, Q, LinearBall(phi, 2, finite(1.0), intercept=False))
-    assert gr.status == "not_applicable"
-
-
 def test_dual_value_log_is_nonincreasing_upper_bounds():
     P, Q, phi = random_instance(71, 8, 2)
     rep = restricted_div_dual(builtin("pearson_chi2"), P, Q, LinearBall(phi, 2, finite(1.0)))
@@ -423,6 +416,6 @@ def test_uncertified_tilt_is_reported_not_converged():
     assert (gr.dual.status, gr.dual.route, gr.dual.iterations) == ("not_converged", "primal_tilt", 0)
     assert gr.dual.gap_estimate == dual - float(gr.primal_value)
     assert gr.dual.gap_estimate > DualConfig().tol
-    obj = dual_module._DualObjective(g, P, Q, IndicatorOf(spec))
+    obj = dual_module._DualObjective(g, P, Q, spec)
     assert dual == obj.value(gr.dual.pprime.p[obj.mask])
     assert dual >= float(restricted_div_primal(g, P, Q, spec).value)

@@ -232,7 +232,7 @@ def test_fgan_iteration_cap_noted(three_point):
 
 
 def test_fgan_inner_solve_converges_on_finite_ball(three_point):
-    # The KL 2-ball Newton path reaches FitConfig.inner_tol, which the
+    # The KL 2-ball Newton path reaches estimators.INNER_TOL, which the
     # first-order ascent could not.
     space, base = three_point
     fam = ExpFamily(base, FeatureMap(space, [[0.0, 1.0, 0.0]]))
@@ -638,7 +638,7 @@ def test_fgan_trajectory_counts_inner_work(monkeypatch):
         assert rep.trajectory["inner_solves"] == len(reports)
         assert rep.trajectory["inner_steps"] == sum(r.iterations for r in reports) + joint[0]
         assert joint[0] > 0
-        exact = {float(r.value) for r in reports if r.converged and r.residual <= FitConfig().inner_tol}
+        exact = {float(r.value) for r in reports if r.converged and r.residual <= estimators.INNER_TOL}
         assert rep.objective in exact and set(rep.trajectory["per_start"]) <= exact
         assert rep.trajectory["inner_status"] == "converged"
 
@@ -793,12 +793,11 @@ def test_full_simplex_fit_with_several_parameters_pinned():
                                           0.2643899030303471, 0.306300493214361], rel=1e-10)
 
 
-@pytest.mark.parametrize("field", ["tol", "inner_tol"])
+@pytest.mark.parametrize("field", ["tol"])
 @pytest.mark.parametrize("value", [math.nan, -1.0, 0.0])
 def test_fit_config_rejects_non_positive_tolerances(field, value):
     # A NaN or non-positive tol never passes the gradient test, so starts ran
-    # until they stalled; a bad inner_tol failed only inside the first inner
-    # solve, and GMM and MLE fits, which make none, never raised.
+    # until they stalled.
     with pytest.raises(ValidationError, match=f"^{field} must be positive"):
         FitConfig(**{field: value})
 

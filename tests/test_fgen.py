@@ -8,7 +8,6 @@ from fdual.errors import UnknownGenerator, ValidationError
 from fdual.extreal import NEG_INF, POS_INF, finite, scale_mass
 from fdual.fgen import (
     FGenerator,
-    GridSpec,
     builtin,
     builtin_names,
     check_generator,
@@ -196,34 +195,12 @@ def test_extreal_arithmetic():
     assert NEG_INF < finite(-1e308)
 
 
-def test_grid_spec_override():
-    rep = check_generator(builtin("kl"), GridSpec(x_max=5.0, x_points=101, t_lo=-8.0, t_hi=2.0, t_points=101))
-    assert rep.ok
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"x_max": -1.0},
-        {"x_max": 0.0},
-        {"x_max": math.nan},
-        {"x_points": 2},
-        {"t_points": 1},
-        {"t_lo": 5.0, "t_hi": 3.0},
-        {"t_lo": 3.0, "t_hi": 3.0},
-    ],
-)
-def test_grid_spec_rejects_vacuous_grids(kwargs):
-    # Each of these grids used to pass every entry with worst 0, or to
-    # report a bogus fstar_nondecreasing failure on a reversed t grid.
-    with pytest.raises(ValidationError):
-        GridSpec(**kwargs)
-
-
 def test_check_generator_rejects_t_grid_outside_conjugate_domain():
-    # Reverse KL's conjugate lives on t < 0, so this t grid is empty.
+    # A conjugate whose domain ends at t = -20 leaves the t grid on
+    # [-10, 3] empty.
+    g = dataclasses.replace(builtin("reverse_kl"), fstar_domain_upper=finite(-20.0))
     with pytest.raises(ValidationError):
-        check_generator(builtin("reverse_kl"), GridSpec(t_lo=0.5, t_hi=3.0))
+        check_generator(g)
 
 
 def _full_matrix_midpoint_worst(g, xs):
@@ -247,13 +224,12 @@ def _concave_on_the_right():
     return dataclasses.replace(g, name="not_convex", f_vec=f)
 
 
-@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(x_max=3.7, x_points=58, t_lo=-4.0, t_hi=0.5, t_points=9)])
-def test_convexity_midpoint_matches_full_matrix(grid):
-    xs = np.linspace(0.0, grid.x_max, grid.x_points)
+def test_convexity_midpoint_matches_full_matrix():
+    xs = np.linspace(0.0, 10.0, 201)  # check_generator's x grid
     for g in [builtin(name) for name in ALL] + [_concave_on_the_right()]:
-        rep = check_generator(g, grid)
+        rep = check_generator(g)
         assert rep.entry("convexity_midpoint").worst == _full_matrix_midpoint_worst(g, xs), g.name
-    assert not check_generator(_concave_on_the_right(), grid).entry("convexity_midpoint").passed
+    assert not check_generator(_concave_on_the_right()).entry("convexity_midpoint").passed
 
 
 def _counting_generator(g):

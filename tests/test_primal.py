@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdual.discriminator import FullSpace, IndicatorOf, LinearBall, QuadraticCoefficientPenalty
+from fdual.discriminator import FullSpace, LinearBall, QuadraticCoefficientPenalty
 from fdual.divergence import df_closed, df_variational_full
-from fdual.errors import UnsupportedNorm, ValidationError
+from fdual.errors import UnsupportedNorm
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
 from fdual.dual import _DualObjective, duality_gap
@@ -67,12 +67,6 @@ def test_full_space_delegates(two_point):
     dv = df_variational_full(KL, P, Q)
     assert float(rep.value) == pytest.approx(float(dv.value), abs=1e-12)
     assert rep.h_opt is not None
-
-
-def test_intercept_free_rejected(two_point):
-    _, P, Q, phi = two_point
-    with pytest.raises(ValidationError):
-        restricted_div_primal(KL, P, Q, LinearBall(phi, 2, finite(1.0), intercept=False))
 
 
 def test_unbounded_detection():
@@ -411,7 +405,7 @@ def test_objectives_share_full_support_arrays():
     # which under full support copies nothing.
     P, Q, phi = random_instance(63, 30, 2)
     obj = _ReducedObjective(builtin("squared_hellinger"), P, Q, phi)
-    dual_obj = _DualObjective(KL, P, Q, IndicatorOf(LinearBall(phi, 2, finite(1.0))))
+    dual_obj = _DualObjective(KL, P, Q, LinearBall(phi, 2, finite(1.0)))
     for o in (obj, dual_obj):
         assert o.qs is Q.p and o.phi_s is phi.values
 
