@@ -40,7 +40,7 @@ from .estimators import (
     fit_linear_fgan,
     fit_mle,
 )
-from .extreal import ExtReal, POS_INF, finite
+from .extreal import ExtReal
 from .fgen import builtin, check_generator
 from .primal import PrimalConfig
 from .space import Dist, FeatureMap, OutcomeSpace, make_dist
@@ -113,6 +113,17 @@ def validate_report(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _section(doc: dict, key: str, required: bool = False) -> dict:
+    """The JSON object ``doc[key]`` ({} when an optional key is absent); else a ParseError naming ``key``."""
+    if key not in doc:
+        if required:
+            raise ParseError(f"missing field {key!r}")
+        return {}
+    if not isinstance(doc[key], dict):
+        raise ParseError(f"field {key!r} has wrong type")
+    return doc[key]
+
+
 def _number(value, typ: type, where: str):
     """An instance's number ``value`` read as ``typ``, float or int (an int takes
     any integral number: "1e3" reads 1000); else a ValidationError naming ``where``."""
@@ -135,13 +146,12 @@ class InstanceFile:
 
     def __init__(self, raw: dict):
         self.raw = raw
-        space_doc = self._need(raw, "space", dict)
-        labels = space_doc.get("labels")
+        labels = _section(raw, "space", required=True).get("labels")
         if not isinstance(labels, list) or not labels:
             raise ParseError("field 'space.labels' must be a non-empty list")
         self.space = OutcomeSpace(tuple(str(x) for x in labels))
         self.dists: dict[str, Dist] = {}
-        for name, weights in self._need(raw, "dists", dict).items():
+        for name, weights in _section(raw, "dists", required=True).items():
             try:
                 self.dists[name] = make_dist(self.space, [float(w) for w in weights])
             except (TypeError, ValueError) as exc:
@@ -149,7 +159,7 @@ class InstanceFile:
             except FdualError as exc:
                 raise ValidationError(f"field 'dists.{name}': {exc}") from exc
         self.features: dict[str, FeatureMap] = {}
-        for name, matrix in raw.get("features", {}).items():
+        for name, matrix in _section(raw, "features").items():
             try:
                 rows = [[float(v) for v in row] for row in matrix]
                 self.features[name] = FeatureMap(self.space, rows)
@@ -157,14 +167,6 @@ class InstanceFile:
                 raise ParseError(f"field 'features.{name}': {exc}") from exc
             except FdualError as exc:
                 raise ValidationError(f"field 'features.{name}': {exc}") from exc
-
-    @staticmethod
-    def _need(doc: dict, key: str, typ) -> dict:
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
-        if not isinstance(doc[key], typ):
-            raise ParseError(f"field {key!r} has wrong type")
-        return doc[key]
 
     def dist(self, name: str) -> Dist:
         try:
@@ -193,11 +195,8 @@ class InstanceFile:
             return FullSpace(self.space)
         if variant == "linear_ball":
             phi = self.feature_map(str(doc.get("features")))
-            p = doc.get("p", 2)
-            p = math.inf if p in ("inf", "infinity") else _number(p, float, "discriminator.p")
-            radius = doc.get("radius", "inf")
-            r = POS_INF if radius in ("inf", "infinity") else finite(_number(radius, float, "discriminator.radius"))
-            return LinearBall(phi, p, r)
+            p = _number(doc.get("p", 2), float, "discriminator.p")
+            return LinearBall(phi, p, _number(doc.get("radius", "inf"), float, "discriminator.radius"))
         if variant == "quadratic_penalty":
             phi = self.feature_map(str(doc.get("features")))
             return QuadraticCoefficientPenalty(phi, _number(doc.get("weight", 1.0), float, "discriminator.weight"))
@@ -232,24 +231,15 @@ class InstanceFile:
     def seed(self, section: str, seed: int | None) -> int:
         """The report's seed: ``--seed``, else the section's ``seed`` key (the solvers ignore it), else 0."""
         if seed is None:
-            seed = _number(self.raw.get(section, {}).get("seed", 0), int, f"{section}.seed")
+            seed = _number(_section(self.raw, section).get("seed", 0), int, f"{section}.seed")
         return seed
 
     def _config(self, cls, section: str, **override):
         """``cls`` from the keys of ``section`` that name its fields, each read
         as the type of the field's default; other keys are ignored."""
-        doc = {**self.raw.get(section, {}), **override}
+        doc = {**_section(self.raw, section), **override}
         return cls(**{f.name: _number(doc[f.name], type(f.default), f"{section}.{f.name}")
                       for f in dataclasses.fields(cls) if f.name in doc})
-
-    def primal_config(self) -> PrimalConfig:
-        return self._config(PrimalConfig, "primal_config")
-
-    def dual_config(self) -> DualConfig:
-        return self._config(DualConfig, "dual_config")
-
-    def fit_config(self, seed: int | None) -> FitConfig:
-        return self._config(FitConfig, "fit_config", **({} if seed is None else {"seed": seed}))
 
 
 def parse_instance(source) -> InstanceFile:
@@ -364,9 +354,10 @@ def _solve_report_payload(rep) -> dict:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+# Each returns (seed, config, results, CSV rows, exit code); main writes the report.
 
 
-def _cmd_check_generator(args) -> int:
+def _cmd_check_generator(args):
     g = builtin(args.name)
     rep = check_generator(g)
     results = {
@@ -379,16 +370,10 @@ def _cmd_check_generator(args) -> int:
         "notes": list(rep.notes),
     }
     rows = [{"check": e.name, "passed": e.passed, "worst": e.worst} for e in rep.entries]
-    _emit(
-        {"command": "check-generator", "seed": args.seed or 0, "config": {"name": args.name}, "results": results},
-        args.out,
-        rows,
-        args.csv,
-    )
-    return 0
+    return args.seed or 0, {"name": args.name}, results, rows, 0
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args):
     inst = parse_instance(args.instance)
     g = inst.generator()
     P = inst.dist(args.p)
@@ -404,64 +389,33 @@ def _cmd_divergence(args) -> int:
         "attained_h": None if dv.attained_h is None else dv.attained_h.values,
         "capped": dv.capped,
     }
-    _emit(
-        {"command": "divergence", "seed": args.seed or 0, "config": {"p": args.p, "q": args.q, "mode": args.mode}, "results": results},
-        args.out,
-        [{"value": float(dv.value), "capped": dv.capped}],
-        args.csv,
-    )
-    return 0
+    config = {"p": args.p, "q": args.q, "mode": args.mode}
+    return args.seed or 0, config, results, [{"value": float(dv.value), "capped": dv.capped}], 0
 
 
-def _cmd_primal(args) -> int:
+def _cmd_solve(args):
+    """``primal`` or ``dual``: ``args.solver`` under an ``args.config_cls`` read from
+    the instance's ``<command>_config`` section."""
     inst = parse_instance(args.instance)
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    cfg = inst.primal_config()
-    rep = _primal_solve(g, P, Q, spec, cfg)
-    _emit(
-        {
-            "command": "primal",
-            "seed": inst.seed("primal_config", args.seed),
-            "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator"), "primal_config": vars(cfg)},
-            "results": _solve_report_payload(rep),
-        },
-        args.out,
-        [{"value": float(rep.value), "iterations": rep.iterations, "status": rep.status}],
-        args.csv,
-    )
-    return 0 if rep.status in ("converged", "unbounded", "infeasible") else 2
+    section = f"{args.cmd}_config"
+    cfg = inst._config(args.config_cls, section)
+    rep = args.solver(g, P, Q, spec, cfg)
+    config = {"generator": g.name, "discriminator": inst.raw.get("discriminator"), section: vars(cfg)}
+    rows = [{"value": float(rep.value), "iterations": rep.iterations, "status": rep.status}]
+    code = 0 if rep.status in ("converged", "unbounded", "infeasible") else 2
+    return inst.seed(section, args.seed), config, _solve_report_payload(rep), rows, code
 
 
-def _cmd_dual(args) -> int:
+def _cmd_gap(args):
     inst = parse_instance(args.instance)
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    cfg = inst.dual_config()
-    rep = restricted_div_dual(g, P, Q, spec, cfg)
-    _emit(
-        {
-            "command": "dual",
-            "seed": inst.seed("dual_config", args.seed),
-            "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator"), "dual_config": vars(cfg)},
-            "results": _solve_report_payload(rep),
-        },
-        args.out,
-        [{"value": float(rep.value), "iterations": rep.iterations, "status": rep.status}],
-        args.csv,
-    )
-    return 0 if rep.status in ("converged", "unbounded", "infeasible") else 2
-
-
-def _cmd_gap(args) -> int:
-    inst = parse_instance(args.instance)
-    g = inst.generator()
-    P, Q = inst.pair()
-    spec = inst.discriminator()
-    pcfg = inst.primal_config()
-    dcfg = inst.dual_config()
+    pcfg = inst._config(PrimalConfig, "primal_config")
+    dcfg = inst._config(DualConfig, "dual_config")
     gr = duality_gap(g, P, Q, spec, pcfg, dcfg)
     results = {
         "status": gr.status,
@@ -475,55 +429,42 @@ def _cmd_gap(args) -> int:
         "primal": _solve_report_payload(gr.primal),
         "dual": _solve_report_payload(gr.dual),
     }
-    _emit(
+    rows = [
         {
-            "command": "gap",
-            "seed": inst.seed("primal_config", args.seed),
-            "config": {"generator": g.name, "discriminator": inst.raw.get("discriminator")},
-            "results": results,
-        },
-        args.out,
-        [
-            {
-                "primal": float(gr.primal_value),
-                "dual": float(gr.dual_value),
-                "rel_gap": gr.rel_gap,
-                "status": gr.status,
-            }
-        ],
-        args.csv,
-    )
+            "primal": float(gr.primal_value),
+            "dual": float(gr.dual_value),
+            "rel_gap": gr.rel_gap,
+            "status": gr.status,
+        }
+    ]
+    config = {"generator": g.name, "discriminator": inst.raw.get("discriminator")}
     # The gap certifies both values; a primal solve that stopped on its float
     # resolution floor with a certified gap is not a failure.
-    return 0 if gr.rel_gap <= dcfg.tol else 2
+    return inst.seed("primal_config", args.seed), config, results, rows, 0 if gr.rel_gap <= dcfg.tol else 2
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     inst = parse_instance(args.instance)
     fam = inst.family()
     data = inst.data_dist()
-    cfg = inst.fit_config(args.seed)
-    estimator = args.estimator
+    cfg = inst._config(FitConfig, "fit_config", **({} if args.seed is None else {"seed": args.seed}))
     spec = None
     if "discriminator" in inst.raw:
         spec = inst.discriminator()
     phi = spec.phi if isinstance(spec, LinearBall) else None
     radius = spec.radius if isinstance(spec, LinearBall) else None
-    gen = builtin(str(inst.raw["generator"])) if inst.raw.get("generator") else None
-    if estimator == "mle":
-        ctx = CrossContext(generator=gen, phi=phi, radius=radius)
+    gen = inst.generator() if inst.raw.get("generator") else None
+    ctx = CrossContext(generator=gen, phi=phi, radius=radius)
+    if args.estimator == "mle":
         rep = fit_mle(fam, data, cross_context=ctx)
-    elif estimator == "gmm":
+    elif args.estimator == "gmm":
         if phi is None:
             raise ValidationError("gmm estimator needs a linear_ball discriminator for features")
-        ctx = CrossContext(generator=gen, phi=phi, radius=radius)
         rep = fit_gmm(fam, data, phi, cfg, cross_context=ctx)
-    elif estimator == "fgan":
-        if phi is None or gen is None or radius is None:
+    else:
+        if phi is None or gen is None:
             raise ValidationError("fgan estimator needs a generator and a linear_ball discriminator")
         rep = fit_linear_fgan(fam, data, gen, phi, radius, cfg)
-    else:
-        raise ValidationError(f"unknown estimator {estimator!r}")
     results = {
         "estimator": rep.estimator,
         "q_star": rep.q_star.p,
@@ -535,21 +476,11 @@ def _cmd_fit(args) -> int:
         "pprime": None if rep.pprime is None else rep.pprime.p,
     }
     rows = [{"criterion": k, "value": v} for k, v in sorted(rep.cross.items())]
-    _emit(
-        {
-            "command": "fit",
-            "seed": cfg.seed,
-            "config": {"estimator": estimator, "family": inst.raw.get("family"), "fit_config": vars(cfg)},
-            "results": results,
-        },
-        args.out,
-        rows,
-        args.csv,
-    )
-    return 0
+    config = {"estimator": args.estimator, "family": inst.raw.get("family"), "fit_config": vars(cfg)}
+    return cfg.seed, config, results, rows, 0
 
 
-def _cmd_verify_suite(args) -> int:
+def _cmd_verify_suite(args):
     res = run_suite(args.suite, seed=args.seed or 0, count=args.count or 0)
     results = {
         "suite": res.suite,
@@ -560,18 +491,8 @@ def _cmd_verify_suite(args) -> int:
         "records": list(res.records),
     }
     rows = [dict(r) for r in res.records]
-    _emit(
-        {
-            "command": "verify-suite",
-            "seed": res.seed,
-            "config": {"suite": args.suite, "count": res.instances},
-            "results": results,
-        },
-        args.out,
-        rows,
-        args.csv,
-    )
-    return 0 if res.ok else 2
+    config = {"suite": args.suite, "count": res.instances}
+    return res.seed, config, results, rows, 0 if res.ok else 2
 
 
 @functools.cache
@@ -604,12 +525,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primal", help="solve the discriminator-side problem")
     p.add_argument("--instance", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_primal)
+    p.set_defaults(fn=_cmd_solve, solver=_primal_solve, config_cls=PrimalConfig)
 
     p = sub.add_parser("dual", help="solve the intermediate-distribution problem")
     p.add_argument("--instance", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_dual)
+    p.set_defaults(fn=_cmd_solve, solver=restricted_div_dual, config_cls=DualConfig)
 
     p = sub.add_parser("gap", help="run both solvers and report the certified gap")
     p.add_argument("--instance", required=True)
@@ -638,7 +559,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        seed, config, results, rows, code = args.fn(args)
+        _emit({"command": args.cmd, "seed": seed, "config": config, "results": results}, args.out, rows, args.csv)
+        return code
     except FdualError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -59,7 +59,9 @@ class FullSpace:
 class LinearBall:
     """Affine discriminators with p-ball-constrained coefficients.
 
-    ``radius`` may be infinite (unconstrained coefficients).
+    ``radius`` is a positive number or ``ExtReal``, kept as an ``ExtReal``;
+    it may be +inf (unconstrained coefficients). A radius that is not
+    positive, NaN and -inf included, raises :class:`BallViolation`.
     """
 
     phi: FeatureMap
@@ -67,12 +69,11 @@ class LinearBall:
     radius: ExtReal
 
     def __post_init__(self):
-        r = self.radius
-        if not isinstance(r, ExtReal):
-            r = POS_INF if math.isinf(float(r)) else finite(float(r))
-            object.__setattr__(self, "radius", r)
-        if self.radius.is_neg_inf or float(self.radius) <= 0.0:
+        r = float(self.radius)
+        if not r > 0.0:
             raise BallViolation("ball radius must be positive")
+        if not isinstance(self.radius, ExtReal):
+            object.__setattr__(self, "radius", POS_INF if math.isinf(r) else finite(r))
         p = float(self.p)
         if not (p >= 1.0 or math.isinf(p)):
             raise UnsupportedNorm("norm exponent must lie in [1, inf]")

@@ -69,8 +69,8 @@ class DualConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

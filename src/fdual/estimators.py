@@ -47,7 +47,7 @@ from .discriminator import LinearBall
 from .divergence import kl_bar
 from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
-from .extreal import ExtReal, POS_INF, finite
+from .extreal import ExtReal
 from .fgen import FGenerator, builtin
 from .primal import FACE_GAP, PrimalConfig, face_splits, newton_step, project_ball, restricted_div_primal
 from .space import (
@@ -132,8 +132,8 @@ class FitConfig:
             raise ValidationError("max_iters and starts must be at least 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
 
 
 # Residual tolerance of the f-GAN fit's exact inner solves and of the
@@ -704,12 +704,10 @@ def fit_linear_fgan(
     the solves' iterations plus one per joint step).
     """
     cfg = cfg or FitConfig()
-    if not isinstance(radius, ExtReal):
-        radius = POS_INF if math.isinf(float(radius)) else finite(float(radius))
     _require_same_space(Pdata, phi)
     dim = family_dim(fam)
     spec = LinearBall(phi, 2, radius)
-    r = float(radius)
+    r = float(spec.radius)
     feats = np.vstack([phi.values, np.ones(phi.space.n)])
     target = np.append(feature_means(Pdata, phi), 1.0)
     inner_cfg = PrimalConfig(tol=INNER_TOL)

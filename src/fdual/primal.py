@@ -85,8 +85,8 @@ class PrimalConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

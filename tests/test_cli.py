@@ -351,7 +351,7 @@ def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
     assert results["trajectory"]["inner_steps"] >= results["trajectory"]["inner_solves"]
 
 
-@pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}])
+@pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}, {"tol": "inf"}])
 def test_fit_config_with_bad_tolerance_exits_1(tmp_path, instance_doc, capsys, extra):
     instance_doc["fit_config"] = extra
     path = tmp_path / "fit.json"
@@ -429,3 +429,108 @@ def test_gap_table_on_stdout(instance_path, capsys):
     # Scalars and nested values alike print at 12 significant digits.
     assert main(["gap", "--instance", instance_path]) == 0
     assert capsys.readouterr().out == GAP_TABLE
+
+
+@pytest.mark.parametrize(
+    "command, section, value",
+    [("primal", "primal_config", 5), ("dual", "dual_config", "x"), ("fit", "fit_config", [1]),
+     ("primal", "features", [1])],
+    ids=["primal_config", "dual_config", "fit_config", "features"],
+)
+def test_instance_section_that_is_not_an_object_exits_1(tmp_path, instance_doc, capsys, command, section, value):
+    # Sections were read with {**section}, .get or .items, whose TypeError or
+    # AttributeError made an internal error (exit 3).
+    instance_doc[section] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    argv = [command, "--instance", str(path), "--out", out] + (["--estimator", "gmm"] if command == "fit" else [])
+    assert main(argv) == 1
+    assert f"field '{section}' has wrong type" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("radius", ["nan", "-inf"])
+def test_radius_that_is_not_positive_exits_1(tmp_path, instance_doc, capsys, radius):
+    # Both went through extreal.finite, whose ValueError made an internal
+    # error (exit 3).
+    instance_doc["discriminator"]["radius"] = radius
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    assert main(["primal", "--instance", str(path)]) == 1
+    assert "radius must be positive" in capsys.readouterr().err
+
+
+def test_overflowing_radius_reads_as_infinite(tmp_path, instance_doc, capsys):
+    # "1e400" reads as inf, as the JSON number 1e400 does; extreal.finite
+    # raised ValueError on it (exit 3).
+    results = []
+    for radius in ("inf", "1e400"):
+        instance_doc["discriminator"]["radius"] = radius
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance_doc))
+        out = str(tmp_path / "report.json")
+        assert main(["primal", "--instance", str(path), "--out", out]) == 0
+        results.append(_load(out)["results"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command, section", [("primal", "primal_config"), ("dual", "dual_config")])
+def test_solver_config_with_infinite_tolerance_exits_1(tmp_path, instance_doc, capsys, command, section):
+    # An infinite tol passed: the primal solve then ended not_converged
+    # (exit 2), and the dual certified any gap (exit 0).
+    instance_doc[section] = {"tol": "inf"}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    assert main([command, "--instance", str(path)]) == 1
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+_DISC = {"features": "phi", "p": 2, "radius": "inf", "variant": "linear_ball"}
+
+
+@pytest.mark.parametrize(
+    "argv, seed, config",
+    [
+        (["check-generator", "kl", "--seed", "5"], 5, {"name": "kl"}),
+        (["divergence", "--p", "P", "--q", "Q", "--seed", "5"], 5, {"mode": "closed", "p": "P", "q": "Q"}),
+        (["primal"], 7, {"discriminator": _DISC, "generator": "kl",
+                         "primal_config": {"max_iters": 10000, "tol": "1e-08"}}),
+        (["dual"], 8, {"discriminator": _DISC, "dual_config": {"tol": "0.0001"}, "generator": "kl"}),
+        (["gap"], 7, {"discriminator": _DISC, "generator": "kl"}),
+        (["fit", "--estimator", "gmm"], 9, {"estimator": "gmm", "family": {"base": "U", "features": "phi",
+                                                                          "variant": "exp_family"},
+                                            "fit_config": {"max_iters": 150, "seed": 9, "starts": 2, "tol": "1e-08"}}),
+        (["verify-suite", "--suite", "r_functional", "--count", "2", "--seed", "5"], 5,
+         {"count": 2, "suite": "r_functional"}),
+    ],
+    ids=["check-generator", "divergence", "primal", "dual", "gap", "fit", "verify-suite"],
+)
+def test_report_command_seed_and_config(tmp_path, instance_doc, capsys, argv, seed, config):
+    # Each command's report names the command and carries its seed and config.
+    instance_doc.update(primal_config={"seed": 7}, dual_config={"seed": 8}, fit_config={"seed": 9, "starts": 2})
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    instance = [] if argv[0] in ("check-generator", "verify-suite") else ["--instance", str(path)]
+    assert main(argv[:1] + instance + argv[1:] + ["--out", out]) == 0
+    doc = _load(out)
+    assert (doc["command"], doc["seed"], doc["config"]) == (argv[0], seed, config)
+
+
+def test_module_entry_point(tmp_path):
+    # python -m fdual.cli runs main through the __main__ guard; the fdual
+    # console script calls the same fdual.cli:main.
+    import subprocess
+    import sys
+
+    import fdual
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdual.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = str(tmp_path / "gen.json")
+    proc = subprocess.run([sys.executable, "-m", "fdual.cli", "check-generator", "kl", "--out", out],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("command: check-generator\n")
+    validate_report(_load(out))

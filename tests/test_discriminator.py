@@ -163,6 +163,21 @@ def test_bad_parameters():
         QuadraticCoefficientPenalty(phi, 0.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, -math.inf])
+def test_ball_radius_that_is_not_positive_raises(radius):
+    # NaN raised extreal.finite's plain ValueError, and -inf was wrapped as
+    # +inf, an unconstrained ball.
+    phi = FeatureMap(OutcomeSpace.of_size(2), [[0.0, 1.0]])
+    with pytest.raises(BallViolation, match="radius must be positive"):
+        LinearBall(phi, 2, radius)
+
+
+def test_ball_radius_reads_plain_numbers():
+    phi = FeatureMap(OutcomeSpace.of_size(2), [[0.0, 1.0]])
+    assert LinearBall(phi, 2, 0.5).radius == finite(0.5)
+    assert LinearBall(phi, 2, math.inf).radius == POS_INF
+
+
 def test_dual_exponent():
     assert dual_exponent(1.0) == math.inf
     assert dual_exponent(math.inf) == 1.0

@@ -11,6 +11,7 @@ from fdual.discriminator import (
 from fdual.divergence import df_closed
 import fdual.dual as dual_module
 from fdual.dual import DualConfig, duality_gap, moment_projection, restricted_div_dual
+from fdual.errors import ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
 from fdual.primal import PrimalConfig, restricted_div_primal, regularized_div_primal
@@ -250,6 +251,13 @@ def test_dual_value_log_is_nonincreasing_upper_bounds():
 def test_dual_config_validation():
     with pytest.raises(Exception):
         DualConfig(tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+def test_dual_config_rejects_bad_tolerances(tol):
+    # An infinite tol passed, and certified any gap: rel_gap <= inf.
+    with pytest.raises(ValidationError, match="^tol must be positive"):
+        DualConfig(tol=tol)
 
 
 def _count_moment_projections(monkeypatch):

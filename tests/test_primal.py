@@ -8,7 +8,7 @@ import pytest
 
 from fdual.discriminator import FullSpace, LinearBall, QuadraticCoefficientPenalty
 from fdual.divergence import df_closed, df_variational_full
-from fdual.errors import UnsupportedNorm
+from fdual.errors import UnsupportedNorm, ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin
 from fdual.dual import _DualObjective, duality_gap
@@ -683,3 +683,11 @@ def test_infinite_rounding_bound_never_certifies():
     obj.moments = lambda a: (*moments(a)[:5], math.inf)
     out = _newton_ball(obj, 1.0, PrimalConfig())
     assert out.status == "not_converged"
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+def test_primal_config_rejects_bad_tolerances(tol):
+    # An infinite tol passed, and every solve then ended not_converged:
+    # residual <= tol + gerr < inf can never hold.
+    with pytest.raises(ValidationError, match="^tol must be positive"):
+        PrimalConfig(tol=tol)

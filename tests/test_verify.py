@@ -108,3 +108,12 @@ def test_duality_instance_mix():
     assert radii == {0.1, 1.0, 10.0}
     assert ks == {1, 2, 3}
     assert partial >= 5  # both support patterns are exercised
+
+
+def test_generator_suite_checks_each_builtin_once():
+    # The suite ignores count, and only failed checks add to its worst
+    # violation: passing generators carry worst values above 0.
+    res = run_suite("generators", 0, 2)
+    assert res.instances == len(res.records) == 6 and res.ok
+    assert res.worst_violation == 0.0
+    assert max(r["worst"] for r in res.records) > 0.0
