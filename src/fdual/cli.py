@@ -297,7 +297,8 @@ def _emit(report: dict, out: str | None, csv_rows: list[dict] | None, use_csv: b
         _atomic_write(out, text)
     if use_csv and csv_rows:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
+        # Rows of different kinds share one header; a row leaves blank the columns it lacks.
+        writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for row in csv_rows for k in row)))
         writer.writeheader()
         for row in csv_rows:
             writer.writerow({k: _jsonify(v) if not isinstance(v, str) else v for k, v in row.items()})
@@ -454,6 +455,10 @@ def _cmd_fit(args):
     phi = spec.phi if isinstance(spec, LinearBall) else None
     radius = spec.radius if isinstance(spec, LinearBall) else None
     gen = inst.generator() if inst.raw.get("generator") else None
+    if gen is not None and phi is not None and spec.p != 2.0 and radius.is_finite:
+        # Every fit with a generator reports an f-GAN value. At infinite
+        # radius all p-balls are one class.
+        raise ValidationError("discriminator.p must be 2: f-GAN values are fit on 2-balls only")
     ctx = CrossContext(generator=gen, phi=phi, radius=radius)
     if args.estimator == "mle":
         rep = fit_mle(fam, data, cross_context=ctx)

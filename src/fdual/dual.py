@@ -88,35 +88,6 @@ class GapReport:
     status: str = "ok"
 
 
-class _DualObjective:
-    """G restricted to the support of Q.
-
-    ``qs`` and ``phi_s`` come from the same support restriction as the
-    primal's (:func:`~fdual.space._restrict_to_support`): ``Q.p`` and
-    ``phi.values`` themselves under full support, C-contiguous copies
-    otherwise.
-    """
-
-    def __init__(self, g: FGenerator, P: Dist, Q: Dist, spec: LinearBall | QuadraticCoefficientPenalty):
-        self.g = g
-        self.space = P.space
-        self.spec = spec
-        self.mask, self.qs, self.phi_s = _restrict_to_support(Q, spec.phi)
-        self.target = feature_means(P, spec.phi)
-
-    def moment_gap(self, ps: np.ndarray) -> np.ndarray:
-        return self.target - self.phi_s @ ps
-
-    def _div_term(self, ps: np.ndarray) -> float:
-        vals, fin = self.g.f_vec(ps / self.qs)
-        if not np.all(fin):
-            return math.inf
-        return float(self.qs @ vals)
-
-    def value(self, ps: np.ndarray) -> float:
-        return self._div_term(ps) + gap_conjugate(self.spec, self.moment_gap(ps))
-
-
 def _primal_solve(g, P, Q, spec, cfg: PrimalConfig | None) -> SolveReport:
     """The supremum side of a class or a quadratic penalty."""
     if isinstance(spec, QuadraticCoefficientPenalty):
@@ -139,7 +110,9 @@ def restricted_div_dual(
     On a finite ball or under a quadratic penalty, ``primal`` is the
     supremum side's report of the same instance; without it the primal
     is solved here with the default :class:`PrimalConfig`. Three
-    candidates are scored exactly by G, and a later one replaces the
+    candidates are scored exactly by G on supp Q, as
+    ``sum q_i f(p'_i / q_i)`` plus :func:`~fdual.discriminator.gap_conjugate`
+    at E_P[phi] - E_P'[phi], and a later one replaces the
     best only if it is strictly lower: Q (route ``q``), P when dominated
     by Q (``p``), and the primal's tilt ``pprime`` (``primal_tilt``).
     The status is ``converged`` when the best value is within
@@ -168,15 +141,23 @@ def restricted_div_dual(
 
     if primal is None:
         primal = _primal_solve(g, P, Q, spec, None)
-    obj = _DualObjective(g, P, Q, spec)
-    mask = obj.mask
+    mask, qs, phi_s = _restrict_to_support(Q, spec.phi)
+    target = feature_means(P, spec.phi)
+
+    def score(ps: np.ndarray) -> float:
+        """G at the masses ``ps`` on supp Q."""
+        vals, fin = g.f_vec(ps / qs)
+        if not np.all(fin):
+            return math.inf
+        return float(qs @ vals) + gap_conjugate(spec, target - phi_s @ ps)
+
     candidates = [("p", P)] if absolutely_continuous(P, Q) else []
     if primal.pprime is not None:
         candidates.append(("primal_tilt", primal.pprime))
-    best_ps, route = obj.qs, "q"
-    best_val = obj.value(best_ps)
+    best_ps, route = qs, "q"
+    best_val = score(best_ps)
     for name, cand in candidates:
-        v = obj.value(cand.p[mask])
+        v = score(cand.p[mask])
         if v < best_val:
             best_val, best_ps, route = v, cand.p[mask], name
 
@@ -186,7 +167,7 @@ def restricted_div_dual(
     full[mask] = best_ps
     return SolveReport(
         value=finite(best_val),
-        intermediate=Dist(obj.space, full),
+        intermediate=Dist(P.space, full),
         iterations=0,
         residual=float("nan"),
         status="converged" if certified else "not_converged",

@@ -722,7 +722,7 @@ def fit_linear_fgan(
         state = None if base is None else joint.get(base.p.tobytes())
         start = joint.pop(key, (None,))[0]  # where this member's last joint step left z
         if state is not None:  # the base's z, moved to first order with theta
-            start = project_ball(state[0] + state[1] @ step, 2.0, r)
+            start = project_ball(state[0] + state[1] @ step, r)
             if not exact:
                 value, stepped, conjugate, dh = newton_step(g, Pdata, member, phi, r, start)
                 counts["inner_steps"] += 1

@@ -78,7 +78,7 @@ class FGenerator:
 
     The vectorized callables return a pair ``(values, finite_mask)``;
     entries with a false mask are +infinity (neither ``f`` nor ``f*``
-    ever takes the value -infinity). ``fstar_prime`` is a non-decreasing
+    ever takes the value -infinity). ``fstar_prime_vec`` is a non-decreasing
     subgradient selection of ``f*``, valid wherever ``f*`` is finite,
     and ``f_prime`` likewise for ``f`` on the open positive axis.
     ``fstar_second_vec`` is the second derivative of ``f*`` (Pearson's
@@ -111,9 +111,6 @@ class FGenerator:
     def fstar(self, t: float) -> ExtReal:
         vals, fin = self.fstar_vec(np.array([float(t)]))
         return finite(float(vals[0])) if fin[0] else POS_INF
-
-    def fstar_prime(self, t: float) -> float:
-        return float(self.fstar_prime_vec(np.array([float(t)]))[0])
 
     def f_prime(self, x: float) -> float:
         return float(self.f_prime_vec(np.array([float(x)]))[0])

@@ -3,21 +3,17 @@
 Bracketed Newton steps for the roots of non-increasing functions,
 batched across independent coordinates (the first-order conditions of
 the conjugate suprema in :mod:`fdual.fgen`). The intercept's root is
-:func:`fdual.divergence.intercept_root`. Sign bisection, with regula
-falsi narrowing, has no caller in the package; it is kept because the
-benchmark's tracer wraps it by name.
+:func:`fdual.divergence.intercept_root`. Plain sign bisection has no
+caller in the package; it is kept because the benchmark's tracer wraps
+it by name.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # Steps this many ulps of |t| are rounding, not progress.
 _ULPS = 4.0 * np.finfo(float).eps
-# Regula falsi calls before the halvings take over the narrowing.
-_FALSI_MAX_CALLS = 40
 
 
 def newton_root_nonincreasing(d, slope, t0, lo, hi, tol: float, max_iter: int = 200):
@@ -63,41 +59,14 @@ def newton_root_nonincreasing(d, slope, t0, lo, hi, tol: float, max_iter: int = 
     return t
 
 
-def bisect_sign_change(
-    dfun,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    d_lo: float | None = None,
-    d_hi: float | None = None,
-):
+def bisect_sign_change(dfun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
     """Bisect for the zero crossing of a non-decreasing function.
 
     Requires ``dfun(lo) <= 0 <= dfun(hi)``; narrows to width ``tol`` and
     returns the midpoint. No package code calls it: the intercept is a
     Newton root (:func:`fdual.divergence.intercept_root`). It stays
     because the benchmark's tracer wraps it by name.
-
-    When the caller already holds ``d_lo = dfun(lo)`` and
-    ``d_hi = dfun(hi)``, regula falsi steps narrow the crossing to a
-    bracket below ``tol / 4``. The halvings then read the sign of every
-    midpoint outside that bracket from the bracket itself and call
-    ``dfun`` only inside it. They visit the same midpoints and return the same point
-    as without the values, after a handful of calls instead of one per
-    halving when ``dfun`` is smooth.
     """
-    if d_lo is not None and d_hi is not None and d_lo <= 0.0 < d_hi:
-        a_in, b_in = _regula_falsi(dfun, float(lo), float(hi), d_lo, d_hi, 0.25 * tol)
-        evaluate = dfun
-
-        def dfun(m: float) -> float:
-            if m <= a_in:
-                return -1.0
-            if m >= b_in:
-                return 1.0
-            return evaluate(m)
-
     a, b = float(lo), float(hi)
     for _ in range(max_iter):
         if b - a <= tol:
@@ -108,36 +77,3 @@ def bisect_sign_change(
         else:
             b = m
     return 0.5 * (a + b)
-
-
-def _regula_falsi(dfun, a, b, da, db, tol):
-    """Narrow ``dfun(a) <= 0 < dfun(b)`` towards width ``tol`` (Illinois variant).
-
-    A step after two steps that together did not halve the bracket is a
-    bisection, so the bracket at least halves every three calls. Every
-    end it returns was either given or evaluated with that sign.
-    """
-    side = 0
-    w_two_back = w_one_back = math.inf
-    for _ in range(_FALSI_MAX_CALLS):
-        w = b - a
-        if w <= tol:
-            break
-        if w <= 0.5 * w_two_back and db - da > 0.0:
-            # Stay tol/2 inside the bracket so that every step shrinks it.
-            x = min(max(a - da * (w / (db - da)), a + 0.5 * tol), b - 0.5 * tol)
-        else:
-            x = 0.5 * (a + b)
-        w_two_back, w_one_back = w_one_back, w
-        dx = dfun(x)
-        if dx <= 0.0:
-            a, da = x, dx
-            if side < 0:
-                db *= 0.5
-            side = -1
-        else:
-            b, db = x, dx
-            if side > 0:
-                da *= 0.5
-            side = 1
-    return a, b

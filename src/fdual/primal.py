@@ -142,25 +142,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def project_ball(a: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """Euclidean projection onto the p-norm ball, p in {1, 2, inf}."""
+def project_ball(a: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the 2-ball of the given radius (inf: none)."""
     if math.isinf(radius):
         return a
-    if math.isinf(p):
-        return np.clip(a, -radius, radius)
-    if p == 2.0:
-        nrm = _norm(a)
-        return a if nrm <= radius else a * (radius / nrm)
-    if p == 1.0:
-        if float(np.sum(np.abs(a))) <= radius:
-            return a
-        # Duchi et al. sorting projection onto the l1 ball.
-        u = np.sort(np.abs(a))[::-1]
-        css = np.cumsum(u)
-        rho = np.nonzero(u * np.arange(1, a.size + 1) > (css - radius))[0][-1]
-        theta = (css[rho] - radius) / (rho + 1.0)
-        return np.sign(a) * np.maximum(np.abs(a) - theta, 0.0)
-    raise UnsupportedNorm(f"projection implemented for p in {{1, 2, inf}}, got {p}")
+    nrm = _norm(a)
+    return a if nrm <= radius else a * (radius / nrm)
 
 
 def _centering_pair(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +374,7 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
             if not step > 1e-15 * lam:
                 break
             lam += step
-    return project_ball(vecs @ coef, 2.0, radius)
+    return project_ball(vecs @ coef, radius)
 
 
 def _rounding(obj: _ReducedObjective, a: np.ndarray) -> float:
@@ -488,7 +475,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
     """
 
     def project(x):
-        return project_ball(x, 2.0, radius)
+        return project_ball(x, radius)
 
     infinite = math.isinf(radius)
     rays = infinite and obj.term is None

@@ -147,11 +147,6 @@ class Dist:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
-    @property
-    def support(self) -> np.ndarray:
-        """Indices with strictly positive mass."""
-        return np.flatnonzero(self.p > 0.0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Dist)
@@ -209,9 +204,6 @@ class FeatureMap:
     @property
     def k(self) -> int:
         return self.values.shape[0]
-
-    def row(self, j: int) -> FunctionOnSpace:
-        return FunctionOnSpace(self.space, self.values[j])
 
     def __eq__(self, other) -> bool:
         return (

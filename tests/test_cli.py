@@ -534,3 +534,46 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("command: check-generator\n")
     validate_report(_load(out))
+
+
+def test_verify_suite_csv_with_rows_of_different_kinds(tmp_path, capsys):
+    # Every fifth moment-projection record is infeasible and carries mp and
+    # primal in place of the feasible records' keys: the header takes both,
+    # and each row leaves blank the columns it lacks.
+    out = str(tmp_path / "mp.json")
+    assert main(["verify-suite", "--suite", "moment_projection", "--count", "5", "--csv", "--out", out]) == 0
+    lines = open(out + ".csv").read().splitlines()
+    assert lines[0] == "i,kind,generator,n,k,residual,value_dev,closed_form_excess,ok,mp,primal"
+    assert all(line.endswith(",True,,") for line in lines[1:5])
+    assert lines[5] == "4,infeasible,,,,,,,True,inf,inf"
+
+
+@pytest.mark.parametrize("estimator", ["fgan", "mle"])
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_fit_with_a_generator_on_a_ball_other_than_2_exits_1(tmp_path, instance_doc, capsys, p, estimator):
+    # The f-GAN value of a fit is solved on the 2-ball whatever p says.
+    instance_doc["discriminator"].update(p=p, radius=1)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    assert main(["fit", "--instance", str(path), "--estimator", estimator, "--out", out]) == 1
+    assert "discriminator.p must be 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_fit_on_a_ball_other_than_2_without_an_f_gan_value(tmp_path, instance_doc, capsys):
+    # GMM without a generator reads only the ball's features, and at infinite
+    # radius every p-ball is the same class: both reports match the 2-ball's.
+    reports = []
+    for p, radius, drop_generator, estimator in [(2, 1, True, "gmm"), (1, 1, True, "gmm"),
+                                                 (2, "inf", False, "fgan"), (1, "inf", False, "fgan")]:
+        doc = json.loads(json.dumps(instance_doc))
+        doc["discriminator"].update(p=p, radius=radius)
+        if drop_generator:
+            del doc["generator"]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "report.json")
+        assert main(["fit", "--instance", str(path), "--estimator", estimator, "--out", out]) == 0
+        reports.append(_load(out)["results"])
+    assert reports[0] == reports[1] and reports[2] == reports[3]

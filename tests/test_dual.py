@@ -7,6 +7,7 @@ from fdual.discriminator import (
     FullSpace,
     LinearBall,
     QuadraticCoefficientPenalty,
+    gap_conjugate,
 )
 from fdual.divergence import df_closed
 import fdual.dual as dual_module
@@ -424,6 +425,7 @@ def test_uncertified_tilt_is_reported_not_converged():
     assert (gr.dual.status, gr.dual.route, gr.dual.iterations) == ("not_converged", "primal_tilt", 0)
     assert gr.dual.gap_estimate == dual - float(gr.primal_value)
     assert gr.dual.gap_estimate > DualConfig().tol
-    obj = dual_module._DualObjective(g, P, Q, spec)
-    assert dual == obj.value(gr.dual.pprime.p[obj.mask])
+    Pp = gr.dual.pprime
+    gap_term = gap_conjugate(spec, feature_means(P, phi) - feature_means(Pp, phi))
+    assert dual == float(df_closed(g, Pp, Q).value) + gap_term
     assert dual >= float(restricted_div_primal(g, P, Q, spec).value)
