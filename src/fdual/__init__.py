@@ -10,7 +10,7 @@ the command line interface.
 __version__ = "0.1.0"
 
 from .errors import FdualError
-from .extreal import ExtReal, NEG_INF, POS_INF, finite
+from .extreal import POS_INF, finite
 from .fgen import builtin, builtin_names, check_generator
 from .space import (
     Dist,
@@ -28,9 +28,7 @@ from .space import (
 __all__ = [
     "__version__",
     "FdualError",
-    "ExtReal",
     "POS_INF",
-    "NEG_INF",
     "finite",
     "builtin",
     "builtin_names",

@@ -40,7 +40,6 @@ from .estimators import (
     fit_linear_fgan,
     fit_mle,
 )
-from .extreal import ExtReal
 from .fgen import builtin, check_generator
 from .primal import PrimalConfig
 from .space import Dist, FeatureMap, OutcomeSpace, make_dist
@@ -64,8 +63,6 @@ def _fmt(x: float) -> str:
 
 def _jsonify(obj):
     """Recursively turn numerics into 17-significant-digit strings."""
-    if isinstance(obj, ExtReal):
-        return _fmt(float(obj))
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -124,11 +121,18 @@ def _section(doc: dict, key: str, required: bool = False) -> dict:
     return doc[key]
 
 
+def _real(value) -> float:
+    """An instance's number ``value`` as a float; a JSON boolean is not one (TypeError)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _number(value, typ: type, where: str):
     """An instance's number ``value`` read as ``typ``, float or int (an int takes
     any integral number: "1e3" reads 1000); else a ValidationError naming ``where``."""
     try:
-        x = float(value)
+        x = _real(value)
         if typ is int and not x.is_integer():
             raise ValueError
         return typ(value) if isinstance(value, int) else typ(x)
@@ -153,7 +157,7 @@ class InstanceFile:
         self.dists: dict[str, Dist] = {}
         for name, weights in _section(raw, "dists", required=True).items():
             try:
-                self.dists[name] = make_dist(self.space, [float(w) for w in weights])
+                self.dists[name] = make_dist(self.space, [_real(w) for w in weights])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"field 'dists.{name}': {exc}") from exc
             except FdualError as exc:
@@ -161,7 +165,7 @@ class InstanceFile:
         self.features: dict[str, FeatureMap] = {}
         for name, matrix in _section(raw, "features").items():
             try:
-                rows = [[float(v) for v in row] for row in matrix]
+                rows = [[_real(v) for v in row] for row in matrix]
                 self.features[name] = FeatureMap(self.space, rows)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"field 'features.{name}': {exc}") from exc
@@ -391,7 +395,7 @@ def _cmd_divergence(args):
         "capped": dv.capped,
     }
     config = {"p": args.p, "q": args.q, "mode": args.mode}
-    return args.seed or 0, config, results, [{"value": float(dv.value), "capped": dv.capped}], 0
+    return args.seed or 0, config, results, [{"value": dv.value, "capped": dv.capped}], 0
 
 
 def _cmd_solve(args):
@@ -405,7 +409,7 @@ def _cmd_solve(args):
     cfg = inst._config(args.config_cls, section)
     rep = args.solver(g, P, Q, spec, cfg)
     config = {"generator": g.name, "discriminator": inst.raw.get("discriminator"), section: vars(cfg)}
-    rows = [{"value": float(rep.value), "iterations": rep.iterations, "status": rep.status}]
+    rows = [{"value": rep.value, "iterations": rep.iterations, "status": rep.status}]
     code = 0 if rep.status in ("converged", "unbounded", "infeasible") else 2
     return inst.seed(section, args.seed), config, _solve_report_payload(rep), rows, code
 
@@ -432,8 +436,8 @@ def _cmd_gap(args):
     }
     rows = [
         {
-            "primal": float(gr.primal_value),
-            "dual": float(gr.dual_value),
+            "primal": gr.primal_value,
+            "dual": gr.dual_value,
             "rel_gap": gr.rel_gap,
             "status": gr.status,
         }
@@ -455,7 +459,7 @@ def _cmd_fit(args):
     phi = spec.phi if isinstance(spec, LinearBall) else None
     radius = spec.radius if isinstance(spec, LinearBall) else None
     gen = inst.generator() if inst.raw.get("generator") else None
-    if gen is not None and phi is not None and spec.p != 2.0 and radius.is_finite:
+    if gen is not None and phi is not None and spec.p != 2.0 and math.isfinite(radius):
         # Every fit with a generator reports an f-GAN value. At infinite
         # radius all p-balls are one class.
         raise ValidationError("discriminator.p must be 2: f-GAN values are fit on 2-balls only")

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BallViolation, DimensionMismatch, UnsupportedNorm
-from .extreal import ExtReal, POS_INF, finite
+from .errors import BallViolation, UnsupportedNorm, ValidationError
+from .extreal import ExtReal
 from .space import FeatureMap, OutcomeSpace
 
 __all__ = [
@@ -53,21 +53,21 @@ class FullSpace:
 class LinearBall:
     """Affine discriminators with p-ball-constrained coefficients.
 
-    ``radius`` is a positive number or ``ExtReal``, kept as an ``ExtReal``;
-    it may be +inf (unconstrained coefficients). A radius that is not
-    positive, NaN and -inf included, raises :class:`BallViolation`.
+    ``radius`` is a positive number, kept as an ``ExtReal`` (a float that
+    reads ``is_finite``); it may be +inf (unconstrained coefficients). A
+    radius that is not positive, NaN and -inf included, raises
+    :class:`BallViolation`.
     """
 
     phi: FeatureMap
     p: float
-    radius: ExtReal
+    radius: float
 
     def __post_init__(self):
-        r = float(self.radius)
+        r = ExtReal(self.radius)
         if not r > 0.0:
             raise BallViolation("ball radius must be positive")
-        if not isinstance(self.radius, ExtReal):
-            object.__setattr__(self, "radius", POS_INF if math.isinf(r) else finite(r))
+        object.__setattr__(self, "radius", r)
         p = float(self.p)
         if not (p >= 1.0 or math.isinf(p)):
             raise UnsupportedNorm("norm exponent must lie in [1, inf]")
@@ -102,9 +102,10 @@ class QuadraticCoefficientPenalty:
     weight: float
 
     def __post_init__(self):
-        if not (float(self.weight) > 0.0 and math.isfinite(float(self.weight))):
-            raise DimensionMismatch("penalty weight must be positive and finite")
-        object.__setattr__(self, "weight", float(self.weight))
+        w = float(self.weight)
+        if not 0.0 < w < math.inf:
+            raise ValidationError("penalty weight must be positive and finite")
+        object.__setattr__(self, "weight", w)
 
     @property
     def space(self) -> OutcomeSpace:
@@ -134,4 +135,4 @@ def gap_conjugate(spec: DiscriminatorSpec | QuadraticCoefficientPenalty, d: np.n
     finite p-ball of radius R, with 1/p + 1/q = 1."""
     if isinstance(spec, QuadraticCoefficientPenalty):
         return float(d @ d) / (4.0 * spec.weight)
-    return spec.radius.value * pnorm(d, dual_exponent(spec.p))
+    return spec.radius * pnorm(d, dual_exponent(spec.p))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .extreal import ExtReal, POS_INF, finite, scale_mass
+from .extreal import finite
 from .fgen import FGenerator, conjugate_sup
 from .space import Dist, FunctionOnSpace, _require_same_space
 
@@ -54,11 +54,17 @@ class DivergenceValue:
 
     ``capped`` marks coordinates of ``attained_h`` that were truncated
     at +-T_CAP because the supremum is only approached in the limit.
+    ``value`` is a float, +inf for a divergent supremum.
     """
 
-    value: ExtReal
+    value: float
     attained_h: FunctionOnSpace | None = None
     capped: bool = False
+
+
+def _charge(mass: float, x: float) -> float:
+    """mass * x with 0 * inf = 0: outcomes without mass add nothing, even where x is infinite."""
+    return mass * x if mass > 0.0 else 0.0
 
 
 def df_closed(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
@@ -74,12 +80,9 @@ def df_closed(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
     ratios = p[mask] / q[mask]
     vals, fin = g.f_vec(ratios)
     if not np.all(fin):
-        return DivergenceValue(POS_INF)
-    total = finite(float(q[mask] @ vals))
-    escape = float(p[~mask].sum())
-    if escape > 0.0:
-        total = total + scale_mass(escape, g.fprime_at_infinity)
-    return DivergenceValue(total)
+        return DivergenceValue(math.inf)
+    total = finite(q[mask] @ vals)
+    return DivergenceValue(total + _charge(float(p[~mask].sum()), g.fprime_at_infinity))
 
 
 def df_variational_full(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
@@ -100,14 +103,14 @@ def df_variational_full(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
     n = P.space.n
     h = np.zeros(n)
     capped = False
-    total = finite(0.0)
+    total = 0.0
 
     esc = (q == 0.0) & (p > 0.0)
     if np.any(esc):
         # Nothing penalizes these coordinates, so p_i * t grows freely.
         h[esc] = T_CAP
         capped = True
-        total = POS_INF
+        total = math.inf
 
     zero_p = (q > 0.0) & (p == 0.0)
     if np.any(zero_p):
@@ -115,13 +118,13 @@ def df_variational_full(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
         h[zero_p] = -T_CAP
         capped = True
         for qi in q[zero_p]:
-            total = total + scale_mass(float(qi), g.f_at_zero)
+            total += _charge(float(qi), g.f_at_zero)
 
     inner = (q > 0.0) & (p > 0.0)
     if np.any(inner):
         t_best, v_best = conjugate_sup(g, p[inner], q[inner], T_CAP, 1e-12)
         h[inner] = t_best
-        total = total + finite(float(np.sum(v_best)))
+        total += finite(np.sum(v_best))
 
     attained = FunctionOnSpace(P.space, h)
     return DivergenceValue(total, attained_h=attained, capped=capped)

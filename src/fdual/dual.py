@@ -75,13 +75,14 @@ class DualConfig:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Primal and dual values of the same instance, with their gap.
+    """Primal and dual values of the same instance, with their gap. The
+    values are floats that also read ``is_finite`` (:class:`~fdual.extreal.ExtReal`).
     ``status`` always reads ``ok``; it stays for callers that read it."""
 
     primal: SolveReport
     dual: SolveReport
-    primal_value: ExtReal
-    dual_value: ExtReal
+    primal_value: float
+    dual_value: float
     abs_gap: float
     rel_gap: float
     weak_duality_worst: float
@@ -129,14 +130,14 @@ def restricted_div_dual(
             dv = df_closed(g, P, Q)
             return SolveReport(
                 value=dv.value, intermediate=P, iterations=0, residual=0.0,
-                status="converged", attained=dv.value.is_finite,
-                value_log=(float(dv.value),) if dv.value.is_finite else (),
+                status="converged", attained=math.isfinite(dv.value),
+                value_log=(dv.value,) if math.isfinite(dv.value) else (),
                 route="closed_form",
             )
         return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False,
                            route="closed_form")
 
-    if isinstance(spec, LinearBall) and not spec.radius.is_finite:
+    if isinstance(spec, LinearBall) and math.isinf(spec.radius):
         return moment_projection(g, P, Q, spec.phi)
 
     if primal is None:
@@ -161,7 +162,7 @@ def restricted_div_dual(
         if v < best_val:
             best_val, best_ps, route = v, cand.p[mask], name
 
-    gap_est = best_val - float(primal.value) if primal.value.is_finite else None
+    gap_est = best_val - primal.value if math.isfinite(primal.value) else None
     certified = gap_est is not None and gap_est <= cfg.tol * max(1.0, abs(best_val))
     full = np.zeros(mask.shape[0])
     full[mask] = best_ps
@@ -203,7 +204,7 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
             notes=("target means unreachable at finite divergence",), route="newton",
         )
     residual = float(np.linalg.norm(feature_means(pr.pprime, phi) - feature_means(P, phi)))
-    value = float(df_closed(g, pr.pprime, Q).value)
+    value = df_closed(g, pr.pprime, Q).value
     return SolveReport(
         value=finite(value),
         coefficients=a,
@@ -237,11 +238,11 @@ def duality_gap(
     p_rep = _primal_solve(g, P, Q, spec, primal_cfg)
     d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal=p_rep)
 
-    pv, dv = p_rep.value, d_rep.value
+    pv, dv = ExtReal(p_rep.value), ExtReal(d_rep.value)
     if pv.is_finite and dv.is_finite:
-        abs_gap = abs(float(pv) - float(dv))
-        rel_gap = abs_gap / max(1.0, abs(float(dv)))
-    elif (not pv.is_finite) and (not dv.is_finite):
+        abs_gap = abs(pv - dv)
+        rel_gap = abs_gap / max(1.0, abs(dv))
+    elif not (pv.is_finite or dv.is_finite):
         abs_gap = 0.0
         rel_gap = 0.0
     else:

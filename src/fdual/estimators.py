@@ -47,7 +47,6 @@ from .discriminator import LinearBall
 from .divergence import kl_bar
 from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
-from .extreal import ExtReal
 from .fgen import FGenerator, builtin
 from .primal import FACE_GAP, PrimalConfig, face_splits, newton_step, project_ball, restricted_div_primal
 from .space import (
@@ -149,7 +148,7 @@ class CrossContext:
 
     generator: FGenerator | None = None
     phi: FeatureMap | None = None
-    radius: ExtReal | None = None
+    radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class FitReport:
 
 
 def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext) -> dict:
-    out = {"mle": float(kl_bar(Pdata, q_star).value)}
+    out = {"mle": kl_bar(Pdata, q_star).value}
     if ctx.phi is not None:
         gap = feature_means(Pdata, ctx.phi) - feature_means(q_star, ctx.phi)
         out["gmm"] = float(np.linalg.norm(gap))
@@ -174,7 +173,7 @@ def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext) -> dict:
                 ctx.generator, Pdata, q_star, LinearBall(ctx.phi, 2, ctx.radius),
                 PrimalConfig(tol=INNER_TOL),
             )
-            out["fgan"] = float(rep.value)
+            out["fgan"] = rep.value
     return out
 
 
@@ -209,7 +208,7 @@ def fit_mle(
         notes += ("data psi-means lie on a face of the family's hull: no maximum-likelihood "
                   "parameter exists, and q_star is the limit member on that face",)
     q_star = mp.pprime
-    objective = float(kl_bar(Pdata, q_star).value)
+    objective = kl_bar(Pdata, q_star).value
     return FitReport(
         estimator="mle",
         q_star=q_star,
@@ -591,10 +590,9 @@ def fit_gmm(
         hess = jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
         return 0.5 * float(d @ d), -jac_t @ d, hess, True
 
-    (theta, off, q_star), iters, per_start, distinct, _ = _multistart_descend(
+    (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(
         fam, evaluate, cfg, value_floor=1e-24)
     objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
-    notes = _descent_notes(off, distinct)
     return FitReport(
         estimator="gmm",
         q_star=q_star,
@@ -602,11 +600,12 @@ def fit_gmm(
         objective=objective,
         cross=_cross_table(Pdata, q_star, ctx),
         trajectory={"starts": cfg.starts, "iterations": iters, "per_start": per_start},
-        notes=notes,
+        notes=_descent_notes(off, distinct, capped, cfg),
     )
 
 
-def _descent_notes(off: np.ndarray | None, distinct: bool) -> tuple[str, ...]:
+def _descent_notes(off: np.ndarray | None, distinct: bool, capped: int, cfg: FitConfig) -> tuple[str, ...]:
+    """Notes of a fit by :func:`_multistart_descend`, from what it returns."""
     notes = ()
     if distinct:
         notes += ("multiple near-optimal parameters; lexicographically smallest reported",)
@@ -614,6 +613,10 @@ def _descent_notes(off: np.ndarray | None, distinct: bool) -> tuple[str, ...]:
         notes += ("the descent ran off to a face of the family's closure: q_star is the limit "
                   "member on that face, no worse than the parameters the descent reached, and "
                   "has no parameter",)
+    if capped == cfg.starts:
+        # The reported theta then moves with the cap.
+        notes += (f"every start ran to max_iters={cfg.max_iters}; theta is where the "
+                  "descent stopped, not a located minimiser",)
     return notes
 
 
@@ -673,7 +676,7 @@ def fit_linear_fgan(
     Pdata: Dist,
     g: FGenerator,
     phi: FeatureMap,
-    radius: ExtReal | float,
+    radius: float,
     cfg: FitConfig | None = None,
 ) -> FitReport:
     """Adversarial fit: minimize the ball-restricted divergence.
@@ -733,15 +736,15 @@ def fit_linear_fgan(
         counts["inner_solves"] += 1
         counts["inner_steps"] += rep.iterations
         if rep.h_opt is None:  # unbounded: no gradient
-            out = float(rep.value), np.full(dim, math.nan), np.full((dim, dim), math.nan), True
+            out = rep.value, np.full(dim, math.nan), np.full((dim, dim), math.nan), True
         elif rep.conjugate is None:
             fs = np.zeros(member.p.size)
             on = member.p > 0.0
             fs[on] = g.fstar_vec(rep.h_opt.values[on])[0]
-            out = float(rep.value), -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs), True
+            out = rep.value, -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs), True
         else:
             grad, hess, dz = _envelope(fam, feats, target, r, member, rep.coefficients, rep.conjugate())
-            out = float(rep.value), grad, hess, True
+            out = rep.value, grad, hess, True
             if rep.attained:
                 joint[key] = rep.coefficients, dz
         solved[key] = rep, out
@@ -749,20 +752,12 @@ def fit_linear_fgan(
 
     (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(fam, evaluate, cfg)
     rep = solved[q_star.p.tobytes()][0]
-    notes = _descent_notes(off, distinct)
-    if capped == len(per_start):
-        # The reported theta then moves with the cap.
-        notes += (
-            f"every start ran to max_iters={cfg.max_iters}; theta is where the "
-            "descent stopped, not a located minimiser",
-        )
     return FitReport(
         estimator="fgan",
         q_star=q_star,
         theta=theta if off is None else None,
-        objective=float(rep.value),
-        cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi)),
-               "fgan": float(rep.value)},
+        objective=rep.value,
+        cross={**_cross_table(Pdata, q_star, CrossContext(phi=phi)), "fgan": rep.value},
         trajectory={
             "starts": cfg.starts,
             "iterations": iters,
@@ -770,6 +765,6 @@ def fit_linear_fgan(
             "inner_status": rep.status,
             **counts,
         },
-        notes=notes,
+        notes=_descent_notes(off, distinct, capped, cfg),
         pprime=rep.pprime,
     )

@@ -1,123 +1,29 @@
-"""Tagged extended reals.
-
-Objective values in this package can be genuinely infinite (indicator
-conjugates, divergences of non-dominated pairs, infeasible projections).
-Doing float("inf") arithmetic inside objectives invites ``inf - inf``
-NaNs, so infinities are carried as explicit tags and only combined
-through the small set of operations defined here.
+"""Extended reals are floats: floats and numpy carry +-inf, the divergence of
+a pair P not dominated by Q or a supremum along a ray. ``ExtReal`` is a float
+that also reads ``is_finite``; it stays for callers of ``LinearBall.radius``
+and of the two values of a ``GapReport``.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
-__all__ = ["ExtReal", "POS_INF", "NEG_INF", "finite", "scale_mass"]
+__all__ = ["ExtReal", "POS_INF", "finite"]
 
 
-@dataclass(frozen=True)
-class ExtReal:
-    """A real number, +infinity, or -infinity.
+class ExtReal(float):
+    """The number ``ExtReal(x)``, a float, with ``is_finite``."""
 
-    ``sign`` is -1 for -inf, +1 for +inf and 0 for a finite value stored
-    in ``value``. Finite payloads must be actual finite floats.
-    """
-
-    sign: int
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"bad sign {self.sign!r}")
-        if self.sign == 0 and not math.isfinite(self.value):
-            raise ValueError(f"non-finite payload {self.value!r} with finite tag")
-        if self.sign != 0 and self.value != 0.0:
-            raise ValueError("infinite ExtReal must carry payload 0.0")
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
-        return self.sign == 0
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.sign > 0
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.sign < 0
-
-    def __float__(self) -> float:
-        if self.sign > 0:
-            return math.inf
-        if self.sign < 0:
-            return -math.inf
-        return self.value
-
-    def __add__(self, other: "ExtReal | float") -> "ExtReal":
-        other = _coerce(other)
-        if self.sign == 0 and other.sign == 0:
-            return finite(self.value + other.value)
-        if self.sign == 0:
-            return other
-        if other.sign == 0 or other.sign == self.sign:
-            return self
-        raise ArithmeticError("inf + (-inf) is undefined")
-
-    __radd__ = __add__
-
-    def _key(self) -> tuple[int, float]:
-        return (self.sign, self.value)
-
-    def __lt__(self, other: "ExtReal | float") -> bool:
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other: "ExtReal | float") -> bool:
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other: "ExtReal | float") -> bool:
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other: "ExtReal | float") -> bool:
-        return self._key() >= _coerce(other)._key()
-
-    def __repr__(self) -> str:
-        if self.sign > 0:
-            return "ExtReal(+inf)"
-        if self.sign < 0:
-            return "ExtReal(-inf)"
-        return f"ExtReal({self.value!r})"
+        return math.isfinite(self)
 
 
-POS_INF = ExtReal(1)
-NEG_INF = ExtReal(-1)
+POS_INF = ExtReal(math.inf)
 
 
 def finite(x: float) -> ExtReal:
-    """Wrap a finite float."""
-    return ExtReal(0, float(x))
-
-
-def _coerce(x: "ExtReal | float") -> ExtReal:
-    if isinstance(x, ExtReal):
-        return x
-    x = float(x)
-    if math.isinf(x):
-        return POS_INF if x > 0 else NEG_INF
-    return finite(x)
-
-
-def scale_mass(mass: float, x: ExtReal) -> ExtReal:
-    """Multiply a nonnegative mass by an extended value, with 0 * inf = 0.
-
-    This is the measure-theoretic convention used when integrating an
-    extended-valued function against a probability vector: coordinates
-    carrying zero mass contribute nothing even where the integrand is
-    infinite.
-    """
-    if mass < 0:
-        raise ValueError("mass must be nonnegative")
-    if mass == 0.0:
-        return finite(0.0)
-    if x.sign != 0:
-        return x
-    return finite(mass * x.value)
+    """``x`` as an ``ExtReal``; a ValueError if it is NaN or +-inf."""
+    if not math.isfinite(v := ExtReal(x)):
+        raise ValueError(f"{v!r} is not finite")
+    return v

@@ -46,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownGenerator, ValidationError
-from .extreal import POS_INF, ExtReal, finite
 from .optim1d import newton_root_nonincreasing
 
 __all__ = [
@@ -92,10 +91,10 @@ class FGenerator:
     fstar_vec: VecEval
     fstar_prime_vec: Callable[[np.ndarray], np.ndarray]
     f_prime_vec: Callable[[np.ndarray], np.ndarray]
-    fstar_domain_upper: ExtReal
+    fstar_domain_upper: float
     fstar_domain_closed: bool
-    fprime_at_infinity: ExtReal
-    f_at_zero: ExtReal
+    fprime_at_infinity: float
+    f_at_zero: float
     fstar_second_vec: Callable[[np.ndarray], np.ndarray] | None = None
     smoothing: Callable[[float], "FGenerator"] | None = None
 
@@ -104,13 +103,13 @@ class FGenerator:
         """False when f* has kinks, where the solvers work on its ``smoothing``."""
         return self.fstar_second_vec is not None
 
-    def f(self, x: float) -> ExtReal:
+    def f(self, x: float) -> float:
         vals, fin = self.f_vec(np.array([float(x)]))
-        return finite(float(vals[0])) if fin[0] else POS_INF
+        return float(vals[0]) if fin[0] else math.inf
 
-    def fstar(self, t: float) -> ExtReal:
+    def fstar(self, t: float) -> float:
         vals, fin = self.fstar_vec(np.array([float(t)]))
-        return finite(float(vals[0])) if fin[0] else POS_INF
+        return float(vals[0]) if fin[0] else math.inf
 
     def f_prime(self, x: float) -> float:
         return float(self.f_prime_vec(np.array([float(x)]))[0])
@@ -122,14 +121,13 @@ class FGenerator:
         returned point is strictly feasible.
         """
         up = self.fstar_domain_upper
-        if not up.is_finite:
+        if math.isinf(up):
             return cap
-        b = up.value if self.fstar_domain_closed else up.value - margin
-        return min(cap, b)
+        return min(cap, up if self.fstar_domain_closed else up - margin)
 
 
 def _mask_eval(fun):
-    """Wrap a raw vector evaluator: non-finite outputs become +inf tags."""
+    """Wrap a raw vector evaluator: non-finite outputs are masked as +inf."""
 
     def wrapped(x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -155,10 +153,10 @@ def _kl() -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=lambda t: np.exp(np.minimum(t, 700.0) - 1.0),
         f_prime_vec=lambda x: np.log(x) + 1.0,
-        fstar_domain_upper=POS_INF,
+        fstar_domain_upper=math.inf,
         fstar_domain_closed=False,
-        fprime_at_infinity=POS_INF,
-        f_at_zero=finite(0.0),
+        fprime_at_infinity=math.inf,
+        f_at_zero=0.0,
         fstar_second_vec=lambda t: np.exp(np.minimum(t, 700.0) - 1.0),
     )
 
@@ -176,10 +174,10 @@ def _reverse_kl() -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=lambda t: -1.0 / np.minimum(t, -1e-300),
         f_prime_vec=lambda x: -1.0 / x,
-        fstar_domain_upper=finite(0.0),
+        fstar_domain_upper=0.0,
         fstar_domain_closed=False,
-        fprime_at_infinity=finite(0.0),
-        f_at_zero=POS_INF,
+        fprime_at_infinity=0.0,
+        f_at_zero=math.inf,
         fstar_second_vec=lambda t: (1.0 / np.minimum(t, -1e-300)) ** 2,
     )
 
@@ -212,10 +210,10 @@ def _js_gan() -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=fstar_prime,
         f_prime_vec=f_prime,
-        fstar_domain_upper=finite(LN2),
+        fstar_domain_upper=LN2,
         fstar_domain_closed=False,
-        fprime_at_infinity=finite(LN2),
-        f_at_zero=finite(LN2),
+        fprime_at_infinity=LN2,
+        f_at_zero=LN2,
         fstar_second_vec=lambda t: np.exp(t - LN2) / np.minimum(np.expm1(t - LN2), -1e-300) ** 2,
     )
 
@@ -235,10 +233,10 @@ def _pearson_chi2() -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=lambda t: np.maximum(0.0, 1.0 + 0.5 * t),
         f_prime_vec=lambda x: 2.0 * (x - 1.0),
-        fstar_domain_upper=POS_INF,
+        fstar_domain_upper=math.inf,
         fstar_domain_closed=False,
-        fprime_at_infinity=POS_INF,
-        f_at_zero=finite(1.0),
+        fprime_at_infinity=math.inf,
+        f_at_zero=1.0,
         fstar_second_vec=lambda t: np.where(t > -2.0, 0.5, 0.0),
     )
 
@@ -256,10 +254,10 @@ def _squared_hellinger() -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=lambda t: 1.0 / np.maximum(1.0 - t, 1e-300) ** 2,
         f_prime_vec=lambda x: 1.0 - 1.0 / np.sqrt(x),
-        fstar_domain_upper=finite(1.0),
+        fstar_domain_upper=1.0,
         fstar_domain_closed=False,
-        fprime_at_infinity=finite(1.0),
-        f_at_zero=finite(1.0),
+        fprime_at_infinity=1.0,
+        f_at_zero=1.0,
         fstar_second_vec=lambda t: 2.0 / np.maximum(1.0 - t, 1e-300) ** 3,
     )
 
@@ -278,10 +276,10 @@ def _total_variation() -> FGenerator:
         # Right-derivative selection at the kink t = -1/2.
         fstar_prime_vec=lambda t: np.where(t >= -0.5, 1.0, 0.0),
         f_prime_vec=lambda x: np.where(x > 1.0, 0.5, np.where(x < 1.0, -0.5, 0.0)),
-        fstar_domain_upper=finite(0.5),
+        fstar_domain_upper=0.5,
         fstar_domain_closed=True,
-        fprime_at_infinity=finite(0.5),
-        f_at_zero=finite(0.5),
+        fprime_at_infinity=0.5,
+        f_at_zero=0.5,
         smoothing=smoothed_total_variation,
     )
 
@@ -336,10 +334,10 @@ def smoothed_total_variation(mu: float) -> FGenerator:
         fstar_vec=_mask_eval(fstar),
         fstar_prime_vec=fstar_prime,
         f_prime_vec=f_prime,
-        fstar_domain_upper=POS_INF,
+        fstar_domain_upper=math.inf,
         fstar_domain_closed=False,
-        fprime_at_infinity=POS_INF,
-        f_at_zero=finite(0.5),
+        fprime_at_infinity=math.inf,
+        f_at_zero=0.5,
         fstar_second_vec=fstar_second,
     )
 
@@ -462,8 +460,7 @@ def check_generator(g: FGenerator) -> CheckReport:
     entries: list[CheckEntry] = []
 
     f1 = g.f(1.0)
-    ok = f1.is_finite and f1.value == 0.0
-    entries.append(CheckEntry("normalization_f1", ok, abs(float(f1)) if f1.is_finite else math.inf))
+    entries.append(CheckEntry("normalization_f1", f1 == 0.0, abs(f1)))
 
     # Midpoint convexity over all grid pairs; pairs with an infinite
     # endpoint satisfy the inequality trivially. Both the midpoint and
@@ -509,12 +506,12 @@ def check_generator(g: FGenerator) -> CheckReport:
 
     x_far = 1e6
     fv = g.f(x_far)
-    slope = fv.value / x_far if fv.is_finite else math.inf
+    slope = fv / x_far
     lim = g.fprime_at_infinity
-    if lim.is_finite:
-        dev = abs(slope - lim.value)
-        ok = dev <= 0.05 * max(1.0, abs(lim.value))
-        detail = f"grid slope {slope:.6g} vs limit {lim.value:.6g}"
+    if math.isfinite(lim):
+        dev = abs(slope - lim)
+        ok = dev <= 0.05 * max(1.0, abs(lim))
+        detail = f"grid slope {slope:.6g} vs limit {lim:.6g}"
     else:
         dev = 0.0
         ok = slope > 10.0

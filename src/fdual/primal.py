@@ -43,7 +43,7 @@ import numpy as np
 from .discriminator import DiscriminatorSpec, FullSpace, QuadraticCoefficientPenalty
 from .divergence import df_variational_full, intercept_ends, intercept_root, r_functional
 from .errors import UnsupportedNorm, ValidationError
-from .extreal import ExtReal, POS_INF, finite
+from .extreal import POS_INF, finite
 from .fgen import FGenerator
 from .space import (
     Dist,
@@ -94,8 +94,8 @@ class SolveReport:
     """Outcome of a primal or dual solve.
 
     ``status`` is one of ``converged``, ``not_converged``, ``unbounded``
-    or ``infeasible``; infinite optima are reported through ``value``
-    plus status, never raised. ``value_log`` holds exact objective
+    or ``infeasible``; ``value`` is a float, and an infinite optimum is
+    reported as +inf plus status, never raised. ``value_log`` holds exact objective
     evaluations at logged iterates (every 50 iterations plus the last,
     or the end of each barrier or smoothing stage): each entry is a
     valid one-sided bound on the true optimum. ``pprime`` is the
@@ -110,7 +110,7 @@ class SolveReport:
     from the solve's last pass at its optimum.
     """
 
-    value: ExtReal
+    value: float
     coefficients: np.ndarray | None = None
     intercept: float | None = None
     h_opt: FunctionOnSpace | None = None
@@ -499,7 +499,7 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
         face = _face(obj, a) if rays else None
         if face is not None:
             on, normal = face
-            if not obj.g.f_at_zero.is_finite:
+            if math.isinf(obj.g.f_at_zero):
                 return _Solve(normal, math.inf, b, it, residual_at(a, grad), "unbounded",
                               tuple(log), fd_worst, obj)
             on_face = copy.copy(obj)
@@ -640,7 +640,7 @@ def _stages(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, term, p: float, ra
         def bound(out, mu=mu, total=m * tau):
             if not g.conjugate_smooth:
                 top = float(out.obj._hs(out.a).max()) + out.intercept
-                total += mu * (1.0 + math.log(2.0)) + max(top - g.fstar_domain_upper.value, 0.0)
+                total += mu * (1.0 + math.log(2.0)) + max(top - g.fstar_domain_upper, 0.0)
             return total
 
         yield stage, bound
@@ -749,9 +749,9 @@ def restricted_div_primal(
             iterations=0,
             residual=0.0,
             status="converged",
-            attained=dv.value.is_finite,
+            attained=math.isfinite(dv.value),
             capped=dv.capped,
-            value_log=(float(dv.value),) if dv.value.is_finite else (),
+            value_log=(dv.value,) if math.isfinite(dv.value) else (),
             route="closed_form",
         )
     _require_same_space(P, spec.phi)

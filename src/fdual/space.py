@@ -13,6 +13,7 @@ in the calling harness.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,8 +49,10 @@ INTERNED_SPACES = 64
 
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:
+    # A copy: a read-only view of a caller's writable array is not immutable.
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    # NaN and +-inf carry through min and max, which make no temporary of arr's size.
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise DimensionMismatch(f"{shape_hint} contains non-finite entries")
     arr.setflags(write=False)
     return arr

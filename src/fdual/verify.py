@@ -78,9 +78,9 @@ def brute_force_primal(g, P, Q, spec: LinearBall, resolution: float) -> BruteFor
     """
     if spec.phi.k > 2:
         raise TooManyFeatures("brute force supports at most two features")
-    if not spec.radius.is_finite:
+    radius = spec.radius
+    if math.isinf(radius):
         raise ValidationError("brute force needs a finite radius")
-    radius = spec.radius.value
     m_p = feature_means(P, spec.phi)
     axis = np.arange(-radius, radius + resolution / 2, resolution)
     if spec.phi.k == 1:
@@ -177,14 +177,14 @@ def _check_variational(seed: int, i: int):
     for gname in builtin_names():
         g = builtin(gname)
         closed = df_closed(g, P, Q)
-        if not closed.value.is_finite:
+        if math.isinf(closed.value):
             continue
         var = df_variational_full(g, P, Q)
-        if not var.value.is_finite:
+        if math.isinf(var.value):
             inst_worst = math.inf
             continue
         finite_pairs += 1
-        inst_worst = max(inst_worst, abs(float(var.value) - float(closed.value)))
+        inst_worst = max(inst_worst, abs(var.value - closed.value))
     ok = inst_worst <= 1e-6
     return ok, inst_worst, {"i": i, "n": n, "pairs": finite_pairs, "worst": inst_worst, "ok": ok}
 
@@ -199,8 +199,8 @@ def _check_duality(seed: int, i: int):
         "n": P.space.n,
         "k": phi.k,
         "radius": radius,
-        "primal": float(gr.primal_value),
-        "dual": float(gr.dual_value),
+        "primal": gr.primal_value,
+        "dual": gr.dual_value,
         "rel_gap": gr.rel_gap,
         "pairwise": gr.weak_duality_worst,
         "ok": ok,
@@ -228,8 +228,8 @@ def _check_moment_projection(seed: int, i: int):
         P, Q, phi = _infeasible_projection_instance(seed, i)
         mp = moment_projection(kl, P, Q, phi)
         pr = restricted_div_primal(kl, P, Q, LinearBall(phi, 2, math.inf))
-        ok = (not mp.value.is_finite) and (not pr.value.is_finite)
-        record = {"i": i, "kind": "infeasible", "mp": float(mp.value), "primal": float(pr.value), "ok": ok}
+        ok = math.isinf(mp.value) and math.isinf(pr.value)
+        record = {"i": i, "kind": "infeasible", "mp": mp.value, "primal": pr.value, "ok": ok}
         return ok, 0.0 if ok else math.inf, record
     n = 3 + (i % 8)
     k = 1 + (i % 3)
@@ -240,13 +240,13 @@ def _check_moment_projection(seed: int, i: int):
     gap = feature_means(mp.pprime, phi) - feature_means(P, phi)
     res = float(np.max(np.abs(gap)))
     pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, math.inf))
-    dv = abs(float(mp.value) - float(pr.value))
+    dv = abs(mp.value - pr.value)
     # Both routes run the same Newton solver, so the closed form
     # checks them independently. By Fenchel-Young, D_f(P'||Q) bounds
     # a . E_P'[phi] - R(a . phi) from above, which is the
     # discriminator value at a up to a . (E_P'[phi] - E_P[phi]).
-    d_pprime = float(df_closed(g, mp.pprime, Q).value)
-    bound = d_pprime - float(pr.value)
+    d_pprime = df_closed(g, mp.pprime, Q).value
+    bound = d_pprime - pr.value
     slack = float(np.linalg.norm(pr.coefficients)) * float(np.linalg.norm(gap))
     slack += 1e-12 * max(1.0, d_pprime)
     ok = res <= 1e-8 and dv <= 1e-5 and -slack <= bound <= 1e-5
@@ -322,9 +322,9 @@ def _check_sandwich(seed: int, i: int):
     values = []
     for radius in _LADDER:
         rep = restricted_div_primal(g, P, Q, LinearBall(phi, 2, radius))
-        values.append(float(rep.value))
+        values.append(rep.value)
     tiny = restricted_div_primal(g, P, Q, LinearBall(phi, 2, 1e-9))
-    tiny_dev = abs(float(tiny.value))
+    tiny_dev = abs(tiny.value)
     mono_viol = max(
         (values[j] - values[j + 1] for j in range(len(values) - 1)), default=0.0
     )
@@ -334,8 +334,8 @@ def _check_sandwich(seed: int, i: int):
     bound_viol = 0.0
     for radius, v in zip(_LADDER, values):
         ub = radius * gap_norm
-        if closed.value.is_finite and absolutely_continuous(P, Q):
-            ub = min(ub, float(closed.value))
+        if math.isfinite(closed.value) and absolutely_continuous(P, Q):
+            ub = min(ub, closed.value)
         bound_viol = max(bound_viol, v - ub)
     ok = mono_viol <= 1e-8 and tiny_dev <= 1e-8 and bound_viol <= 1e-8
     record = {

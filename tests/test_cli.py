@@ -577,3 +577,34 @@ def test_fit_on_a_ball_other_than_2_without_an_f_gan_value(tmp_path, instance_do
         assert main(["fit", "--instance", str(path), "--estimator", estimator, "--out", out]) == 0
         reports.append(_load(out)["results"])
     assert reports[0] == reports[1] and reports[2] == reports[3]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, where",
+    [
+        ("fit_config", "max_iters", True, "'fit_config.max_iters'"),
+        ("fit_config", "tol", True, "'fit_config.tol'"),
+        ("discriminator", "radius", True, "'discriminator.radius'"),
+        ("dists", "Pdata", [True, False], "'dists.Pdata'"),
+        ("features", "phi", [[False, True]], "'features.phi'"),
+    ],
+    ids=["max_iters", "tol", "radius", "dist", "features"],
+)
+def test_json_boolean_is_not_a_number(tmp_path, instance_doc, capsys, section, key, value, where):
+    # float(True) is 1.0, so each read as 1 and the fit exited 0.
+    instance_doc.setdefault(section, {})[key] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    assert main(["fit", "--instance", str(path), "--estimator", "gmm", "--out", out]) == 1
+    assert where in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("weight", ["0", "-1", "inf"])
+def test_penalty_weight_that_is_not_positive_exits_1(tmp_path, instance_doc, capsys, weight):
+    instance_doc["discriminator"] = {"variant": "quadratic_penalty", "features": "phi", "weight": weight}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    assert main(["primal", "--instance", str(path)]) == 1
+    assert "penalty weight must be positive and finite" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from fdual.discriminator import (
     gap_conjugate,
     pnorm,
 )
-from fdual.errors import BallViolation, DimensionMismatch, UnsupportedNorm
+from fdual.errors import BallViolation, UnsupportedNorm, ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.space import FeatureMap, OutcomeSpace, feature_means, make_dist, random_instance
 
@@ -99,8 +99,16 @@ def test_bad_parameters():
         LinearBall(phi, 2, finite(-1.0))
     with pytest.raises(UnsupportedNorm):
         LinearBall(phi, 0.5, finite(1.0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         QuadraticCoefficientPenalty(phi, 0.0)
+
+
+@pytest.mark.parametrize("weight", [-1.0, math.inf, math.nan])
+def test_penalty_weight_that_is_not_positive_and_finite_is_a_validation_error(weight):
+    # It was a DimensionMismatch, though no dimension is at fault.
+    phi = FeatureMap(OutcomeSpace.of_size(2), [[0.0, 1.0]])
+    with pytest.raises(ValidationError, match="penalty weight must be positive and finite"):
+        QuadraticCoefficientPenalty(phi, weight)
 
 
 @pytest.mark.parametrize("radius", [math.nan, -math.inf])
@@ -116,6 +124,7 @@ def test_ball_radius_reads_plain_numbers():
     phi = FeatureMap(OutcomeSpace.of_size(2), [[0.0, 1.0]])
     assert LinearBall(phi, 2, 0.5).radius == finite(0.5)
     assert LinearBall(phi, 2, math.inf).radius == POS_INF
+    assert LinearBall(phi, 2, 0.5).radius.is_finite and not LinearBall(phi, 2, math.inf).radius.is_finite
 
 
 def test_dual_exponent():

@@ -48,7 +48,7 @@ def test_dual_full_space_not_dominated():
     P = make_dist(space, [1, 1])
     Q = make_dist(space, [1, 0])
     rep = restricted_div_dual(KL, P, Q, FullSpace(space))
-    assert rep.value.is_pos_inf
+    assert rep.value == math.inf
     assert rep.status == "infeasible"
 
 
@@ -92,10 +92,10 @@ def test_moment_projection_infeasible():
     phi = FeatureMap(space, [[0.0, 1.0]])
     mp = moment_projection(KL, P, Q, phi)
     assert mp.status == "infeasible"
-    assert mp.value.is_pos_inf
+    assert mp.value == math.inf
     assert mp.coefficients is not None  # certificate direction
     pr = restricted_div_primal(KL, P, Q, LinearBall(phi, 2, POS_INF))
-    assert pr.value.is_pos_inf
+    assert pr.value == math.inf
 
 
 def test_moment_projection_residual_and_primal_match():

@@ -231,6 +231,17 @@ def test_fgan_iteration_cap_noted(three_point):
     assert any("max_iters=1;" in note for note in rep.notes)
 
 
+def test_gmm_iteration_cap_noted_as_the_fgan_fit_notes_it():
+    # fit_gmm dropped the count of starts at the cap, and its notes were empty.
+    P, Q, phi = random_instance(11, 5, 2)
+    fam = ExpFamily(Q, random_instance(12, 5, 1)[2])
+    cfg = FitConfig(max_iters=1)
+    note = "every start ran to max_iters=1; theta is where the descent stopped, not a located minimiser"
+    assert note in fit_gmm(fam, P, phi, cfg).notes
+    assert note in fit_linear_fgan(fam, P, KL, phi, 1.0, cfg).notes
+    assert not any("max_iters" in n for n in fit_gmm(fam, P, phi).notes)
+
+
 def test_fgan_inner_solve_converges_on_finite_ball(three_point):
     # The KL 2-ball Newton path reaches estimators.INNER_TOL, which the
     # first-order ascent could not.

@@ -186,6 +186,39 @@ def test_immutability(space2):
         d.p[0] = 0.9
 
 
+@pytest.mark.parametrize(
+    "values, error, match",
+    [
+        ([[0.0, np.nan]], DimensionMismatch, "non-finite"),
+        ([[np.inf, 0.0]], DimensionMismatch, "non-finite"),
+        ([[0.0, 1.0], [-np.inf, 2.0]], DimensionMismatch, "non-finite"),
+        ([[1e308, 1e308], [-1e308, 1e308]], None, None),
+        ([], DimensionMismatch, "shape"),
+        ([[]], DimensionMismatch, "shape"),
+        (np.zeros((0, 2)), DimensionMismatch, "at least one feature"),
+        ([[0.0, 1.0], [2.0]], ValueError, "inhomogeneous"),
+    ],
+    ids=["nan", "inf", "-inf", "huge", "empty", "empty_row", "no_feature", "ragged"],
+)
+def test_feature_map_finiteness_and_shape_checks(space2, values, error, match):
+    # The finiteness test reads min and max; each input raises as it did
+    # under np.all(np.isfinite(...)).
+    if error is None:
+        assert FeatureMap(space2, values).k == 2
+    else:
+        with pytest.raises(error, match=match):
+            FeatureMap(space2, values)
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        FunctionOnSpace(space2, [np.nan, 0.0])
+
+
+def test_feature_map_copies_a_writable_input(space2):
+    values = np.array([[0.0, 1.0]])
+    phi = FeatureMap(space2, values)
+    values[0, 0] = 5.0
+    assert phi.values[0, 0] == 0.0 and not phi.values.flags.writeable
+
+
 def test_of_size_returns_a_shared_space():
     a = OutcomeSpace.of_size(4096)
     assert OutcomeSpace.of_size(4096) is a
