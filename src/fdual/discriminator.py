@@ -14,7 +14,7 @@ penalty, the conjugate at the signed measure P - P' depends on P' only
 through the moment gap d = E_P[phi] - E_P'[phi], and ``gap_conjugate``
 evaluates it there: ``R * ||d||_q`` with 1/p + 1/q = 1 for a p-ball,
 the norm-duality maximum of ``a . d`` over the ball. The dual of
-:mod:`fdual.dual` scores its candidates with it. The other two
+:mod:`fdual.dual` scores the primal's tilt with it. The other two
 conjugates are 0 or +inf, pinning P' = P on the full space and d = 0
 at infinite radius; the dual solves those in closed form and by
 moment projection.

@@ -8,10 +8,10 @@ over distributions P' supported inside the support of Q. At the saddle
 point the optimal P' is the conjugate-slope tilt
 ``p'_i ~ q_i f*'(a . phi_i + b)`` of Q at the best discriminator, which
 every supremum-side solve reports as its ``pprime``. So
-``restricted_div_dual`` does not search: it scores Q, P (when dominated
-by Q) and the primal's tilt exactly, and certifies the best of them
-against the primal's value. Any feasible P' evaluates to an upper bound
-on the true infimum, so the reported value is one whatever its status.
+``restricted_div_dual`` does not search: it scores the primal's tilt
+exactly and certifies it against the primal's value. Any feasible P'
+evaluates to an upper bound on the true infimum, so the reported value
+is one whatever its status.
 
 ``moment_projection`` solves the infinite-radius case: the closest
 dominated distribution with prescribed feature means. It is the
@@ -48,7 +48,6 @@ from .space import (
     Dist,
     FeatureMap,
     _require_same_space,
-    _restrict_to_support,
     absolutely_continuous,
     feature_means,
 )
@@ -110,17 +109,14 @@ def restricted_div_dual(
     at infinite radius the moment projection's own report is returned.
     On a finite ball or under a quadratic penalty, ``primal`` is the
     supremum side's report of the same instance; without it the primal
-    is solved here with the default :class:`PrimalConfig`. Three
-    candidates are scored exactly by G on supp Q, as
-    ``sum q_i f(p'_i / q_i)`` plus :func:`~fdual.discriminator.gap_conjugate`
-    at E_P[phi] - E_P'[phi], and a later one replaces the
-    best only if it is strictly lower: Q (route ``q``), P when dominated
-    by Q (``p``), and the primal's tilt ``pprime`` (``primal_tilt``).
-    The status is ``converged`` when the best value is within
-    ``cfg.tol`` (relative) of the primal value, ``not_converged``
+    is solved here with the default :class:`PrimalConfig`. P' is the
+    primal's tilt ``pprime`` (route ``primal_tilt``), scored exactly as
+    D(P' || Q) plus :func:`~fdual.discriminator.gap_conjugate` at
+    E_P[phi] - E_P'[phi]. The status is ``converged`` when that value is
+    within ``cfg.tol`` (relative) of the primal value, ``not_converged``
     otherwise, with ``gap_estimate`` the dual value less the primal
-    value. No further search is made; the value is an exact upper bound
-    either way.
+    value. No search is made; the value is an exact upper bound either
+    way.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -142,41 +138,21 @@ def restricted_div_dual(
 
     if primal is None:
         primal = _primal_solve(g, P, Q, spec, None)
-    mask, qs, phi_s = _restrict_to_support(Q, spec.phi)
-    target = feature_means(P, spec.phi)
-
-    def score(ps: np.ndarray) -> float:
-        """G at the masses ``ps`` on supp Q."""
-        vals, fin = g.f_vec(ps / qs)
-        if not np.all(fin):
-            return math.inf
-        return float(qs @ vals) + gap_conjugate(spec, target - phi_s @ ps)
-
-    candidates = [("p", P)] if absolutely_continuous(P, Q) else []
-    if primal.pprime is not None:
-        candidates.append(("primal_tilt", primal.pprime))
-    best_ps, route = qs, "q"
-    best_val = score(best_ps)
-    for name, cand in candidates:
-        v = score(cand.p[mask])
-        if v < best_val:
-            best_val, best_ps, route = v, cand.p[mask], name
-
-    gap_est = best_val - primal.value if math.isfinite(primal.value) else None
-    certified = gap_est is not None and gap_est <= cfg.tol * max(1.0, abs(best_val))
-    full = np.zeros(mask.shape[0])
-    full[mask] = best_ps
+    pp = primal.pprime
+    shift = feature_means(P, spec.phi) - feature_means(pp, spec.phi)
+    value = df_closed(g, pp, Q).value + gap_conjugate(spec, shift)
+    gap_est = value - primal.value if math.isfinite(primal.value) else None
+    certified = gap_est is not None and gap_est <= cfg.tol * max(1.0, abs(value))
     return SolveReport(
-        value=finite(best_val),
-        intermediate=Dist(P.space, full),
+        value=value,
+        intermediate=pp,
         iterations=0,
         residual=float("nan"),
         status="converged" if certified else "not_converged",
         attained=True,
         gap_estimate=gap_est,
-        # The bound as scored and as returned, in the two-entry layout of a search's log.
-        value_log=(best_val, best_val),
-        route=route,
+        value_log=(value,),
+        route="primal_tilt",
     )
 
 

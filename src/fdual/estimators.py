@@ -632,17 +632,18 @@ def _envelope(fam: GeneratorFamily, feats: np.ndarray, target: np.ndarray, radiu
     at z held fixed. Where z is one Newton step short of it, ``dh`` being
     the step's move of h, the terms are carried along the step to first
     order, f* by f*' dh and f*' by f*'' dh: the gradient becomes L_t + L_tz
-    (z' - z) = L_t - C K^+ L_z, z' the stepped iterate. The envelope
-    Hessian is L_tt + C K^+ C^T, with C =
-    -L_tz and K = -L_zz the inner block E_q[f*''(h) (phi, 1)(phi, 1)^T] (the
-    covariance that the primal's ``moments`` forms, before the intercept
-    is eliminated): the Schur complement of the joint KKT matrix in (theta,
-    z). ``dz`` = -K^+ C^T, its rows for a, is the first-order move of the
-    inner optimum with theta. When the ball's multiplier lam = grad_a L .
-    a / ||a||^2 is positive, K gains lam on the a-block and is restricted
-    to the sphere's tangent space. Atoms pinned off an inner face drop out,
-    as f*' = f*'' = 0 there, and K^+ leaves out the face normal along which
-    the inner objective is flat.
+    (z' - z) = L_t - C K^+ L_z, z' the stepped iterate. ``a`` is then the
+    coefficients of z', on the sphere when the step ends there. The envelope
+    Hessian is L_tt + C K^+ C^T, with C = -L_tz and K = -L_zz the inner
+    block E_q[f*''(h) (phi, 1)(phi, 1)^T] (the covariance that the primal's
+    ``moments`` forms, before the intercept is eliminated): the Schur
+    complement of the joint KKT matrix in (theta, z). ``dz`` = -K^+ C^T, its
+    rows for a, is the first-order move of the inner optimum with theta.
+    When the ball's multiplier lam = grad_a L . a / ||a||^2 is positive, K
+    gains lam on the a-block and is restricted to the sphere's tangent
+    space. Atoms pinned off an inner face drop out, as f*' = f*'' = 0 there,
+    and K^+ leaves out the face normal along which the inner objective is
+    flat.
     """
     fs, slope, curv = conjugate
     if dh is not None:
@@ -729,7 +730,7 @@ def fit_linear_fgan(
             if not exact:
                 value, stepped, conjugate, dh = newton_step(g, Pdata, member, phi, r, start)
                 counts["inner_steps"] += 1
-                grad, hess, dz = _envelope(fam, feats, target, r, member, start, conjugate, dh)
+                grad, hess, dz = _envelope(fam, feats, target, r, member, stepped, conjugate, dh)
                 joint[key] = stepped, dz
                 return value, grad, hess, False
         rep = restricted_div_primal(g, Pdata, member, spec, inner_cfg, start=start)

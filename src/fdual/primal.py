@@ -99,15 +99,15 @@ class SolveReport:
     evaluations at logged iterates (every 50 iterations plus the last,
     or the end of each barrier or smoothing stage): each entry is a
     valid one-sided bound on the true optimum. ``pprime`` is the
-    intermediate distribution: the dual's candidate, or a linear primal
+    intermediate distribution: the one the dual scores, or a linear primal
     solve's conjugate-slope tilt of Q at its optimum. ``intermediate``
     holds it, or for a primal solve builds it on first read (the fits'
     inner solves never read it). ``route`` names what produced the
     result: the primal's ``newton`` or ``closed_form``, the moment
-    projection's ``newton``, or the dual's candidate (``q``, ``p``,
-    ``primal_tilt``). ``conjugate`` (linear primal solves of a smooth
-    generator) returns (f*, f*', f*'') of ``h_opt`` per atom, 0 off supp Q,
-    from the solve's last pass at its optimum.
+    projection's ``newton``, or the dual's ``primal_tilt``. ``conjugate``
+    (linear primal solves of a smooth generator) returns (f*, f*', f*'')
+    of ``h_opt`` per atom, 0 off supp Q, from the solve's last pass at
+    its optimum.
     """
 
     value: float

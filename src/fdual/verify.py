@@ -129,8 +129,9 @@ def run_suite(name: str, seed: int = 0, count: int = 0) -> SuiteResult:
 
     Each battery checks instance ``i`` and returns whether it passed, its
     violation and its record; the suite's ``worst_violation`` is the
-    largest violation. ``count = 0`` selects each suite's default size;
-    the ``generators`` suite always checks the six builtin generators, and
+    largest violation. ``count = 0`` selects each suite's default size,
+    and a negative count raises :class:`ValidationError`; the
+    ``generators`` suite always checks the six builtin generators, and
     only failed checks add to its violation. Failures never raise; they
     lower the pass count and surface in the records.
     """
@@ -140,9 +141,11 @@ def run_suite(name: str, seed: int = 0, count: int = 0) -> SuiteResult:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         ) from None
+    if count < 0:
+        raise ValidationError(f"count must be non-negative, got {count}")
     if default_count is None:
         count = len(builtin_names())
-    elif count <= 0:
+    elif count == 0:
         count = default_count
     records = []
     passes = 0

@@ -232,6 +232,14 @@ def test_verify_suite_command(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
 
 
+def test_verify_suite_negative_count_exits_1(tmp_path, capsys):
+    # A negative count ran the suite's default size and exited 0.
+    out = str(tmp_path / "suite.json")
+    assert main(["verify-suite", "--suite", "r_functional", "--count", "-5", "--out", out]) == 1
+    assert "count must be non-negative" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_dual_command(instance_path, tmp_path, capsys):
     out = str(tmp_path / "dual.json")
     rc = main(["dual", "--instance", instance_path, "--out", out])

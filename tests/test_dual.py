@@ -24,7 +24,7 @@ from fdual.space import (
     make_dist,
     random_instance,
 )
-from fdual.verify import duality_instance
+from fdual.verify import _infeasible_projection_instance, duality_instance
 
 KL = builtin("kl")
 
@@ -170,6 +170,14 @@ def test_total_variation_moment_projection_converges():
         assert mp.residual <= 1e-8
         assert float(mp.value) == pytest.approx(float(df_closed(g, mp.pprime, Q).value), abs=1e-12)
         assert float(mp.value) <= float(df_closed(g, P, Q).value)
+
+
+def test_total_variation_moment_projection_infeasible():
+    # Target means above the hull of supp Q: the smoothed stages' supremum
+    # grows along a ray.
+    mp = moment_projection(builtin("total_variation"), *_infeasible_projection_instance(0, 0))
+    assert mp.status == "infeasible"
+    assert mp.value == math.inf
 
 
 def test_dual_r_infinite_delegates_to_projection(two_point):
@@ -366,16 +374,8 @@ def _gap_dual(g, seed, n, k, spec_of):
     return duality_gap(g, P, Q, spec_of(phi)).dual
 
 
-def _q_itself():
-    # P = Q: no later candidate is strictly below Q's value 0.
-    _, Q, phi = random_instance(501, 3, 2)
-    return restricted_div_dual(KL, Q, Q, LinearBall(phi, 1, finite(0.05)))
-
-
 TV = builtin("total_variation")
 ROUTES = {
-    "q": _q_itself,
-    "p": lambda: _gap_dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(5.0))),
     "primal_tilt": lambda: _gap_dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(0.5))),
     "closed_form": lambda: _dual(KL, 3, 3, 1, lambda phi: FullSpace(phi.space)),
     "newton": lambda: moment_projection(TV, *random_instance(3, 3, 1)),
@@ -384,9 +384,32 @@ ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_report_names_its_route(route):
-    # The dual names the candidate it returns; the moment projection
+    # The dual names the distribution it returns; the moment projection
     # names its solver.
     assert ROUTES[route]().route == route
+
+
+def _p_equals_q():
+    _, Q, phi = random_instance(501, 3, 2)
+    return Q, Q, LinearBall(phi, 1, finite(0.05))
+
+
+def _p_wide_ball():
+    P, Q, phi = random_instance(504, 2, 1)
+    return P, Q, LinearBall(phi, 2, finite(5.0))
+
+
+@pytest.mark.parametrize("instance", [_p_equals_q, _p_wide_ball], ids=["p-equals-q", "p-on-wide-ball"])
+def test_dual_scores_the_primal_tilt_alone(instance):
+    # Q itself (P = Q) and P (a ball wide enough to reach it) scored below
+    # the tilt here and were returned in its place; the tilt certifies both.
+    P, Q, spec = instance()
+    gr = duality_gap(KL, P, Q, spec)
+    assert (gr.dual.route, gr.dual.status, gr.dual.iterations) == ("primal_tilt", "converged", 0)
+    assert gr.dual.pprime is gr.primal.pprime
+    gap_term = gap_conjugate(spec, feature_means(P, spec.phi) - feature_means(gr.dual.pprime, spec.phi))
+    assert float(gr.dual_value) == float(df_closed(KL, gr.dual.pprime, Q).value) + gap_term
+    assert gr.dual.value_log == (float(gr.dual_value),)
 
 
 @pytest.mark.parametrize(

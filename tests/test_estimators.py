@@ -300,9 +300,8 @@ class _Objective(Exception):
     pass
 
 
-def _outer_objective(monkeypatch, fit, fam, *args):
-    """theta -> (value, gradient, Hessian) of the objective ``fit`` hands to its descent,
-    as its evaluation hook gives it for a member alone: exactly."""
+def _evaluation_hook(monkeypatch, fit, fam, *args):
+    """The evaluation hook ``fit`` hands to its descent, before any evaluation."""
 
     def capture(fam, evaluate, *rest, **kwargs):
         raise _Objective(evaluate)
@@ -311,7 +310,13 @@ def _outer_objective(monkeypatch, fit, fam, *args):
     with pytest.raises(_Objective) as caught:
         fit(fam, *args)
     monkeypatch.undo()
-    evaluate = caught.value.args[0]
+    return caught.value.args[0]
+
+
+def _outer_objective(monkeypatch, fit, fam, *args):
+    """theta -> (value, gradient, Hessian) of the objective ``fit`` hands to its descent,
+    as its evaluation hook gives it for a member alone: exactly."""
+    evaluate = _evaluation_hook(monkeypatch, fit, fam, *args)
 
     def objective(theta):
         value, grad, hess, exact = evaluate(family_member(fam, theta))
@@ -386,6 +391,28 @@ def test_outer_hessians_match_central_differences(monkeypatch):
         worst = max(worst, _worst_hessian_disagreement(fun, rng.normal(size=psi.k)))
     assert active >= 10
     assert worst <= 1e-6
+
+
+def test_trial_hessian_matches_the_exact_envelope_on_the_sphere(monkeypatch):
+    # KL at R = 0.01, where the inner optimum lies on the sphere. A trial
+    # point takes one inner Newton step from the base's discriminator moved
+    # with theta, which lies inside the sphere; the envelope Hessian read
+    # there took the interior curvature: -7.41e-4 against the exact -2.10e-4.
+    P, Q, phi = random_instance(4201, 6, 2)
+    fam = ExpFamily(Q, FeatureMap(P.space, random_instance(4301, 6, 1)[2].values))
+    base, member = family_member(fam, np.array([-0.3])), family_member(fam, np.array([-0.1]))
+    radius = 0.01
+    inner = restricted_div_primal(KL, P, member, LinearBall(phi, 2, radius))
+    assert np.linalg.norm(inner.coefficients) == pytest.approx(radius, rel=1e-12)
+    trial = _evaluation_hook(monkeypatch, fit_linear_fgan, fam, P, KL, phi, radius)
+    trial(base)
+    value, grad, hess, exact = trial(member, base=base, step=np.array([0.2]), exact=False)
+    assert not exact
+    exact_value, exact_grad, exact_hess = _outer_objective(monkeypatch, fit_linear_fgan, fam, P, KL, phi,
+                                                           radius)(np.array([-0.1]))
+    assert value == pytest.approx(exact_value, rel=1e-6)
+    assert grad == pytest.approx(exact_grad, rel=1e-4)
+    assert hess == pytest.approx(exact_hess, rel=1e-3)
 
 
 def test_gmm_hessian_is_gauss_newton_where_moments_match(monkeypatch):
@@ -619,6 +646,46 @@ def test_fgan_fits_take_joint_steps(monkeypatch):
     assert out == [32, 40, 50]
 
 
+def _jittered_pool_draw(j, seed, r):
+    """Pool draw j with its masses and features perturbed by a relative 1e-6,
+    as the benchmark's ``fit_mismatch`` round r at ``seed`` perturbs them."""
+    fam, data, phi, radius = _pool_draw(j)
+    rng = np.random.default_rng([seed, r, j])
+
+    def dist(P):
+        return make_dist(P.space, P.p * np.exp(1e-6 * rng.normal(size=P.p.shape)))
+
+    def feats(F):
+        return FeatureMap(F.space, F.values + 1e-6 * rng.normal(size=F.values.shape))
+
+    base, psi, phi, data = dist(fam.base), feats(fam.psi), feats(phi), dist(data)
+    return ExpFamily(base, psi), data, phi, radius
+
+
+@pytest.mark.parametrize("seed", [3, 31])
+def test_fgan_trial_estimates_stay_above_the_floor(monkeypatch, seed):
+    # The objective is a divergence, at least 0. On four of these eight
+    # perturbed pool draws a trial point estimated -0.00539 where the exact
+    # value is 0.00519, when trial Hessians were read inside the sphere on
+    # which the inner optimum lies.
+    estimates, descend = [], estimators._multistart_descend
+
+    def recording(fam, evaluate, *rest, **kwargs):
+        def recorded(*args, **options):
+            out = evaluate(*args, **options)
+            if not out[3]:
+                estimates.append(out[0])
+            return out
+
+        return descend(fam, recorded, *rest, **kwargs)
+
+    monkeypatch.setattr(estimators, "_multistart_descend", recording)
+    for r in range(4):
+        fam, data, phi, radius = _jittered_pool_draw(2, seed, r)
+        fit_linear_fgan(fam, data, KL, phi, radius)
+    assert estimates and min(estimates) >= 0.0
+
+
 def test_fgan_trajectory_counts_inner_work(monkeypatch):
     # inner_solves counts the exact inner solves; inner_steps counts their
     # Newton iterations plus the joint steps, which make one pass over the
@@ -738,7 +805,7 @@ PER_START_PINS = {
                          0.0014178586537362745, 0.0014178586537362703], 29, False),
     ("face-heavy 10", "gmm"): ([0.003637137685933055, 0.0036371376859330594, 0.023887810037463077,
                                 0.003637137685933059, 0.0036371376859330594], 26, False),
-    ("face-heavy 48", "fgan"): ([0.011941064924950201] * 4 + [0.02127040532615529], 98, True, 7, 106),
+    ("face-heavy 48", "fgan"): ([0.011941064924950201] * 4 + [0.02127040532615529], 24, True, 7, 32),
     ("face-heavy 54", "gmm"): ([1.7320089766383902e-06, 1.7320089766300553e-06, 0.07397452328307902,
                                 1.7320089766302497e-06, 1.7320089766975474e-06], 20, False),
 }
@@ -797,11 +864,11 @@ def test_full_simplex_fit_with_several_parameters_pinned():
     rep = fit_linear_fgan(FullSimplex(P.space), P, KL, phi, finite(1.0), FitConfig(starts=3, max_iters=60))
     assert rep.trajectory["iterations"] == 26 and not rep.notes
     assert rep.trajectory["per_start"] == pytest.approx(
-        [1.7592833162236344e-17, -5.862653965203006e-17, -1.1042598870855861e-16], rel=1e-10, abs=1e-15)
-    assert rep.theta == pytest.approx([-1.4391410834334555, 0.7865548264866694, -0.9826250963701427,
-                                       0.5474615173633697, 0.6946032224216445], rel=1e-10)
-    assert rep.q_star.p == pytest.approx([0.03626388412135685, 0.3358008339576475, 0.057244885676287674,
-                                          0.2643899030303471, 0.306300493214361], rel=1e-10)
+        [4.886308079583444e-17, 2.666907257508065e-16, 5.060355814015217e-17], rel=1e-10, abs=1e-15)
+    assert rep.theta == pytest.approx([-1.4391410838249532, 0.7865548260946591, -0.9826250948028843,
+                                       0.5474615169715855, 0.694603222029678], rel=1e-10)
+    assert rep.q_star.p == pytest.approx([0.03626388411730481, 0.3358008339199538, 0.05724488578202004,
+                                          0.26438990300072907, 0.3063004931799921], rel=1e-10)
 
 
 @pytest.mark.parametrize("field", ["tol"])

@@ -299,15 +299,19 @@ SMOOTH_NON_KL = ("pearson_chi2", "squared_hellinger", "js_gan", "reverse_kl")
 def test_hellinger_interior_optimum_converges():
     # squared_hellinger, n=4, k=3, R=10, interior optimum with ||a|| = 7.85:
     # first-order ascent stopped at its 10 000-iteration cap with a 2.6e-4
-    # relative gap to the dual.
+    # relative gap to the dual. Four atoms and three features plus an
+    # intercept span every function, so the interior optimum is D(P || Q).
     from fdual.dual import duality_gap
     from fdual.verify import duality_instance
 
     name, P, Q, phi, radius = duality_instance(8, 2)
-    gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, finite(radius)))
+    g = builtin(name)
+    gr = duality_gap(g, P, Q, LinearBall(phi, 2, finite(radius)))
     assert gr.primal.status == "converged"
     assert gr.primal.iterations <= 10
-    assert gr.rel_gap <= 1e-12
+    closed = float(df_closed(g, P, Q).value)
+    assert abs(float(gr.primal_value) - closed) / max(1.0, closed) <= 1e-12
+    assert gr.dual.status == "converged"
 
 
 def test_newton_on_duality_instances_converges():
@@ -580,6 +584,19 @@ FACE_VALUES = {
     "squared_hellinger": 0.367006838,
     "js_gan": 0.264608249,
 }
+
+
+def test_total_variation_at_infinite_radius_on_a_vertex_of_the_hull():
+    # E_P[phi] = 3 is the hull's upper end: the smoothed stages pin the
+    # atoms below it, and the exact objective on that face gives the
+    # supremum, TV(P, Q) = 0.75, approached and not attained.
+    space = OutcomeSpace.of_size(4)
+    P = make_dist(space, [0.0, 0.0, 0.0, 1.0])
+    Q = make_dist(space, [1.0, 1.0, 1.0, 1.0])
+    g = builtin("total_variation")
+    rep = restricted_div_primal(g, P, Q, LinearBall(FeatureMap(space, [[0.0, 1.0, 2.0, 3.0]]), 2, POS_INF))
+    assert rep.status == "converged" and not rep.attained
+    assert float(rep.value) == 0.75 == float(df_closed(g, P, Q).value)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
