@@ -77,11 +77,7 @@ def df_closed(g: FGenerator, P: Dist, Q: Dist) -> DivergenceValue:
     _require_same_space(P, Q)
     p, q = P.p, Q.p
     mask = q > 0.0
-    ratios = p[mask] / q[mask]
-    vals, fin = g.f_vec(ratios)
-    if not np.all(fin):
-        return DivergenceValue(math.inf)
-    total = finite(q[mask] @ vals)
+    total = float(q[mask] @ g.f_vec(p[mask] / q[mask]))
     return DivergenceValue(total + _charge(float(p[~mask].sum()), g.fprime_at_infinity))
 
 
@@ -235,5 +231,4 @@ def r_functional_numeric(g: FGenerator, Q: Dist, h: FunctionOnSpace) -> tuple[fl
     mask = Q.p > 0.0
     qs, hs = Q.p[mask], h.values[mask]
     b, _, _ = intercept_root(g, qs, hs, intercept_ends(g, qs))
-    vals, fin = g.fstar_vec(hs + b)
-    return (float(qs @ vals) - b if fin.all() else math.inf), b
+    return float(qs @ g.fstar_vec(hs + b)) - b, b

@@ -1,4 +1,4 @@
-"""Infimum-side evaluation: intermediate distributions and moment projection.
+"""Infimum-side evaluation: intermediate distributions, moment projection included.
 
 The dual program minimizes
 
@@ -9,15 +9,11 @@ point the optimal P' is the conjugate-slope tilt
 ``p'_i ~ q_i f*'(a . phi_i + b)`` of Q at the best discriminator, which
 every supremum-side solve reports as its ``pprime``. So
 ``restricted_div_dual`` does not search: it scores the primal's tilt
-exactly and certifies it against the primal's value. Any feasible P'
-evaluates to an upper bound on the true infimum, so the reported value
-is one whatever its status.
-
-``moment_projection`` solves the infinite-radius case: the closest
-dominated distribution with prescribed feature means. It is the
-conjugate-slope tilt of Q at the infinite-radius primal discriminator,
-found by the primal's Newton solve for every generator (for total
-variation, the tilt of the smoothed conjugate).
+exactly and certifies it against the primal's value, on every ball and
+under a quadratic penalty. Any feasible P' evaluates to an upper bound
+on the true infimum, so the reported value is one whatever its status.
+At infinite radius the dual is the moment projection, the closest
+dominated distribution with prescribed feature means.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from .discriminator import (
 )
 from .divergence import df_closed
 from .errors import ValidationError
-from .extreal import ExtReal, POS_INF, finite
+from .extreal import ExtReal, POS_INF
 from .fgen import FGenerator
 from .primal import (
     PrimalConfig,
@@ -105,18 +101,21 @@ def restricted_div_dual(
 ) -> SolveReport:
     """Restricted/regularized divergence from the intermediate-distribution side.
 
-    On the full space the gap term pins P' = P (route ``closed_form``);
-    at infinite radius the moment projection's own report is returned.
-    On a finite ball or under a quadratic penalty, ``primal`` is the
-    supremum side's report of the same instance; without it the primal
-    is solved here with the default :class:`PrimalConfig`. P' is the
-    primal's tilt ``pprime`` (route ``primal_tilt``), scored exactly as
-    D(P' || Q) plus :func:`~fdual.discriminator.gap_conjugate` at
-    E_P[phi] - E_P'[phi]. The status is ``converged`` when that value is
-    within ``cfg.tol`` (relative) of the primal value, ``not_converged``
-    otherwise, with ``gap_estimate`` the dual value less the primal
-    value. No search is made; the value is an exact upper bound either
-    way.
+    On the full space the gap term pins P' = P (route ``closed_form``).
+    Otherwise P' is the tilt ``pprime`` of ``primal``, the supremum side's
+    report of the same instance, which is solved here when not given
+    (default :class:`PrimalConfig`, tol 1e-10 at infinite radius); route
+    ``primal_tilt``. P' is scored exactly as D(P' || Q) plus
+    :func:`~fdual.discriminator.gap_conjugate` at E_P[phi] - E_P'[phi].
+    At infinite radius, where P' must meet the means of P, it is D(P' || Q)
+    alone, the norm of that moment gap is the ``residual``, and the
+    report carries the primal's coefficients and iterations. ``attained``
+    and the notes are the primal's. The status is ``converged`` when the
+    value is within ``cfg.tol`` (relative) of the primal value and any
+    moment residual is at most 1e-8, ``not_converged`` otherwise, with
+    ``gap_estimate`` the dual value less the primal value; the value is
+    an exact upper bound either way. An ``unbounded`` primal makes the
+    dual ``infeasible``, +inf, with the unit ray as coefficients.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -133,66 +132,55 @@ def restricted_div_dual(
         return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False,
                            route="closed_form")
 
-    if isinstance(spec, LinearBall) and math.isinf(spec.radius):
-        return moment_projection(g, P, Q, spec.phi)
-
+    infinite = isinstance(spec, LinearBall) and math.isinf(spec.radius)
     if primal is None:
-        primal = _primal_solve(g, P, Q, spec, None)
+        primal = _primal_solve(g, P, Q, spec, PrimalConfig(tol=1e-10) if infinite else None)
+    if primal.status == "unbounded":
+        a = primal.coefficients
+        return SolveReport(
+            value=POS_INF, coefficients=a / float(np.linalg.norm(a)), iterations=primal.iterations,
+            residual=primal.residual, status="infeasible", attained=False,
+            notes=("target means unreachable at finite divergence",), route="primal_tilt",
+        )
     pp = primal.pprime
     shift = feature_means(P, spec.phi) - feature_means(pp, spec.phi)
-    value = df_closed(g, pp, Q).value + gap_conjugate(spec, shift)
-    gap_est = value - primal.value if math.isfinite(primal.value) else None
-    certified = gap_est is not None and gap_est <= cfg.tol * max(1.0, abs(value))
+    value = df_closed(g, pp, Q).value
+    if infinite:
+        # The moment projection: P' must meet the means of P.
+        residual = float(np.linalg.norm(shift))
+        solve = dict(coefficients=primal.coefficients, iterations=primal.iterations, residual=residual)
+    else:
+        value += gap_conjugate(spec, shift)
+        residual = 0.0
+        solve = {}
+    gap_est = value - primal.value
+    certified = gap_est <= cfg.tol * max(1.0, abs(value)) and residual <= 1e-8
     return SolveReport(
         value=value,
         intermediate=pp,
-        iterations=0,
-        residual=float("nan"),
         status="converged" if certified else "not_converged",
-        attained=True,
+        attained=primal.attained,
         gap_estimate=gap_est,
         value_log=(value,),
+        notes=primal.notes,
         route="primal_tilt",
+        **solve,
     )
 
 
 def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> SolveReport:
     """Closest dominated distribution with the feature means of P.
 
-    Minimizes D(P'||Q) over P' << Q subject to E_P'[phi] = E_P[phi].
-    It is the conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q
-    at the optimal infinite-radius linear discriminator (for total
-    variation, of its smoothed conjugate), and the value is D(P'||Q)
-    there. A supremum growing along a ray means the target is
-    unreachable: status ``infeasible``, value +inf, and the unit ray
+    Minimizes D(P'||Q) over P' << Q subject to E_P'[phi] = E_P[phi]:
+    :func:`restricted_div_dual` on ``LinearBall(phi, 2, inf)``. P' is the
+    conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q at the
+    optimal infinite-radius discriminator (for total variation, of its
+    smoothed conjugate). A supremum growing along a ray means the target
+    is unreachable: status ``infeasible``, value +inf, and the unit ray
     direction as certificate. On a face of the achievable hull
-    ``attained`` is false. ``converged`` needs a moment residual of at
-    most 1e-8.
+    ``attained`` is false.
     """
-    _require_same_space(P, Q)
-    _require_same_space(P, phi)
-    pr = restricted_div_primal(g, P, Q, LinearBall(phi, 2, POS_INF), PrimalConfig(tol=1e-10))
-    a = pr.coefficients
-    if pr.status == "unbounded":
-        return SolveReport(
-            value=POS_INF, coefficients=a / float(np.linalg.norm(a)), iterations=pr.iterations,
-            residual=pr.residual, status="infeasible", attained=False,
-            notes=("target means unreachable at finite divergence",), route="newton",
-        )
-    residual = float(np.linalg.norm(feature_means(pr.pprime, phi) - feature_means(P, phi)))
-    value = df_closed(g, pr.pprime, Q).value
-    return SolveReport(
-        value=finite(value),
-        coefficients=a,
-        intermediate=pr.pprime,
-        iterations=pr.iterations,
-        residual=residual,
-        status=pr.status if residual <= 1e-8 else "not_converged",
-        attained=pr.attained,
-        value_log=(value,),
-        notes=pr.notes,
-        route="newton",
-    )
+    return restricted_div_dual(g, P, Q, LinearBall(phi, 2, POS_INF))
 
 
 def duality_gap(

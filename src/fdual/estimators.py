@@ -741,7 +741,7 @@ def fit_linear_fgan(
         elif rep.conjugate is None:
             fs = np.zeros(member.p.size)
             on = member.p > 0.0
-            fs[on] = g.fstar_vec(rep.h_opt.values[on])[0]
+            fs[on] = g.fstar_vec(rep.h_opt.values[on])
             out = rep.value, -_mean_gradient(fam, member, fs), -_mean_hessian(fam, member, fs), True
         else:
             grad, hess, dz = _envelope(fam, feats, target, r, member, rep.coefficients, rep.conjugate())

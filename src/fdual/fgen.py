@@ -68,16 +68,16 @@ _GRID_T_LO = -10.0
 _GRID_T_HI = 3.0
 _GRID_POINTS = 201
 
-VecEval = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+VecEval = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class FGenerator:
     """A divergence generator with evaluable ``f`` and conjugate ``f*``.
 
-    The vectorized callables return a pair ``(values, finite_mask)``;
-    entries with a false mask are +infinity (neither ``f`` nor ``f*``
-    ever takes the value -infinity). ``fstar_prime_vec`` is a non-decreasing
+    The vectorized callables return one float array, +infinity outside
+    the domain (neither ``f`` nor ``f*`` ever takes the value
+    -infinity). ``fstar_prime_vec`` is a non-decreasing
     subgradient selection of ``f*``, valid wherever ``f*`` is finite,
     and ``f_prime`` likewise for ``f`` on the open positive axis.
     ``fstar_second_vec`` is the second derivative of ``f*`` (Pearson's
@@ -104,12 +104,10 @@ class FGenerator:
         return self.fstar_second_vec is not None
 
     def f(self, x: float) -> float:
-        vals, fin = self.f_vec(np.array([float(x)]))
-        return float(vals[0]) if fin[0] else math.inf
+        return float(self.f_vec(np.array([float(x)]))[0])
 
     def fstar(self, t: float) -> float:
-        vals, fin = self.fstar_vec(np.array([float(t)]))
-        return float(vals[0]) if fin[0] else math.inf
+        return float(self.fstar_vec(np.array([float(t)]))[0])
 
     def f_prime(self, x: float) -> float:
         return float(self.f_prime_vec(np.array([float(x)]))[0])
@@ -127,14 +125,13 @@ class FGenerator:
 
 
 def _mask_eval(fun):
-    """Wrap a raw vector evaluator: non-finite outputs are masked as +inf."""
+    """Wrap a raw vector evaluator, which returns +inf outside the domain:
+    it gets float input and raises no warnings from the branches it masks."""
 
     def wrapped(x: np.ndarray):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            vals = fun(x)
-        fin = np.isfinite(vals)
-        return np.where(fin, vals, 0.0), fin
+            return fun(x)
 
     return wrapped
 
@@ -142,7 +139,7 @@ def _mask_eval(fun):
 def _kl() -> FGenerator:
     def f(x):
         out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-        return np.where(x < 0, np.nan, out)
+        return np.where(x < 0, np.inf, out)
 
     def fstar(t):
         return np.exp(t - 1.0)
@@ -163,10 +160,10 @@ def _kl() -> FGenerator:
 
 def _reverse_kl() -> FGenerator:
     def f(x):
-        return np.where(x > 0, -np.log(np.where(x > 0, x, 1.0)), np.nan)
+        return np.where(x > 0, -np.log(np.where(x > 0, x, 1.0)), np.inf)
 
     def fstar(t):
-        return np.where(t < 0, -1.0 - np.log(np.where(t < 0, -t, 1.0)), np.nan)
+        return np.where(t < 0, -1.0 - np.log(np.where(t < 0, -t, 1.0)), np.inf)
 
     return FGenerator(
         name="reverse_kl",
@@ -186,13 +183,13 @@ def _js_gan() -> FGenerator:
     def f(x):
         xlogx = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
         out = xlogx - (x + 1.0) * np.log((x + 1.0) / 2.0)
-        return np.where(x < 0, np.nan, out)
+        return np.where(x < 0, np.inf, out)
 
     def fstar(t):
         # -ln(2 - e^t) = -ln 2 - ln(-expm1(t - ln 2)); cancellation-free
         # near the open boundary t -> ln 2.
         u = np.expm1(t - LN2)
-        return np.where(t < LN2, -LN2 - np.log(np.where(u < 0, -u, 1.0)), np.nan)
+        return np.where(t < LN2, -LN2 - np.log(np.where(u < 0, -u, 1.0)), np.inf)
 
     def fstar_prime(t):
         d = t - LN2
@@ -220,7 +217,7 @@ def _js_gan() -> FGenerator:
 
 def _pearson_chi2() -> FGenerator:
     def f(x):
-        return np.where(x < 0, np.nan, (x - 1.0) ** 2)
+        return np.where(x < 0, np.inf, (x - 1.0) ** 2)
 
     def fstar(t):
         # Unrestricted optimum x = 1 + t/2 is feasible only for t >= -2;
@@ -243,10 +240,10 @@ def _pearson_chi2() -> FGenerator:
 
 def _squared_hellinger() -> FGenerator:
     def f(x):
-        return np.where(x < 0, np.nan, (np.sqrt(np.where(x < 0, 0.0, x)) - 1.0) ** 2)
+        return np.where(x < 0, np.inf, (np.sqrt(np.where(x < 0, 0.0, x)) - 1.0) ** 2)
 
     def fstar(t):
-        return np.where(t < 1.0, t / (1.0 - t), np.nan)
+        return np.where(t < 1.0, t / (1.0 - t), np.inf)
 
     return FGenerator(
         name="squared_hellinger",
@@ -264,10 +261,10 @@ def _squared_hellinger() -> FGenerator:
 
 def _total_variation() -> FGenerator:
     def f(x):
-        return np.where(x < 0, np.nan, 0.5 * np.abs(x - 1.0))
+        return np.where(x < 0, np.inf, 0.5 * np.abs(x - 1.0))
 
     def fstar(t):
-        return np.where(t <= 0.5, np.maximum(t, -0.5), np.nan)
+        return np.where(t <= 0.5, np.maximum(t, -0.5), np.inf)
 
     return FGenerator(
         name="total_variation",
@@ -326,7 +323,7 @@ def smoothed_total_variation(mu: float) -> FGenerator:
 
     def f(x):
         t = f_prime(np.where(x > 0, x, 1.0))
-        return np.where(x > 0, x * t - fstar(t), np.where(x == 0, 0.5, np.nan))
+        return np.where(x > 0, x * t - fstar(t), np.where(x == 0, 0.5, np.inf))
 
     return FGenerator(
         name="total_variation_smoothed",
@@ -431,8 +428,7 @@ def conjugate_sup(g: FGenerator, p: np.ndarray, q: np.ndarray, cap: float, tol: 
     else:
         t = newton_root_nonincreasing(lambda t: p - q * g.fstar_prime_vec(t), lambda t: q * second(t),
                                       seed, lo, hi, tol)
-    vals, fin = g.fstar_vec(t)
-    return t, np.where(fin, p * t - q * vals, -np.inf)
+    return t, p * t - q * g.fstar_vec(t)
 
 
 def check_generator(g: FGenerator) -> CheckReport:
@@ -465,15 +461,15 @@ def check_generator(g: FGenerator) -> CheckReport:
     # Midpoint convexity over all grid pairs; pairs with an infinite
     # endpoint satisfy the inequality trivially. Both the midpoint and
     # the chord are symmetric in the pair, so i <= j covers every pair.
-    fx, fx_fin = g.f_vec(xs)
+    fx = g.f_vec(xs)
     i, j = np.triu_indices(xs.size)
-    fmid, fmid_fin = g.f_vec(0.5 * (xs[i] + xs[j]))
-    viol = np.where(fx_fin[i] & fx_fin[j] & fmid_fin, fmid - 0.5 * (fx[i] + fx[j]), -np.inf)
-    worst = float(np.max(viol))
+    fmid = g.f_vec(0.5 * (xs[i] + xs[j]))
+    pair = np.isfinite(fx[i]) & np.isfinite(fx[j]) & np.isfinite(fmid)
+    worst = float(np.max(fmid[pair] - 0.5 * (fx[i][pair] + fx[j][pair]), initial=-np.inf))
     entries.append(CheckEntry("convexity_midpoint", worst <= 1e-9, max(worst, 0.0)))
 
-    fstar_t, fstar_fin = g.fstar_vec(ts)
-    if np.all(fstar_fin):
+    fstar_t = g.fstar_vec(ts)
+    if np.all(np.isfinite(fstar_t)):
         drops = fstar_t[:-1] - fstar_t[1:]
         worst = float(np.max(drops)) if drops.size else 0.0
     else:
@@ -486,20 +482,19 @@ def check_generator(g: FGenerator) -> CheckReport:
         CheckEntry("normalization_sup", abs(sup_val) <= 1e-6, abs(sup_val), f"sup={sup_val:.3e}")
     )
 
-    # Fenchel-Young on the grid product, finite pairs only.
-    slack = fx[:, None] + fstar_t[None, :] - xs[:, None] * ts[None, :]
-    pair_fin = fx_fin[:, None] & fstar_fin[None, :]
-    worst = float(np.min(np.where(pair_fin, slack, np.inf)))
+    # Fenchel-Young on the grid product; a pair with an infinite term has slack +inf.
+    worst = float(np.min(fx[:, None] + fstar_t[None, :] - xs[:, None] * ts[None, :]))
     entries.append(CheckEntry("fenchel_young", worst >= -1e-9, max(-worst, 0.0)))
 
     # Numeric biconjugate at interior grid points where f is finite,
     # batched across slopes (one 1-D concave maximization per point).
     interior = xs[1:-1]
-    f_int, f_int_fin = g.f_vec(interior)
-    slopes = interior[f_int_fin]
+    f_int = g.f_vec(interior)
+    dom = np.isfinite(f_int)
+    slopes = interior[dom]
     if slopes.size:
         _, best = conjugate_sup(g, slopes, np.ones(slopes.shape), _SUP_CAP, _SUP_TOL)
-        worst = float(np.max(np.abs(best - f_int[f_int_fin])))
+        worst = float(np.max(np.abs(best - f_int[dom])))
     else:
         worst = 0.0
     entries.append(CheckEntry("biconjugate", worst <= 1e-6, worst))

@@ -23,9 +23,9 @@ inf-ball, its weight cut by 10 per stage (Boyd and Vandenberghe,
 kinks, is solved on its smoothing (Nesterov, 2005), cut by 10 per
 stage, and reported at its exact objective at the final slope. Each
 stage starts from the last one's optimum. A solve's ``pprime`` is the
-conjugate-slope tilt of Q at its optimum: ``duality_gap`` scores it
-first, and the moment projection of :mod:`fdual.dual` (through it, the
-fits of :mod:`fdual.estimators`) reads it.
+conjugate-slope tilt of Q at its optimum, which the dual of
+:mod:`fdual.dual` scores (at infinite radius as the moment projection,
+and through it the fits of :mod:`fdual.estimators`).
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class SolveReport:
     solve's conjugate-slope tilt of Q at its optimum. ``intermediate``
     holds it, or for a primal solve builds it on first read (the fits'
     inner solves never read it). ``route`` names what produced the
-    result: the primal's ``newton`` or ``closed_form``, the moment
-    projection's ``newton``, or the dual's ``primal_tilt``. ``conjugate``
+    result: the primal's ``newton`` or ``closed_form``, or the dual's
+    ``closed_form`` or ``primal_tilt``. ``conjugate``
     (linear primal solves of a smooth generator) returns (f*, f*', f*'')
     of ``h_opt`` per atom, 0 off supp Q, from the solve's last pass at
     its optimum.
@@ -258,7 +258,7 @@ class _ReducedObjective:
             with np.errstate(over="ignore"):
                 b, fp, fpp = intercept_root(g, self.qs, hs, self._ends, self._b_hint)
                 self._b_hint = b
-                fs, _ = g.fstar_vec(hs + b)
+                fs = g.fstar_vec(hs + b)
                 w = self.qs * fpp
                 mean = self.phi_s @ (self.qs * fp)
             r = float(self.qs @ fs) - b

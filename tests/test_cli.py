@@ -331,7 +331,8 @@ def test_solve_reports_carry_route(instance_path, tmp_path, capsys):
     assert main(["primal", "--instance", instance_path, "--out", out1]) == 0
     assert main(["gap", "--instance", instance_path, "--out", out2]) == 0
     assert _load(out1)["results"]["route"] == "newton"
-    assert _load(out2)["results"]["dual"]["route"] == "newton"
+    # At infinite radius the dual scores the primal's tilt as on every ball.
+    assert _load(out2)["results"]["dual"]["route"] == "primal_tilt"
 
 
 def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
@@ -417,19 +418,20 @@ def test_integral_config_value_reads_as_an_integer(tmp_path, instance_doc, capsy
 
 GAP_TABLE = """\
 command: gap
-  abs_gap: 5.55111512313e-17
-  dual: {"value": "0.143841036226", "coefficients": ["1.09861228867"], "intercept": null, "pprime": ["0.5", "0.5"], \
-"iterations": 5, "residual": "0", "status": "converged", "route": "newton", "attained": true, "capped": false, \
-"gap_estimate": null, "fd_gradient_worst": "0", "value_log": ["0.143841036226"], "notes": []}
-  dual_value: 0.143841036226
+  abs_gap: 4.62100691045e-10
+  dual: {"value": "0.143841036688", "coefficients": ["1.09861229035"], "intercept": null, \
+"pprime": ["0.499999999579", "0.500000000421"], "iterations": 4, "residual": "4.20622203734e-10", \
+"status": "converged", "route": "primal_tilt", "attained": true, "capped": false, "gap_estimate": "4.62100691045e-10", \
+"fd_gradient_worst": "0", "value_log": ["0.143841036688"], "notes": []}
+  dual_value: 0.143841036688
   primal: {"value": "0.143841036226", "coefficients": ["1.09861229035"], "intercept": "0.594534891051", \
 "pprime": ["0.499999999579", "0.500000000421"], "iterations": 4, "residual": "4.20622203734e-10", \
 "status": "converged", "route": "newton", "attained": true, "capped": false, "gap_estimate": null, \
 "fd_gradient_worst": "0", "value_log": ["0", "0.143841036226"], "notes": []}
   primal_value: 0.143841036226
-  rel_gap: 5.55111512313e-17
+  rel_gap: 4.62100691045e-10
   status: ok
-  weak_duality_worst: 5.55111512313e-17
+  weak_duality_worst: -4.62100691045e-10
 """
 
 

@@ -14,7 +14,7 @@ import fdual.dual as dual_module
 from fdual.dual import DualConfig, duality_gap, moment_projection, restricted_div_dual
 from fdual.errors import ValidationError
 from fdual.extreal import POS_INF, finite
-from fdual.fgen import builtin
+from fdual.fgen import builtin, builtin_names
 from fdual.primal import PrimalConfig, restricted_div_primal, regularized_div_primal
 from fdual.space import (
     FeatureMap,
@@ -27,6 +27,7 @@ from fdual.space import (
 from fdual.verify import _infeasible_projection_instance, duality_instance
 
 KL = builtin("kl")
+TV = builtin("total_variation")
 
 
 def test_dual_p_equals_q(two_point):
@@ -181,10 +182,21 @@ def test_total_variation_moment_projection_infeasible():
 
 
 def test_dual_r_infinite_delegates_to_projection(two_point):
-    _, P, Q, phi = two_point
-    rep = restricted_div_dual(KL, P, Q, LinearBall(phi, 2, POS_INF))
-    mp = moment_projection(KL, P, Q, phi)
-    assert float(rep.value) == pytest.approx(float(mp.value), abs=1e-12)
+    # The moment projection reported route newton from a solve of its own.
+    # Now it is the standalone dual on LinearBall(phi, 2, inf): the tilt of
+    # the primal solved at tol 1e-10, with its coefficients, iterations and
+    # moment residual.
+    _, P2, Q2, phi2 = two_point
+    for g, (P, Q, phi) in ((KL, (P2, Q2, phi2)), (TV, random_instance(3, 3, 1))):
+        spec = LinearBall(phi, 2, POS_INF)
+        pr = restricted_div_primal(g, P, Q, spec, PrimalConfig(tol=1e-10))
+        for rep in (moment_projection(g, P, Q, phi), restricted_div_dual(g, P, Q, spec)):
+            assert (rep.route, rep.status, rep.iterations) == ("primal_tilt", "converged", pr.iterations)
+            assert rep.coefficients.tolist() == pr.coefficients.tolist()
+            assert rep.pprime.p.tolist() == pr.pprime.p.tolist()
+            assert rep.value == df_closed(g, pr.pprime, Q).value
+            assert rep.residual == float(np.linalg.norm(feature_means(P, phi) - feature_means(pr.pprime, phi)))
+            assert rep.gap_estimate == rep.value - pr.value
 
 
 def test_dual_minimizer_dominated():
@@ -251,10 +263,15 @@ def test_duality_gap_quadratic_regularizer(two_point):
 
 
 def test_dual_value_log_is_nonincreasing_upper_bounds():
+    # The dual makes no search, so on every route its log is its value
+    # alone: one upper bound.
     P, Q, phi = random_instance(71, 8, 2)
-    rep = restricted_div_dual(builtin("pearson_chi2"), P, Q, LinearBall(phi, 2, finite(1.0)))
-    log = rep.value_log
-    assert all(b <= a + 1e-15 for a, b in zip(log, log[1:]))
+    g = builtin("pearson_chi2")
+    for spec, route in ((FullSpace(P.space), "closed_form"), (LinearBall(phi, 2, finite(1.0)), "primal_tilt"),
+                        (LinearBall(phi, 2, POS_INF), "primal_tilt")):
+        rep = restricted_div_dual(g, P, Q, spec)
+        assert rep.route == route
+        assert rep.value_log == (rep.value,)
 
 
 def test_dual_config_validation():
@@ -374,19 +391,48 @@ def _gap_dual(g, seed, n, k, spec_of):
     return duality_gap(g, P, Q, spec_of(phi)).dual
 
 
-TV = builtin("total_variation")
 ROUTES = {
     "primal_tilt": lambda: _gap_dual(KL, 504, 2, 1, lambda phi: LinearBall(phi, 2, finite(0.5))),
     "closed_form": lambda: _dual(KL, 3, 3, 1, lambda phi: FullSpace(phi.space)),
-    "newton": lambda: moment_projection(TV, *random_instance(3, 3, 1)),
 }
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_report_names_its_route(route):
-    # The dual names the distribution it returns; the moment projection
-    # names its solver.
+    # The dual names the distribution it returns.
     assert ROUTES[route]().route == route
+
+
+def test_infinite_radius_gap_solves_the_primal_once(monkeypatch):
+    # The dual ran the moment projection, a second primal solve from a = 0,
+    # where it now scores the tilt of the primal it is handed.
+    calls = []
+    original = dual_module.restricted_div_primal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dual_module, "restricted_div_primal", counted)
+    _, P, Q, phi, _ = duality_instance(2, 8)
+    names = builtin_names()
+    for name in names:
+        gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, POS_INF))
+        assert gr.dual.route == "primal_tilt" and gr.dual.pprime is gr.primal.pprime
+        assert gr.dual.coefficients is gr.primal.coefficients
+        assert gr.rel_gap <= DualConfig().tol
+    assert len(calls) == len(names)
+
+
+def test_gap_of_an_unreachable_target_is_zero():
+    # Means outside the hull of supp Q: the supremum runs along a ray and
+    # the dual is infeasible, both +inf, a gap of 0.
+    P, Q, phi = _infeasible_projection_instance(0, 0)
+    gr = duality_gap(KL, P, Q, LinearBall(phi, 2, POS_INF))
+    assert (gr.primal.status, gr.dual.status) == ("unbounded", "infeasible")
+    assert gr.primal_value == gr.dual_value == math.inf
+    assert (gr.abs_gap, gr.rel_gap) == (0.0, 0.0)
+    assert gr.dual.coefficients.tolist() == [1.0]
 
 
 def _p_equals_q():

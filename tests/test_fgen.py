@@ -67,8 +67,7 @@ def test_corrupted_generator_fails_normalization():
     g = builtin("kl")
 
     def bad_f(x):
-        vals, fin = g.f_vec(x)
-        return np.where(fin, vals + 0.1, vals), fin
+        return g.f_vec(x) + 0.1
 
     bad = FGenerator(
         name="bad",
@@ -97,8 +96,8 @@ def test_total_variation_domain_and_monotonicity():
 def test_kl_conjugate_slack_strict_off_one():
     g = builtin("kl")
     ts = np.linspace(-10.0, 3.0, 401)
-    vals, fin = g.fstar_vec(ts)
-    assert np.all(fin)
+    vals = g.fstar_vec(ts)
+    assert np.all(np.isfinite(vals))
     slack = vals - ts  # f*(t) - t >= 0 with equality only at t = 1
     assert np.min(slack) >= 0.0
     assert abs(ts[int(np.argmin(slack))] - 1.0) <= 0.05
@@ -160,7 +159,7 @@ def test_smoothed_total_variation(mu):
     tv = builtin("total_variation")
     assert g.conjugate_smooth and tv.smoothing is smoothed_total_variation
     ts = np.linspace(-3.0, 0.5, 701)
-    excess = g.fstar_vec(ts)[0] - tv.fstar_vec(ts)[0]
+    excess = g.fstar_vec(ts) - tv.fstar_vec(ts)
     assert np.all(excess >= -1e-15) and np.all(excess <= mu * (1.0 + math.log(2.0)) + 1e-15)
     ts = np.linspace(-0.5 - 10.0 * mu, 0.5 + 5.0 * mu, 301)
     step = 1e-6 * mu
@@ -204,14 +203,22 @@ def test_check_generator_rejects_t_grid_outside_conjugate_domain():
         check_generator(g)
 
 
+def test_check_generator_flags_an_infinite_conjugate_on_its_grid():
+    # Reverse KL's f* is +inf for t >= 0; a domain end declared at 10 puts
+    # such t on the grid, which monotonicity alone reports, at worst +inf.
+    rep = check_generator(dataclasses.replace(builtin("reverse_kl"), fstar_domain_upper=10.0))
+    entry = rep.entry("fstar_nondecreasing")
+    assert not entry.passed and entry.worst == math.inf
+    assert all(e.passed for e in rep.entries if e is not entry)
+
+
 def _full_matrix_midpoint_worst(g, xs):
-    fx, fx_fin = g.f_vec(xs)
+    fx = g.f_vec(xs)
     mid = 0.5 * (xs[:, None] + xs[None, :])
-    fmid, fmid_fin = g.f_vec(mid.ravel())
+    fmid = g.f_vec(mid.ravel()).reshape(mid.shape)
     rhs = 0.5 * (fx[:, None] + fx[None, :])
-    both_fin = fx_fin[:, None] & fx_fin[None, :]
-    viol = np.where(both_fin & fmid_fin.reshape(mid.shape), fmid.reshape(mid.shape) - rhs, -np.inf)
-    return max(float(np.max(viol)), 0.0)
+    pairs = np.isfinite(fx)[:, None] & np.isfinite(fx)[None, :] & np.isfinite(fmid)
+    return max(float(np.max(fmid[pairs] - rhs[pairs], initial=-np.inf)), 0.0)
 
 
 def _concave_on_the_right():
@@ -220,7 +227,7 @@ def _concave_on_the_right():
     g = builtin("pearson_chi2")
 
     def f(x):
-        return np.where(x <= 1.0, (x - 1.0) ** 2, np.sqrt(np.maximum(x, 0.0)) - 1.0), x >= 0.0
+        return np.where(x < 0.0, np.inf, np.where(x <= 1.0, (x - 1.0) ** 2, np.sqrt(np.maximum(x, 0.0)) - 1.0))
 
     return dataclasses.replace(g, name="not_convex", f_vec=f)
 
@@ -269,7 +276,7 @@ def test_conjugate_sup_from_the_slope_seed_needs_few_derivative_calls(name):
             calls[key] = 0
         t, vals = conjugate_sup(g, p, q, 1e3, 1e-12)
         assert sum(calls.values()) <= 3, (name, calls)
-        closed = q * g.f_vec(p / q)[0]
+        closed = q * g.f_vec(p / q)
         assert np.max(np.abs(vals - closed)) <= 1e-12 * max(1.0, float(np.max(np.abs(closed))))
 
 
