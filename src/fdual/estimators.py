@@ -7,12 +7,15 @@ observed distribution:
 * ``fit_gmm`` minimizes the Euclidean distance between the data's and
   the member's feature means;
 * ``fit_linear_fgan`` minimizes the ball-restricted adversarial
-  divergence, which interpolates between the two: the intermediate
-  distribution pays a per-unit price R for moving the feature means
-  and the member pays KL beyond that.
+  divergence. Its fit tends to the moment-matching one as R -> 0 and is
+  the maximum-likelihood one under KL at R = inf when phi spans the
+  functions on the space; in between it is in general neither, and it
+  need not lie between the two.
 
-Families are either the full simplex (softmax coordinates) or an
-exponential tilt family over a full-support base. The moment-matching
+On the full simplex all three fits are closed form: maximum likelihood
+returns the data, and the other two the maximum-entropy member with the
+data's phi-means, where every restricted divergence is 0. On an
+exponential tilt family over a full-support base the moment-matching
 and adversarial fits run one seeded multistart damped Newton descent on
 exact derivatives: the moment gap's exact Hessian, and for the
 adversarial objective Danskin's gradient with the envelope Hessian of
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +70,6 @@ __all__ = [
     "INNER_TOL",
     "CrossContext",
     "FitReport",
-    "family_dim",
     "family_member",
     "fit_mle",
     "fit_gmm",
@@ -77,7 +79,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FullSimplex:
-    """Every distribution on the space, via softmax coordinates."""
+    """Every distribution on the space. It has no parameter: its fits are closed form."""
 
     space: OutcomeSpace
 
@@ -102,18 +104,15 @@ class ExpFamily:
 GeneratorFamily = FullSimplex | ExpFamily
 
 
-def family_dim(fam: GeneratorFamily) -> int:
-    return fam.space.n if isinstance(fam, FullSimplex) else fam.psi.k
-
-
-def family_member(fam: GeneratorFamily, theta: np.ndarray) -> Dist:
-    """The family member at the given parameter vector."""
+def family_member(fam: ExpFamily, theta: np.ndarray) -> Dist:
+    """The tilt family's member at the given parameter vector."""
+    if not isinstance(fam, ExpFamily):
+        raise ValidationError("the full simplex has no parameter: family_member takes an ExpFamily")
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("family parameter must be finite")
-    if theta.shape != (family_dim(fam),):
-        what = "simplex" if isinstance(fam, FullSimplex) else "tilt"
-        raise ValidationError(f"{what} parameter needs shape ({family_dim(fam)},)")
+    if theta.shape != (fam.psi.k,):
+        raise ValidationError(f"tilt parameter needs shape ({fam.psi.k},)")
     return _member(fam, theta)
 
 
@@ -220,15 +219,9 @@ def fit_mle(
     )
 
 
-def _psi(fam: GeneratorFamily) -> np.ndarray:
-    """The family's sufficient statistics, one row per parameter (softmax: the identity)."""
-    return np.eye(fam.space.n) if isinstance(fam, FullSimplex) else fam.psi.values
-
-
-def _member(fam: GeneratorFamily, theta: np.ndarray, off: np.ndarray | None = None) -> Dist:
+def _member(fam: ExpFamily, theta: np.ndarray, off: np.ndarray | None = None) -> Dist:
     """The member at ``theta``, with no mass on the atoms ``off`` (a face of the closure)."""
-    logw = theta.copy() if isinstance(fam, FullSimplex) else np.log(fam.base.p) + theta @ fam.psi.values
-    return Dist(fam.space, _normalized(logw, off))
+    return Dist(fam.space, _normalized(np.log(fam.base.p) + theta @ fam.psi.values, off))
 
 
 def _normalized(logw: np.ndarray, off: np.ndarray | None) -> np.ndarray:
@@ -243,29 +236,29 @@ def _normalized(logw: np.ndarray, off: np.ndarray | None) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _mean_gradient(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
-    """d/dtheta E_member[v], v held fixed: Cov(psi, v), or q (v - E_q v) for softmax.
+def _mean_gradient(fam: ExpFamily, member: Dist, v: np.ndarray) -> np.ndarray:
+    """d/dtheta E_member[v], v held fixed: Cov(psi, v).
 
     A 2-D ``v`` gives one column per row.
     """
     c = member.p * (v - (v @ member.p)[..., None])
-    return _psi(fam) @ c.T
+    return fam.psi.values @ c.T
 
 
-def _mean_hessian(fam: GeneratorFamily, member: Dist, v: np.ndarray) -> np.ndarray:
+def _mean_hessian(fam: ExpFamily, member: Dist, v: np.ndarray) -> np.ndarray:
     """d^2/dtheta^2 E_member[v], v held fixed: E_q[(psi - E psi)(psi - E psi)^T (v - E v)]."""
-    psi = _psi(fam)
+    psi = fam.psi.values
     centered = psi - (psi @ member.p)[:, None]
     c = member.p * (v - float(v @ member.p))
     return (centered * c) @ centered.T
 
 
-def _identifiable(fam: GeneratorFamily, off: np.ndarray | None) -> np.ndarray:
+def _identifiable(fam: ExpFamily, off: np.ndarray | None) -> np.ndarray:
     """Orthonormal basis of the parameter directions that move the member.
 
-    The others (softmax's constant, a face's normals) are idle.
+    The others (those along which psi is constant, a face's normals) are idle.
     """
-    psi = _psi(fam)
+    psi = fam.psi.values
     if off is not None:
         psi = psi[:, ~off]
     basis, sing, _ = np.linalg.svd(psi - psi[:, :1], full_matrices=False)
@@ -300,7 +293,7 @@ def _faces(psi: np.ndarray, theta: np.ndarray, u: np.ndarray, off: np.ndarray | 
 
     ``u`` is theta . psi, whose spread over the free atoms exceeds
     ``FACE_GAP``. The atoms split at a gap above ``FACE_GAP`` in it, and
-    the split is a face of the hull of the psi_i (softmax: every split is),
+    the split is a face of the hull of the psi_i,
     so the members along its normal tend to the member with no mass off it.
     This also sees faces reached by damped or turning steps.
     """
@@ -310,7 +303,7 @@ def _faces(psi: np.ndarray, theta: np.ndarray, u: np.ndarray, off: np.ndarray | 
         yield ~np.isin(np.arange(u.size), on)
 
 
-def _crawled_face(fam: GeneratorFamily, trail: list, d: np.ndarray, off: np.ndarray | None):
+def _crawled_face(fam: ExpFamily, trail: list, d: np.ndarray, off: np.ndarray | None):
     """The mask of the atoms off the face that the last Newton direction ``d``
     exposes (the free atoms maximizing d . psi, where q(theta + t d) tends),
     once the last two full steps look like Newton's unit steps on an
@@ -327,7 +320,7 @@ def _crawled_face(fam: GeneratorFamily, trail: list, d: np.ndarray, off: np.ndar
     as a descent to a nearby interior optimum does.
     """
     if len(trail) == 3:
-        psi = _psi(fam)
+        psi = fam.psi.values
         u = d @ psi
         if off is not None:
             u[off] = -math.inf
@@ -352,7 +345,7 @@ def _start_points(seed: int, dim: int, starts: int) -> np.ndarray:
     return theta
 
 
-def _multistart_descend(fam: GeneratorFamily, evaluate, cfg: FitConfig, value_floor: float = -math.inf):
+def _multistart_descend(fam: ExpFamily, evaluate, cfg: FitConfig, value_floor: float = -math.inf):
     """Seeded multistart damped Newton descent on the objective that ``evaluate`` gives.
 
     Each start takes Levenberg-Marquardt damped Newton steps in the
@@ -401,16 +394,16 @@ def _multistart_descend(fam: GeneratorFamily, evaluate, cfg: FitConfig, value_fl
     their remaining Newton steps and rounding, in the directions that
     move the member.
     """
-    dim, starts = family_dim(fam), cfg.starts
+    dim, starts = fam.psi.k, cfg.starts
     theta = _start_points(int(cfg.seed), dim, starts).copy()
-    psi = _psi(fam)
-    log_base = None if isinstance(fam, FullSimplex) else np.log(fam.base.p)
+    psi = fam.psi.values
+    log_base = np.log(fam.base.p)
     off = np.zeros((starts, fam.space.n), dtype=bool)  # the atoms off each start's face
     face = [None] * starts  # off[i].tobytes() once start i is on a face
     bases = {None: _identifiable(fam, None)}  # by face
 
     def members(rows, thetas):  # at the rows of thetas, on the faces of the starts ``rows``
-        logw = thetas.copy() if log_base is None else log_base + thetas @ psi
+        logw = log_base + thetas @ psi
         return [Dist(fam.space, p) for p in _normalized(logw, off[rows] if any(face) else None)]
 
     def directions(rows):  # one stacked solve per face that the starts ``rows`` are on
@@ -568,39 +561,32 @@ def fit_gmm(
     if isinstance(fam, FullSimplex):
         uniform = make_dist(fam.space, np.ones(fam.space.n))
         mp = moment_projection(builtin("kl"), Pdata, uniform, phi)
-        q_star = mp.pprime
-        objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
+        q_star, theta = mp.pprime, mp.coefficients if mp.attained else None
+        trajectory = {"starts": 1, "converged": mp.status == "converged"}
         notes = ("maximum entropy representative of the moment-matched face",)
         if not mp.attained:
             notes += ("data phi-means lie on a face of the features' hull: no tilt of the "
                       "uniform distribution matches them, and q_star is the limit on that face",)
-        return FitReport(
-            estimator="gmm",
-            q_star=q_star,
-            theta=mp.coefficients if mp.attained else None,
-            objective=objective,
-            cross=_cross_table(Pdata, q_star, ctx),
-            trajectory={"starts": 1, "converged": mp.status == "converged"},
-            notes=notes,
-        )
+    else:
+        def evaluate(member, base=None, step=None, exact=True):  # exact everywhere
+            d = target - feature_means(member, phi)  # the gap, whose Jacobian is -J, J = Cov(phi, psi)
+            jac_t = _mean_gradient(fam, member, phi.values)
+            hess = jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
+            return 0.5 * float(d @ d), -jac_t @ d, hess, True
 
-    def evaluate(member, base=None, step=None, exact=True):  # exact everywhere
-        d = target - feature_means(member, phi)  # the gap, whose Jacobian is -J, J = Cov(phi, psi)
-        jac_t = _mean_gradient(fam, member, phi.values)
-        hess = jac_t @ jac_t.T - _mean_hessian(fam, member, d @ phi.values)
-        return 0.5 * float(d @ d), -jac_t @ d, hess, True
-
-    (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(
-        fam, evaluate, cfg, value_floor=1e-24)
-    objective = float(np.linalg.norm(target - feature_means(q_star, phi)))
+        (theta, off, q_star), iters, per_start, distinct, capped = _multistart_descend(
+            fam, evaluate, cfg, value_floor=1e-24)
+        theta = theta if off is None else None
+        trajectory = {"starts": cfg.starts, "iterations": iters, "per_start": per_start}
+        notes = _descent_notes(off, distinct, capped, cfg)
     return FitReport(
         estimator="gmm",
         q_star=q_star,
-        theta=theta if off is None else None,
-        objective=objective,
+        theta=theta,
+        objective=float(np.linalg.norm(target - feature_means(q_star, phi))),
         cross=_cross_table(Pdata, q_star, ctx),
-        trajectory={"starts": cfg.starts, "iterations": iters, "per_start": per_start},
-        notes=_descent_notes(off, distinct, capped, cfg),
+        trajectory=trajectory,
+        notes=notes,
     )
 
 
@@ -620,7 +606,7 @@ def _descent_notes(off: np.ndarray | None, distinct: bool, capped: int, cfg: Fit
     return notes
 
 
-def _envelope(fam: GeneratorFamily, feats: np.ndarray, target: np.ndarray, radius: float, member: Dist,
+def _envelope(fam: ExpFamily, feats: np.ndarray, target: np.ndarray, radius: float, member: Dist,
               a: np.ndarray, conjugate, dh: np.ndarray | None = None):
     """(gradient, Hessian, dz) in theta of the f-GAN objective at ``member``,
     from the inner iterate z = (a, b) with h = a . phi + b.
@@ -649,7 +635,7 @@ def _envelope(fam: GeneratorFamily, feats: np.ndarray, target: np.ndarray, radiu
     if dh is not None:
         fs, slope = fs + slope * dh, slope + curv * dh
     p = member.p
-    psi = _psi(fam)
+    psi = fam.psi.values
     centered = psi - (psi @ p)[:, None]  # Cov(psi, v) = centered @ (p v)
     grad = -(centered @ (p * fs))
     hess = -((centered * (p * (fs - float(fs @ p)))) @ centered.T)
@@ -682,10 +668,13 @@ def fit_linear_fgan(
 ) -> FitReport:
     """Adversarial fit: minimize the ball-restricted divergence.
 
-    The outer landscape over family parameters is generally nonconvex,
-    so the seeded multistart Newton descent of :func:`_multistart_descend`
-    is used. For a smooth generator it takes joint steps in the parameters
-    theta and the discriminator z = (a, b). Its evaluation hook starts from
+    On the full simplex the minimum, 0, is attained wherever the phi-means
+    match (E_data[h] = E_q[h] and h - f*(h) <= f(1) = 0): the fit is
+    :func:`fit_gmm`'s member, scored by one exact inner solve. On a tilt
+    family the outer landscape is generally nonconvex, so the seeded
+    multistart Newton descent of :func:`_multistart_descend` is used. For
+    a smooth generator it takes joint steps in the parameters theta and
+    the discriminator z = (a, b). Its evaluation hook starts from
     the base member's z moved to first order with theta, else from where
     the member's last joint step left z. An exact inner solve (residual at
     most ``INNER_TOL``) gives the value, Danskin's gradient and the
@@ -709,12 +698,20 @@ def fit_linear_fgan(
     """
     cfg = cfg or FitConfig()
     _require_same_space(Pdata, phi)
-    dim = family_dim(fam)
     spec = LinearBall(phi, 2, radius)
+    inner_cfg = PrimalConfig(tol=INNER_TOL)
+    if isinstance(fam, FullSimplex):
+        gmm = fit_gmm(fam, Pdata, phi)
+        rep = restricted_div_primal(g, Pdata, gmm.q_star, spec, inner_cfg)
+        trajectory = {**gmm.trajectory, "inner_solves": 1, "inner_steps": rep.iterations,
+                      "inner_status": rep.status}
+        note = "the moment-matched face is optimal: the restricted divergence is 0 at each of its members"
+        return replace(gmm, estimator="fgan", objective=rep.value, cross={**gmm.cross, "fgan": rep.value},
+                       trajectory=trajectory, notes=gmm.notes + (note,), pprime=rep.pprime)
+    dim = fam.psi.k
     r = float(spec.radius)
     feats = np.vstack([phi.values, np.ones(phi.space.n)])
     target = np.append(feature_means(Pdata, phi), 1.0)
-    inner_cfg = PrimalConfig(tol=INNER_TOL)
     solved = {}  # member bytes -> (inner report, (value, gradient, Hessian, True))
     joint = {}  # member bytes -> (inner iterate, its move with theta) of the last evaluation there
     counts = {"inner_solves": 0, "inner_steps": 0}

@@ -312,7 +312,7 @@ def _check_gmm_agreement(seed: int, i: int):
     P, _, phi = random_instance(seed * 4391 + i, n, k)
     rep = fit_linear_fgan(FullSimplex(P.space), P, builtin("kl"), phi, math.inf)
     res = float(np.max(np.abs(feature_means(rep.q_star, phi) - feature_means(P, phi))))
-    ok = res <= 1e-4
+    ok = res <= 1e-9 and rep.objective <= 1e-15  # worst seen over seeds 0-4: 4.4e-11 and 1.1e-16
     return ok, res, {"i": i, "n": n, "k": k, "residual": res, "objective": rep.objective, "ok": ok}
 
 

@@ -13,7 +13,8 @@ from fdual.cli import (
     validate_report,
 )
 from fdual.errors import ParseError, ValidationError
-from fdual.space import random_instance
+from fdual.estimators import ExpFamily, family_member
+from fdual.space import make_dist, random_instance
 
 
 @pytest.fixture
@@ -358,6 +359,34 @@ def test_fgan_fit_on_a_face_writes_null_theta(tmp_path):
     assert len(results["pprime"]) == 3
     assert results["trajectory"]["inner_solves"] >= 1
     assert results["trajectory"]["inner_steps"] >= results["trajectory"]["inner_solves"]
+
+
+@pytest.mark.parametrize("seed", [900, 901, 902])
+def test_fgan_fit_on_the_full_simplex_is_closed_form(tmp_path, seed):
+    # The f-GAN optimum on the full simplex is 0, at the maximum-entropy
+    # member with the data's phi-means: a tilt of the uniform distribution
+    # by phi, whose k coefficients the report writes as theta.
+    P, _, phi = random_instance(seed, 4, 2)
+    doc = {
+        "space": {"labels": [f"x{i}" for i in range(P.space.n)]},
+        "dists": {"Pdata": P.p.tolist()},
+        "features": {"phi": phi.values.tolist()},
+        "generator": "js_gan",
+        "discriminator": {"variant": "linear_ball", "features": "phi", "p": 2, "radius": 1},
+        "family": {"variant": "full_simplex"},
+        "data": "Pdata",
+    }
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--instance", str(path), "--estimator", "fgan", "--out", out]) == 0
+    results = _load(out)["results"]
+    assert float(results["objective"]) <= 1e-15
+    assert results["trajectory"]["inner_solves"] == 1
+    theta = np.array([float(x) for x in results["theta"]])
+    assert theta.shape == (phi.k,)
+    member = family_member(ExpFamily(make_dist(P.space, np.ones(P.space.n)), phi), theta)
+    assert np.max(np.abs(member.p - [float(x) for x in results["q_star"]])) <= 1e-15
 
 
 @pytest.mark.parametrize("extra", [{"tol": -1}, {"tol": 0}, {"tol": "inf"}])
