@@ -426,11 +426,8 @@ def _cmd_gap(args):
         "status": gr.status,
         "primal_value": gr.primal_value,
         "dual_value": gr.dual_value,
-        "abs_gap": gr.abs_gap if math.isfinite(gr.abs_gap) else None,
+        "gap": gr.gap if math.isfinite(gr.gap) else None,
         "rel_gap": gr.rel_gap if math.isfinite(gr.rel_gap) else None,
-        "weak_duality_worst": gr.weak_duality_worst
-        if math.isfinite(gr.weak_duality_worst)
-        else None,
         "primal": _solve_report_payload(gr.primal),
         "dual": _solve_report_payload(gr.dual),
     }
@@ -443,9 +440,9 @@ def _cmd_gap(args):
         }
     ]
     config = {"generator": g.name, "discriminator": inst.raw.get("discriminator")}
-    # The gap certifies both values; a primal solve that stopped on its float
-    # resolution floor with a certified gap is not a failure.
-    return inst.seed("primal_config", args.seed), config, results, rows, 0 if gr.rel_gap <= dcfg.tol else 2
+    # The dual's status certifies the signed gap; a primal solve that stopped on
+    # its float resolution floor with a certified gap is not a failure.
+    return inst.seed("primal_config", args.seed), config, results, rows, 2 if gr.dual.status == "not_converged" else 0
 
 
 def _cmd_fit(args):

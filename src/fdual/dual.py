@@ -10,10 +10,10 @@ point the optimal P' is the conjugate-slope tilt
 every supremum-side solve reports as its ``pprime``. So
 ``restricted_div_dual`` does not search: it scores the primal's tilt
 exactly and certifies it against the primal's value, on every ball and
-under a quadratic penalty. Any feasible P' evaluates to an upper bound
-on the true infimum, so the reported value is one whatever its status.
-At infinite radius the dual is the moment projection, the closest
-dominated distribution with prescribed feature means.
+under a quadratic penalty. At infinite radius the dual is the moment
+projection, the closest dominated distribution with prescribed feature
+means, and it moves the tilt onto those means before scoring it. So the
+dual value is an upper bound, and the signed gap certifies both values.
 """
 
 from __future__ import annotations
@@ -72,15 +72,16 @@ class DualConfig:
 class GapReport:
     """Primal and dual values of the same instance, with their gap. The
     values are floats that also read ``is_finite`` (:class:`~fdual.extreal.ExtReal`).
+    ``gap``, the dual value less the primal value, is signed (0 when both
+    are +inf), and so is ``rel_gap``, ``gap`` over max(1, |dual value|).
     ``status`` always reads ``ok``; it stays for callers that read it."""
 
     primal: SolveReport
     dual: SolveReport
     primal_value: float
     dual_value: float
-    abs_gap: float
+    gap: float
     rel_gap: float
-    weak_duality_worst: float
     status: str = "ok"
 
 
@@ -105,17 +106,21 @@ def restricted_div_dual(
     Otherwise P' is the tilt ``pprime`` of ``primal``, the supremum side's
     report of the same instance, which is solved here when not given
     (default :class:`PrimalConfig`, tol 1e-10 at infinite radius); route
-    ``primal_tilt``. P' is scored exactly as D(P' || Q) plus
-    :func:`~fdual.discriminator.gap_conjugate` at E_P[phi] - E_P'[phi].
-    At infinite radius, where P' must meet the means of P, it is D(P' || Q)
-    alone, the norm of that moment gap is the ``residual``, and the
-    report carries the primal's coefficients and iterations. ``attained``
-    and the notes are the primal's. The status is ``converged`` when the
-    value is within ``cfg.tol`` (relative) of the primal value and any
-    moment residual is at most 1e-8, ``not_converged`` otherwise, with
-    ``gap_estimate`` the dual value less the primal value; the value is
-    an exact upper bound either way. An ``unbounded`` primal makes the
-    dual ``infeasible``, +inf, with the unit ray as coefficients.
+    ``primal_tilt``. At finite radius P' is scored exactly as D(P' || Q)
+    plus :func:`~fdual.discriminator.gap_conjugate` at E_P[phi] - E_P'[phi].
+    At infinite radius, where P' meets the means of P only to the primal's
+    tolerance, the dual scores D(P'' || Q) alone, at P'' = P' (1 + (phi -
+    mu')^T lam) with mu' = E_P'[phi] and Cov_P'(phi) lam = E_P[phi] - mu'.
+    P'' keeps the support of P' and meets the means to rounding; the norm
+    of its moment gap is the ``residual``, and the report carries the
+    primal's coefficients and iterations. So the value is an exact upper
+    bound either way, except where P'' would have a negative mass: the
+    dual then keeps P' and reads ``not_converged``. ``attained`` and the
+    notes are the primal's. ``gap_estimate`` is the dual value less the
+    primal value; the status is ``converged`` when it lies in
+    [-8 (n + k) eps, ``cfg.tol``] times max(1, |value|), the lower end a
+    rounding bound. An ``unbounded`` primal makes the dual ``infeasible``,
+    +inf, with the unit ray as coefficients.
     """
     cfg = cfg or DualConfig()
     _require_same_space(P, Q)
@@ -125,9 +130,7 @@ def restricted_div_dual(
             dv = df_closed(g, P, Q)
             return SolveReport(
                 value=dv.value, intermediate=P, iterations=0, residual=0.0,
-                status="converged", attained=math.isfinite(dv.value),
-                value_log=(dv.value,) if math.isfinite(dv.value) else (),
-                route="closed_form",
+                status="converged", attained=math.isfinite(dv.value), route="closed_form",
             )
         return SolveReport(value=POS_INF, iterations=0, status="infeasible", attained=False,
                            route="closed_form")
@@ -143,25 +146,34 @@ def restricted_div_dual(
             notes=("target means unreachable at finite divergence",), route="primal_tilt",
         )
     pp = primal.pprime
-    shift = feature_means(P, spec.phi) - feature_means(pp, spec.phi)
-    value = df_closed(g, pp, Q).value
+    target, mu = feature_means(P, spec.phi), feature_means(pp, spec.phi)
+    kept = False
     if infinite:
-        # The moment projection: P' must meet the means of P.
-        residual = float(np.linalg.norm(shift))
-        solve = dict(coefficients=primal.coefficients, iterations=primal.iterations, residual=residual)
+        # Off the means, D(P' || Q) need not bound the infimum: score P''. The
+        # least-squares solve covers features affinely dependent on supp P'.
+        centered = spec.phi.values - mu[:, None]
+        weighted = centered * pp.p
+        w = pp.p + np.linalg.lstsq(weighted @ centered.T, target - mu, rcond=None)[0] @ weighted
+        kept = bool(np.any(w < 0.0))
+        if not kept:
+            pp = Dist(pp.space, w)
+            mu = feature_means(pp, spec.phi)
+        value = df_closed(g, pp, Q).value
+        solve = dict(coefficients=primal.coefficients, iterations=primal.iterations,
+                     residual=float(np.linalg.norm(target - mu)))
     else:
-        value += gap_conjugate(spec, shift)
-        residual = 0.0
+        value = df_closed(g, pp, Q).value + gap_conjugate(spec, target - mu)
         solve = {}
     gap_est = value - primal.value
-    certified = gap_est <= cfg.tol * max(1.0, abs(value)) and residual <= 1e-8
+    scale = max(1.0, abs(value))
+    rounding = 8.0 * (P.space.n + spec.phi.k) * np.finfo(float).eps * scale
+    certified = not kept and -rounding <= gap_est <= cfg.tol * scale
     return SolveReport(
         value=value,
         intermediate=pp,
         status="converged" if certified else "not_converged",
         attained=primal.attained,
         gap_estimate=gap_est,
-        value_log=(value,),
         notes=primal.notes,
         route="primal_tilt",
         **solve,
@@ -172,13 +184,14 @@ def moment_projection(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap) -> Solve
     """Closest dominated distribution with the feature means of P.
 
     Minimizes D(P'||Q) over P' << Q subject to E_P'[phi] = E_P[phi]:
-    :func:`restricted_div_dual` on ``LinearBall(phi, 2, inf)``. P' is the
-    conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q at the
-    optimal infinite-radius discriminator (for total variation, of its
-    smoothed conjugate). A supremum growing along a ray means the target
-    is unreachable: status ``infeasible``, value +inf, and the unit ray
-    direction as certificate. On a face of the achievable hull
-    ``attained`` is false.
+    :func:`restricted_div_dual` on ``LinearBall(phi, 2, inf)``. ``pprime``
+    is P'': the conjugate-slope tilt p'_i ~ q_i f*'(a . phi_i + b*) of Q at
+    the optimal infinite-radius discriminator (for total variation, of its
+    smoothed conjugate), moved onto the means of P. So it is not a tilt of
+    Q, and its value bounds the projection from above. A supremum growing
+    along a ray means the target is unreachable: status ``infeasible``,
+    value +inf, and the unit ray direction as certificate. On a face of
+    the achievable hull ``attained`` is false.
     """
     return restricted_div_dual(g, P, Q, LinearBall(phi, 2, POS_INF))
 
@@ -191,36 +204,16 @@ def duality_gap(
     primal_cfg: PrimalConfig | None = None,
     dual_cfg: DualConfig | None = None,
 ) -> GapReport:
-    """Run both solvers on one instance and report the certified gap.
+    """Run both solvers on one instance and report the signed gap.
 
     The dual scores the primal report's tilt (see
-    :func:`restricted_div_dual`). The supremum side approaches the optimum from below and the
-    infimum side from above, so every logged primal value must stay
-    below every logged dual value; the worst pairwise violation is
-    reported alongside the final gap.
+    :func:`restricted_div_dual`). The supremum side bounds the value from
+    below and the infimum side from above, so the gap, dual less primal,
+    is at least minus rounding, and the dual's status certifies it.
     """
     p_rep = _primal_solve(g, P, Q, spec, primal_cfg)
     d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal=p_rep)
-
     pv, dv = ExtReal(p_rep.value), ExtReal(d_rep.value)
-    if pv.is_finite and dv.is_finite:
-        abs_gap = abs(pv - dv)
-        rel_gap = abs_gap / max(1.0, abs(dv))
-    elif not (pv.is_finite or dv.is_finite):
-        abs_gap = 0.0
-        rel_gap = 0.0
-    else:
-        abs_gap = math.inf
-        rel_gap = math.inf
-    worst = -math.inf
-    if p_rep.value_log and d_rep.value_log:
-        worst = max(p_rep.value_log) - min(d_rep.value_log)
-    return GapReport(
-        primal=p_rep,
-        dual=d_rep,
-        primal_value=pv,
-        dual_value=dv,
-        abs_gap=abs_gap,
-        rel_gap=rel_gap,
-        weak_duality_worst=worst,
-    )
+    gap = dv - pv if pv.is_finite or dv.is_finite else 0.0
+    rel_gap = gap / max(1.0, abs(dv)) if dv.is_finite else gap
+    return GapReport(primal=p_rep, dual=d_rep, primal_value=pv, dual_value=dv, gap=gap, rel_gap=rel_gap)

@@ -48,7 +48,6 @@ import numpy as np
 
 from .discriminator import LinearBall
 from .divergence import kl_bar
-from .dual import moment_projection
 from .errors import SupportViolation, ValidationError
 from .fgen import FGenerator, builtin
 from .primal import FACE_GAP, PrimalConfig, face_splits, newton_step, project_ball, restricted_div_primal
@@ -185,7 +184,8 @@ def fit_mle(
 
     On the full simplex the optimum is the data itself. For an
     exponential family the optimum matches the data's psi-means: it is
-    the KL moment projection of the base onto those means.
+    the KL moment projection of the base onto those means, the tilt of the
+    base at the infinite-radius KL primal's optimum.
     """
     ctx = cross_context or CrossContext()
     _require_same_space(fam.base if isinstance(fam, ExpFamily) else fam, Pdata)
@@ -200,7 +200,8 @@ def fit_mle(
         )
     if not absolutely_continuous(Pdata, fam.base):
         raise SupportViolation("data is not dominated by the family base")
-    mp = moment_projection(builtin("kl"), Pdata, fam.base, fam.psi)
+    mp = restricted_div_primal(builtin("kl"), Pdata, fam.base, LinearBall(fam.psi, 2, math.inf),
+                               PrimalConfig(tol=1e-10))
     converged = mp.status == "converged"
     notes = () if converged else ("tilt Newton stopped before matching psi-means",)
     if not mp.attained:
@@ -560,7 +561,8 @@ def fit_gmm(
 
     if isinstance(fam, FullSimplex):
         uniform = make_dist(fam.space, np.ones(fam.space.n))
-        mp = moment_projection(builtin("kl"), Pdata, uniform, phi)
+        mp = restricted_div_primal(builtin("kl"), Pdata, uniform, LinearBall(phi, 2, math.inf),
+                                   PrimalConfig(tol=1e-10))
         q_star, theta = mp.pprime, mp.coefficients if mp.attained else None
         trajectory = {"starts": 1, "converged": mp.status == "converged"}
         notes = ("maximum entropy representative of the moment-matched face",)

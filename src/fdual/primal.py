@@ -95,10 +95,10 @@ class SolveReport:
 
     ``status`` is one of ``converged``, ``not_converged``, ``unbounded``
     or ``infeasible``; ``value`` is a float, and an infinite optimum is
-    reported as +inf plus status, never raised. ``value_log`` holds exact objective
-    evaluations at logged iterates (every 50 iterations plus the last,
-    or the end of each barrier or smoothing stage): each entry is a
-    valid one-sided bound on the true optimum. ``pprime`` is the
+    reported as +inf plus status, never raised. A primal solve's ``value_log``
+    holds exact objective evaluations at logged iterates (every 50
+    iterations plus the last, or the end of each barrier or smoothing
+    stage): each entry is a lower bound on the true optimum. ``pprime`` is the
     intermediate distribution: the one the dual scores, or a linear primal
     solve's conjugate-slope tilt of Q at its optimum. ``intermediate``
     holds it, or for a primal solve builds it on first read (the fits'

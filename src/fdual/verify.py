@@ -194,8 +194,10 @@ def _check_variational(seed: int, i: int):
 
 def _check_duality(seed: int, i: int):
     gen_name, P, Q, phi, radius = duality_instance(seed, i)
-    gr = duality_gap(builtin(gen_name), P, Q, LinearBall(phi, 2, radius))
-    ok = gr.rel_gap <= 1e-3 and gr.weak_duality_worst <= 1e-6
+    g = builtin(gen_name)
+    gr, gr_inf = (duality_gap(g, P, Q, LinearBall(phi, 2, r)) for r in (radius, math.inf))
+    # The signed relative gaps, dual less primal: rounding below 0 at most.
+    ok = all(-1e-13 <= r.rel_gap <= 1e-3 for r in (gr, gr_inf))
     record = {
         "i": i,
         "generator": gen_name,
@@ -205,10 +207,10 @@ def _check_duality(seed: int, i: int):
         "primal": gr.primal_value,
         "dual": gr.dual_value,
         "rel_gap": gr.rel_gap,
-        "pairwise": gr.weak_duality_worst,
+        "rel_gap_inf": gr_inf.rel_gap,
         "ok": ok,
     }
-    return ok, max(gr.rel_gap, max(gr.weak_duality_worst, 0.0)), record
+    return ok, max(abs(gr.rel_gap), abs(gr_inf.rel_gap)), record
 
 
 def _infeasible_projection_instance(seed: int, i: int):
@@ -252,7 +254,9 @@ def _check_moment_projection(seed: int, i: int):
     bound = d_pprime - pr.value
     slack = float(np.linalg.norm(pr.coefficients)) * float(np.linalg.norm(gap))
     slack += 1e-12 * max(1.0, d_pprime)
-    ok = res <= 1e-8 and dv <= 1e-5 and -slack <= bound <= 1e-5
+    # The dual meets the means to rounding: residuals reach 1.1e-16 and the
+    # two values differ by up to 5.3e-15 over seeds 0-9 at count 50.
+    ok = res <= 1e-14 and dv <= 1e-13 and -slack <= bound <= 1e-13
     record = {"i": i, "kind": "feasible", "generator": g.name, "n": n, "k": k, "residual": res,
               "value_dev": dv, "closed_form_excess": bound, "ok": ok}
     return ok, max(res, dv, abs(bound)), record

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,24 @@ def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
     results = _load(out)["results"]
     assert results["primal"]["status"] == "not_converged"
     assert float(results["rel_gap"]) <= 1e-4
+
+
+def test_gap_below_the_primal_exits_2(tmp_path, instance_doc, monkeypatch):
+    # A dual value below the primal's is a weak-duality violation: the dual
+    # reads not_converged and the command exits 2, though |rel_gap| is small.
+    import fdual.dual as dual_module
+
+    closed = dual_module.df_closed
+    monkeypatch.setattr(dual_module, "df_closed",
+                        lambda g, P, Q: replace(closed(g, P, Q), value=closed(g, P, Q).value - 1e-6))
+    instance_doc["discriminator"]["radius"] = 1.0
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_doc))
+    out = str(tmp_path / "report.json")
+    assert main(["gap", "--instance", str(path), "--out", out]) == 2
+    results = _load(out)["results"]
+    assert results["dual"]["status"] == "not_converged"
+    assert -1e-5 < float(results["rel_gap"]) == float(results["gap"]) < 0.0
 
 
 def test_primal_exit_code_on_face_of_feature_hull(tmp_path, instance_doc):
@@ -447,20 +466,19 @@ def test_integral_config_value_reads_as_an_integer(tmp_path, instance_doc, capsy
 
 GAP_TABLE = """\
 command: gap
-  abs_gap: 4.62100691045e-10
-  dual: {"value": "0.143841036688", "coefficients": ["1.09861229035"], "intercept": null, \
-"pprime": ["0.499999999579", "0.500000000421"], "iterations": 4, "residual": "4.20622203734e-10", \
-"status": "converged", "route": "primal_tilt", "attained": true, "capped": false, "gap_estimate": "4.62100691045e-10", \
-"fd_gradient_worst": "0", "value_log": ["0.143841036688"], "notes": []}
-  dual_value: 0.143841036688
+  dual: {"value": "0.143841036226", "coefficients": ["1.09861229035"], "intercept": null, \
+"pprime": ["0.5", "0.5"], "iterations": 4, "residual": "0", \
+"status": "converged", "route": "primal_tilt", "attained": true, "capped": false, "gap_estimate": "-5.55111512313e-17", \
+"fd_gradient_worst": "0", "value_log": [], "notes": []}
+  dual_value: 0.143841036226
+  gap: -5.55111512313e-17
   primal: {"value": "0.143841036226", "coefficients": ["1.09861229035"], "intercept": "0.594534891051", \
 "pprime": ["0.499999999579", "0.500000000421"], "iterations": 4, "residual": "4.20622203734e-10", \
 "status": "converged", "route": "newton", "attained": true, "capped": false, "gap_estimate": null, \
 "fd_gradient_worst": "0", "value_log": ["0", "0.143841036226"], "notes": []}
   primal_value: 0.143841036226
-  rel_gap: 4.62100691045e-10
+  rel_gap: -5.55111512313e-17
   status: ok
-  weak_duality_worst: -4.62100691045e-10
 """
 
 

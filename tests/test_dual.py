@@ -15,7 +15,7 @@ from fdual.dual import DualConfig, duality_gap, moment_projection, restricted_di
 from fdual.errors import ValidationError
 from fdual.extreal import POS_INF, finite
 from fdual.fgen import builtin, builtin_names
-from fdual.primal import PrimalConfig, restricted_div_primal, regularized_div_primal
+from fdual.primal import PrimalConfig, SolveReport, restricted_div_primal, regularized_div_primal
 from fdual.space import (
     FeatureMap,
     OutcomeSpace,
@@ -181,11 +181,16 @@ def test_total_variation_moment_projection_infeasible():
     assert mp.value == math.inf
 
 
+def _rounding(P, phi, value):
+    # The dual's rounding bound on a gap below 0.
+    return 8.0 * (P.space.n + phi.k) * np.finfo(float).eps * max(1.0, abs(float(value)))
+
+
 def test_dual_r_infinite_delegates_to_projection(two_point):
     # The moment projection reported route newton from a solve of its own.
     # Now it is the standalone dual on LinearBall(phi, 2, inf): the tilt of
-    # the primal solved at tol 1e-10, with its coefficients, iterations and
-    # moment residual.
+    # the primal solved at tol 1e-10, moved onto the means of P on its
+    # support, with the primal's coefficients and iterations.
     _, P2, Q2, phi2 = two_point
     for g, (P, Q, phi) in ((KL, (P2, Q2, phi2)), (TV, random_instance(3, 3, 1))):
         spec = LinearBall(phi, 2, POS_INF)
@@ -193,10 +198,49 @@ def test_dual_r_infinite_delegates_to_projection(two_point):
         for rep in (moment_projection(g, P, Q, phi), restricted_div_dual(g, P, Q, spec)):
             assert (rep.route, rep.status, rep.iterations) == ("primal_tilt", "converged", pr.iterations)
             assert rep.coefficients.tolist() == pr.coefficients.tolist()
-            assert rep.pprime.p.tolist() == pr.pprime.p.tolist()
-            assert rep.value == df_closed(g, pr.pprime, Q).value
-            assert rep.residual == float(np.linalg.norm(feature_means(P, phi) - feature_means(pr.pprime, phi)))
-            assert rep.gap_estimate == rep.value - pr.value
+            assert np.all(rep.pprime.p[pr.pprime.p == 0.0] == 0.0)
+            assert np.max(np.abs(rep.pprime.p - pr.pprime.p)) <= 1e-9
+            assert rep.value == df_closed(g, rep.pprime, Q).value
+            assert rep.residual == float(np.linalg.norm(feature_means(P, phi) - feature_means(rep.pprime, phi)))
+            assert rep.residual <= 1e-15
+            assert rep.gap_estimate == rep.value - pr.value >= -_rounding(P, phi, rep.value)
+
+
+def test_reverse_kl_dual_at_infinite_radius_bounds_the_primal():
+    # The primal's tilt misses the means by its tolerance, and scored as it
+    # stood it lay 1.2e-7 relative below the primal value here.
+    _, P, Q, phi, _ = duality_instance(2, 24)
+    gr = duality_gap(builtin("reverse_kl"), P, Q, LinearBall(phi, 2, POS_INF))
+    assert gr.primal.status == gr.dual.status == "converged"
+    assert float(gr.dual_value) >= float(gr.primal_value)
+    assert gr.gap == float(gr.dual_value) - float(gr.primal_value) <= 1e-8 * float(gr.dual_value)
+
+
+@pytest.mark.parametrize("s, i", [(1, 4), (1, 13), (2, 27)])
+def test_total_variation_dual_at_infinite_radius_certifies(s, i):
+    # The primal at tol 1e-8 hands a tilt that misses the means by 1.0e-8
+    # to 1.6e-8; a 1e-8 residual rule read these certified gaps as
+    # not_converged. The dual meets the means before scoring.
+    _, P, Q, phi, _ = duality_instance(s, i)
+    gr = duality_gap(TV, P, Q, LinearBall(phi, 2, POS_INF))
+    assert gr.dual.status == "converged"
+    assert gr.gap >= -_rounding(P, phi, gr.dual_value)
+    assert gr.rel_gap <= DualConfig().tol
+
+
+def test_dual_keeps_a_tilt_it_cannot_move_onto_the_means():
+    # P' = (0.01, 0.98, 0.01) has mean 1 and variance 0.02. Moving it onto
+    # the mean 0.03 of P scales the last mass by 1 - 48.5, so the dual
+    # keeps P', scored at the primal's own value, and does not certify it.
+    space = OutcomeSpace.of_size(3)
+    P, Q = make_dist(space, [0.98, 0.01, 0.01]), make_dist(space, [1, 1, 1])
+    phi = FeatureMap(space, [[0.0, 1.0, 2.0]])
+    pp = make_dist(space, [0.01, 0.98, 0.01])
+    primal = SolveReport(value=df_closed(KL, pp, Q).value, coefficients=np.zeros(1), intermediate=pp)
+    rep = restricted_div_dual(KL, P, Q, LinearBall(phi, 2, POS_INF), primal=primal)
+    assert (rep.status, rep.gap_estimate) == ("not_converged", 0.0)
+    assert rep.pprime is pp
+    assert rep.residual == pytest.approx(0.97, abs=1e-15)
 
 
 def test_dual_minimizer_dominated():
@@ -215,7 +259,7 @@ def test_duality_gap_identical(two_point):
     gr = duality_gap(KL, Q, Q, LinearBall(phi, 2, finite(1.0)))
     assert float(gr.primal_value) == pytest.approx(0.0, abs=1e-10)
     assert float(gr.dual_value) == pytest.approx(0.0, abs=1e-10)
-    assert gr.abs_gap <= 1e-10
+    assert abs(gr.gap) <= 1e-10
 
 
 def test_duality_gap_small_instances():
@@ -224,7 +268,8 @@ def test_duality_gap_small_instances():
         P, Q, phi = random_instance(600 + seed, 5, 2)
         gr = duality_gap(g, P, Q, LinearBall(phi, 2, finite((0.1, 1.0, 10.0)[seed % 3])))
         assert gr.rel_gap <= 1e-3
-        assert gr.weak_duality_worst <= 1e-6
+        assert gr.gap >= -1e-6
+        assert max(gr.primal.value_log) == float(gr.primal_value)
 
 
 def _wide_instance(seed, drop=None):
@@ -257,21 +302,23 @@ def test_duality_gap_quadratic_regularizer(two_point):
     reg = QuadraticCoefficientPenalty(phi, 0.8)
     gr = duality_gap(KL, P, Q, reg)
     assert gr.rel_gap <= 1e-3
-    assert gr.weak_duality_worst <= 1e-6
+    assert gr.gap >= -1e-6
+    assert max(gr.primal.value_log) == float(gr.primal_value)
     p_rep = regularized_div_primal(KL, P, Q, reg)
     assert float(gr.primal_value) == pytest.approx(float(p_rep.value), abs=1e-10)
 
 
-def test_dual_value_log_is_nonincreasing_upper_bounds():
-    # The dual makes no search, so on every route its log is its value
-    # alone: one upper bound.
+def test_dual_value_bounds_the_primal_on_every_route():
+    # The dual makes no search and keeps no log: its value is one upper
+    # bound, at least every value the primal logs, on every route.
     P, Q, phi = random_instance(71, 8, 2)
     g = builtin("pearson_chi2")
     for spec, route in ((FullSpace(P.space), "closed_form"), (LinearBall(phi, 2, finite(1.0)), "primal_tilt"),
                         (LinearBall(phi, 2, POS_INF), "primal_tilt")):
-        rep = restricted_div_dual(g, P, Q, spec)
-        assert rep.route == route
-        assert rep.value_log == (rep.value,)
+        gr = duality_gap(g, P, Q, spec)
+        assert (gr.dual.route, gr.dual.status, gr.dual.value_log) == (route, "converged", ())
+        assert max(gr.primal.value_log) == float(gr.primal_value)
+        assert gr.gap >= -_rounding(P, phi, gr.dual_value)
 
 
 def test_dual_config_validation():
@@ -378,7 +425,8 @@ def test_nonsmooth_and_polyhedral_gaps_certify_from_primal_tilt(name, seed, n, k
     assert gr.primal.status == "converged" and gr.primal.route == "newton"
     assert gr.dual.route == "primal_tilt" and gr.dual.iterations == 0
     assert gr.rel_gap <= 1e-4
-    assert gr.weak_duality_worst <= 1e-12
+    assert gr.gap >= -1e-12
+    assert max(gr.primal.value_log) == float(gr.primal_value)
 
 
 def _dual(g, seed, n, k, spec_of):
@@ -418,7 +466,7 @@ def test_infinite_radius_gap_solves_the_primal_once(monkeypatch):
     names = builtin_names()
     for name in names:
         gr = duality_gap(builtin(name), P, Q, LinearBall(phi, 2, POS_INF))
-        assert gr.dual.route == "primal_tilt" and gr.dual.pprime is gr.primal.pprime
+        assert gr.dual.route == "primal_tilt" and gr.dual.status == "converged"
         assert gr.dual.coefficients is gr.primal.coefficients
         assert gr.rel_gap <= DualConfig().tol
     assert len(calls) == len(names)
@@ -431,7 +479,7 @@ def test_gap_of_an_unreachable_target_is_zero():
     gr = duality_gap(KL, P, Q, LinearBall(phi, 2, POS_INF))
     assert (gr.primal.status, gr.dual.status) == ("unbounded", "infeasible")
     assert gr.primal_value == gr.dual_value == math.inf
-    assert (gr.abs_gap, gr.rel_gap) == (0.0, 0.0)
+    assert (gr.gap, gr.rel_gap) == (0.0, 0.0)
     assert gr.dual.coefficients.tolist() == [1.0]
 
 
@@ -455,7 +503,6 @@ def test_dual_scores_the_primal_tilt_alone(instance):
     assert gr.dual.pprime is gr.primal.pprime
     gap_term = gap_conjugate(spec, feature_means(P, spec.phi) - feature_means(gr.dual.pprime, spec.phi))
     assert float(gr.dual_value) == float(df_closed(KL, gr.dual.pprime, Q).value) + gap_term
-    assert gr.dual.value_log == (float(gr.dual_value),)
 
 
 @pytest.mark.parametrize(
