@@ -29,7 +29,7 @@ import numpy as np
 
 from . import divergence as divmod_
 from .discriminator import FullSpace, LinearBall, QuadraticCoefficientPenalty
-from .dual import DualConfig, _primal_solve, duality_gap, restricted_div_dual
+from .dual import duality_gap, restricted_div_dual
 from .errors import FdualError, ParseError, ValidationError
 from .estimators import (
     CrossContext,
@@ -41,7 +41,7 @@ from .estimators import (
     fit_mle,
 )
 from .fgen import builtin, check_generator
-from .primal import PrimalConfig
+from .primal import PrimalConfig, restricted_div_primal
 from .space import Dist, FeatureMap, OutcomeSpace, make_dist
 from .verify import SUITE_NAMES, run_suite
 
@@ -399,19 +399,25 @@ def _cmd_divergence(args):
 
 
 def _cmd_solve(args):
-    """``primal`` or ``dual``: ``args.solver`` under an ``args.config_cls`` read from
-    the instance's ``<command>_config`` section."""
+    """``primal`` or ``dual``. The primal solve reads a :class:`PrimalConfig` from
+    ``primal_config``; the dual has no settings, and ``dual_config`` gives only
+    its report's seed."""
     inst = parse_instance(args.instance)
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
     section = f"{args.cmd}_config"
-    cfg = inst._config(args.config_cls, section)
-    rep = args.solver(g, P, Q, spec, cfg)
-    config = {"generator": g.name, "discriminator": inst.raw.get("discriminator"), section: vars(cfg)}
+    seed = inst.seed(section, args.seed)
+    config = {"generator": g.name, "discriminator": inst.raw.get("discriminator")}
+    if args.cmd == "primal":
+        cfg = inst._config(PrimalConfig, section)
+        config[section] = vars(cfg)
+        rep = restricted_div_primal(g, P, Q, spec, cfg)
+    else:
+        rep = restricted_div_dual(g, P, Q, spec)
     rows = [{"value": rep.value, "iterations": rep.iterations, "status": rep.status}]
     code = 0 if rep.status in ("converged", "unbounded", "infeasible") else 2
-    return inst.seed(section, args.seed), config, _solve_report_payload(rep), rows, code
+    return seed, config, _solve_report_payload(rep), rows, code
 
 
 def _cmd_gap(args):
@@ -419,9 +425,7 @@ def _cmd_gap(args):
     g = inst.generator()
     P, Q = inst.pair()
     spec = inst.discriminator()
-    pcfg = inst._config(PrimalConfig, "primal_config")
-    dcfg = inst._config(DualConfig, "dual_config")
-    gr = duality_gap(g, P, Q, spec, pcfg, dcfg)
+    gr = duality_gap(g, P, Q, spec, inst._config(PrimalConfig, "primal_config"))
     results = {
         "status": gr.status,
         "primal_value": gr.primal_value,
@@ -531,12 +535,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primal", help="solve the discriminator-side problem")
     p.add_argument("--instance", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_solve, solver=_primal_solve, config_cls=PrimalConfig)
+    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("dual", help="solve the intermediate-distribution problem")
     p.add_argument("--instance", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_solve, solver=restricted_div_dual, config_cls=DualConfig)
+    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("gap", help="run both solvers and report the certified gap")
     p.add_argument("--instance", required=True)

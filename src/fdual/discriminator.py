@@ -73,14 +73,6 @@ class LinearBall:
             raise UnsupportedNorm("norm exponent must lie in [1, inf]")
         object.__setattr__(self, "p", p)
 
-    @property
-    def space(self) -> OutcomeSpace:
-        return self.phi.space
-
-    @property
-    def k(self) -> int:
-        return self.phi.k
-
 
 DiscriminatorSpec = FullSpace | LinearBall
 
@@ -106,10 +98,6 @@ class QuadraticCoefficientPenalty:
         if not 0.0 < w < math.inf:
             raise ValidationError("penalty weight must be positive and finite")
         object.__setattr__(self, "weight", w)
-
-    @property
-    def space(self) -> OutcomeSpace:
-        return self.phi.space
 
 
 def dual_exponent(p: float) -> float:

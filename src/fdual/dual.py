@@ -8,12 +8,14 @@ over distributions P' supported inside the support of Q. At the saddle
 point the optimal P' is the conjugate-slope tilt
 ``p'_i ~ q_i f*'(a . phi_i + b)`` of Q at the best discriminator, which
 every supremum-side solve reports as its ``pprime``. So
-``restricted_div_dual`` does not search: it scores the primal's tilt
-exactly and certifies it against the primal's value, on every ball and
-under a quadratic penalty. At infinite radius the dual is the moment
-projection, the closest dominated distribution with prescribed feature
-means, and it moves the tilt onto those means before scoring it. So the
-dual value is an upper bound, and the signed gap certifies both values.
+``restricted_div_dual`` does not search: it scores exactly the tilt of
+:func:`~fdual.primal.restricted_div_primal`, the one supremum-side
+entry for every spec, and certifies it against the primal's value, on
+every ball and under a quadratic penalty. At infinite radius
+the dual is the moment projection, the closest dominated distribution
+with prescribed feature means, and it moves the tilt onto those means
+before scoring it. So the dual value is an upper bound, and the signed
+gap certifies both values to within ``GAP_TOL`` relative.
 """
 
 from __future__ import annotations
@@ -31,15 +33,9 @@ from .discriminator import (
     gap_conjugate,
 )
 from .divergence import df_closed
-from .errors import ValidationError
 from .extreal import ExtReal, POS_INF
 from .fgen import FGenerator
-from .primal import (
-    PrimalConfig,
-    SolveReport,
-    regularized_div_primal,
-    restricted_div_primal,
-)
+from .primal import PrimalConfig, SolveReport, restricted_div_primal, rounding_bound
 from .space import (
     Dist,
     FeatureMap,
@@ -49,7 +45,7 @@ from .space import (
 )
 
 __all__ = [
-    "DualConfig",
+    "GAP_TOL",
     "GapReport",
     "restricted_div_dual",
     "moment_projection",
@@ -57,15 +53,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualConfig:
-    """Relative tolerance within which the dual value certifies the primal's."""
-
-    tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValidationError("tol must be positive and finite")
+# Relative gap, over max(1, |dual value|), within which the dual value certifies the primal's.
+GAP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,9 @@ class GapReport:
     values are floats that also read ``is_finite`` (:class:`~fdual.extreal.ExtReal`).
     ``gap``, the dual value less the primal value, is signed (0 when both
     are +inf), and so is ``rel_gap``, ``gap`` over max(1, |dual value|).
-    ``status`` always reads ``ok``; it stays for callers that read it."""
+    The dual's status says whether the gap lies between minus rounding
+    and ``GAP_TOL``. ``status`` always reads ``ok``; it stays for callers
+    that read it."""
 
     primal: SolveReport
     dual: SolveReport
@@ -85,44 +76,40 @@ class GapReport:
     status: str = "ok"
 
 
-def _primal_solve(g, P, Q, spec, cfg: PrimalConfig | None) -> SolveReport:
-    """The supremum side of a class or a quadratic penalty."""
-    if isinstance(spec, QuadraticCoefficientPenalty):
-        return regularized_div_primal(g, P, Q, spec, cfg)
-    return restricted_div_primal(g, P, Q, spec, cfg)
-
-
 def restricted_div_dual(
     g: FGenerator,
     P: Dist,
     Q: Dist,
     spec: DiscriminatorSpec | QuadraticCoefficientPenalty,
-    cfg: DualConfig | None = None,
     primal: SolveReport | None = None,
 ) -> SolveReport:
     """Restricted/regularized divergence from the intermediate-distribution side.
 
     On the full space the gap term pins P' = P (route ``closed_form``).
-    Otherwise P' is the tilt ``pprime`` of ``primal``, the supremum side's
-    report of the same instance, which is solved here when not given
-    (default :class:`PrimalConfig`, tol 1e-10 at infinite radius); route
-    ``primal_tilt``. At finite radius P' is scored exactly as D(P' || Q)
-    plus :func:`~fdual.discriminator.gap_conjugate` at E_P[phi] - E_P'[phi].
+    Otherwise P' is the tilt ``pprime`` of ``primal``, the report of
+    :func:`~fdual.primal.restricted_div_primal` on the same instance,
+    which is solved here when not given (default :class:`PrimalConfig`,
+    tol 1e-10 at infinite radius); route ``primal_tilt``. At finite
+    radius P' is scored exactly as D(P' || Q) plus
+    :func:`~fdual.discriminator.gap_conjugate` at E_P[phi] - E_P'[phi].
     At infinite radius, where P' meets the means of P only to the primal's
     tolerance, the dual scores D(P'' || Q) alone, at P'' = P' (1 + (phi -
     mu')^T lam) with mu' = E_P'[phi] and Cov_P'(phi) lam = E_P[phi] - mu'.
     P'' keeps the support of P' and meets the means to rounding; the norm
     of its moment gap is the ``residual``, and the report carries the
     primal's coefficients and iterations. So the value is an exact upper
-    bound either way, except where P'' would have a negative mass: the
-    dual then keeps P' and reads ``not_converged``. ``attained`` and the
-    notes are the primal's. ``gap_estimate`` is the dual value less the
-    primal value; the status is ``converged`` when it lies in
-    [-8 (n + k) eps, ``cfg.tol``] times max(1, |value|), the lower end a
-    rounding bound. An ``unbounded`` primal makes the dual ``infeasible``,
-    +inf, with the unit ray as coefficients.
+    bound either way, with two exceptions: P'' would have a negative
+    mass, or its masses miss a sum of 1 by more than
+    :func:`~fdual.primal.rounding_bound` at scale 1. The second happens
+    where P' has nearly collapsed: Cov_P'(phi) is then near singular and
+    lam huge. In both cases the dual keeps P' and reads
+    ``not_converged``. ``attained`` and the notes are the primal's.
+    ``gap_estimate`` is the dual value less the primal value; the status
+    is ``converged`` when it lies in [-8 (n + k) eps, ``GAP_TOL``] times
+    max(1, |value|), the lower end a rounding bound. An ``unbounded``
+    primal makes the dual ``infeasible``, +inf, with the unit ray as
+    coefficients.
     """
-    cfg = cfg or DualConfig()
     _require_same_space(P, Q)
     if isinstance(spec, FullSpace):
         # The gap term pins P' = P, recovering the unrestricted divergence.
@@ -137,7 +124,7 @@ def restricted_div_dual(
 
     infinite = isinstance(spec, LinearBall) and math.isinf(spec.radius)
     if primal is None:
-        primal = _primal_solve(g, P, Q, spec, PrimalConfig(tol=1e-10) if infinite else None)
+        primal = restricted_div_primal(g, P, Q, spec, PrimalConfig(tol=1e-10) if infinite else None)
     if primal.status == "unbounded":
         a = primal.coefficients
         return SolveReport(
@@ -154,7 +141,7 @@ def restricted_div_dual(
         centered = spec.phi.values - mu[:, None]
         weighted = centered * pp.p
         w = pp.p + np.linalg.lstsq(weighted @ centered.T, target - mu, rcond=None)[0] @ weighted
-        kept = bool(np.any(w < 0.0))
+        kept = bool(np.any(w < 0.0)) or abs(float(w.sum()) - 1.0) > rounding_bound(spec.phi.values, 1.0)
         if not kept:
             pp = Dist(pp.space, w)
             mu = feature_means(pp, spec.phi)
@@ -166,8 +153,7 @@ def restricted_div_dual(
         solve = {}
     gap_est = value - primal.value
     scale = max(1.0, abs(value))
-    rounding = 8.0 * (P.space.n + spec.phi.k) * np.finfo(float).eps * scale
-    certified = not kept and -rounding <= gap_est <= cfg.tol * scale
+    certified = not kept and -rounding_bound(spec.phi.values, scale) <= gap_est <= GAP_TOL * scale
     return SolveReport(
         value=value,
         intermediate=pp,
@@ -202,17 +188,18 @@ def duality_gap(
     Q: Dist,
     spec: DiscriminatorSpec | QuadraticCoefficientPenalty,
     primal_cfg: PrimalConfig | None = None,
-    dual_cfg: DualConfig | None = None,
 ) -> GapReport:
-    """Run both solvers on one instance and report the signed gap.
+    """Run both sides on one instance and report the signed gap.
 
-    The dual scores the primal report's tilt (see
+    :func:`~fdual.primal.restricted_div_primal` solves the supremum side
+    under ``primal_cfg``, and the dual scores its tilt (see
     :func:`restricted_div_dual`). The supremum side bounds the value from
     below and the infimum side from above, so the gap, dual less primal,
-    is at least minus rounding, and the dual's status certifies it.
+    is at least minus rounding, and the dual's status certifies it to
+    ``GAP_TOL``.
     """
-    p_rep = _primal_solve(g, P, Q, spec, primal_cfg)
-    d_rep = restricted_div_dual(g, P, Q, spec, dual_cfg, primal=p_rep)
+    p_rep = restricted_div_primal(g, P, Q, spec, primal_cfg)
+    d_rep = restricted_div_dual(g, P, Q, spec, primal=p_rep)
     pv, dv = ExtReal(p_rep.value), ExtReal(d_rep.value)
     gap = dv - pv if pv.is_finite or dv.is_finite else 0.0
     rel_gap = gap / max(1.0, abs(dv)) if dv.is_finite else gap

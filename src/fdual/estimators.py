@@ -50,7 +50,8 @@ from .discriminator import LinearBall
 from .divergence import kl_bar
 from .errors import SupportViolation, ValidationError
 from .fgen import FGenerator, builtin
-from .primal import FACE_GAP, PrimalConfig, face_splits, newton_step, project_ball, restricted_div_primal
+from .primal import (FACE_GAP, PrimalConfig, SolveReport, face_splits, newton_step, project_ball,
+                     restricted_div_primal, rounding_bound)
 from .space import (
     Dist,
     FeatureMap,
@@ -175,6 +176,14 @@ def _cross_table(Pdata: Dist, q_star: Dist, ctx: CrossContext) -> dict:
     return out
 
 
+def _tilt_projection(Pdata: Dist, base: Dist, feats: FeatureMap) -> SolveReport:
+    """The KL moment projection of ``base`` onto the feature means of the
+    data: the infinite-radius KL primal, whose tilt ``pprime`` is the
+    member of the tilt family of ``base`` along ``feats`` with those means."""
+    return restricted_div_primal(builtin("kl"), Pdata, base, LinearBall(feats, 2, math.inf),
+                                 PrimalConfig(tol=1e-10))
+
+
 def fit_mle(
     fam: GeneratorFamily,
     Pdata: Dist,
@@ -200,8 +209,7 @@ def fit_mle(
         )
     if not absolutely_continuous(Pdata, fam.base):
         raise SupportViolation("data is not dominated by the family base")
-    mp = restricted_div_primal(builtin("kl"), Pdata, fam.base, LinearBall(fam.psi, 2, math.inf),
-                               PrimalConfig(tol=1e-10))
+    mp = _tilt_projection(Pdata, fam.base, fam.psi)
     converged = mp.status == "converged"
     notes = () if converged else ("tilt Newton stopped before matching psi-means",)
     if not mp.attained:
@@ -286,7 +294,7 @@ def _newton_directions(grad: np.ndarray, hess: np.ndarray, basis: np.ndarray) ->
 
 
 def _rounding(psi: np.ndarray, normal: np.ndarray) -> float:  # of normal . (psi_i - psi_j)
-    return 8.0 * sum(psi.shape) * np.finfo(float).eps * float(np.abs(normal) @ np.abs(psi).max(axis=1))
+    return rounding_bound(psi, float(np.abs(normal) @ np.abs(psi).max(axis=1)))
 
 
 def _faces(psi: np.ndarray, theta: np.ndarray, u: np.ndarray, off: np.ndarray | None):
@@ -561,8 +569,7 @@ def fit_gmm(
 
     if isinstance(fam, FullSimplex):
         uniform = make_dist(fam.space, np.ones(fam.space.n))
-        mp = restricted_div_primal(builtin("kl"), Pdata, uniform, LinearBall(phi, 2, math.inf),
-                                   PrimalConfig(tol=1e-10))
+        mp = _tilt_projection(Pdata, uniform, phi)
         q_star, theta = mp.pprime, mp.coefficients if mp.attained else None
         trajectory = {"starts": 1, "converged": mp.status == "converged"}
         notes = ("maximum entropy representative of the moment-matched face",)

@@ -377,11 +377,25 @@ def _ball_model_max(cov: np.ndarray, rhs: np.ndarray, radius: float) -> np.ndarr
     return project_ball(vecs @ coef, radius)
 
 
-def _rounding(obj: _ReducedObjective, a: np.ndarray) -> float:
-    """Rounding bound of a . (phi_i - E_P[phi]), sums of n and k terms."""
-    k, n = obj.phi.values.shape
-    scale = float(np.abs(a) @ obj.phi_scale)
-    return 8.0 * (n + k) * np.finfo(float).eps * scale
+def _model_step(cov: np.ndarray, grad: np.ndarray, a: np.ndarray, radius: float, trust: float) -> np.ndarray:
+    """The step from ``a`` to the maximizer of the Newton model of J: over
+    the 2-ball of ``radius``, or at infinite radius over the trust ball
+    of radius ``trust`` around ``a``."""
+    if math.isinf(radius):
+        return _ball_model_max(cov, grad, trust)
+    return _ball_model_max(cov, grad + cov @ a, radius) - a
+
+
+def rounding_bound(features: np.ndarray, scale: float) -> float:
+    """8 (n + k) eps ``scale``: the rounding bound of a quantity formed by
+    sums over the n atoms and k features of ``features`` (k x n), whose
+    terms are at most ``scale`` in size."""
+    return 8.0 * sum(features.shape) * np.finfo(float).eps * scale
+
+
+def _hull_rounding(obj: _ReducedObjective, a: np.ndarray) -> float:
+    """Rounding bound of a . (phi_i - E_P[phi])."""
+    return rounding_bound(obj.phi.values, float(np.abs(a) @ obj.phi_scale))
 
 
 def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
@@ -390,7 +404,7 @@ def _separates(obj: _ReducedObjective, a: np.ndarray) -> bool:
     Then J(t a) >= t (a . E_P[phi] - max a . phi) grows without bound:
     E_P[phi] lies outside the hull of those features.
     """
-    return float(a @ obj.m_p) - float(np.max(obj._hs(a))) > _rounding(obj, a)
+    return float(a @ obj.m_p) - float(np.max(obj._hs(a))) > _hull_rounding(obj, a)
 
 
 def face_splits(a: np.ndarray, u: np.ndarray, free: np.ndarray, points: np.ndarray, origin: np.ndarray,
@@ -443,7 +457,7 @@ def _face(obj: _ReducedObjective, a: np.ndarray):
         if obj.g.f_prime(0.0) > -math.inf:
             return None
     free = np.arange(u.size) if obj.pin is None else np.flatnonzero(obj.pin == 0.0)
-    for on, normal in face_splits(a, u, free, obj.phi_s, obj.m_p, lambda nrm: _rounding(obj, nrm)):
+    for on, normal in face_splits(a, u, free, obj.phi_s, obj.m_p, partial(_hull_rounding, obj)):
         return np.isin(np.arange(u.size), on), normal
     return None
 
@@ -511,13 +525,10 @@ def _newton_ball(obj: _ReducedObjective, radius: float, cfg: PrimalConfig, a0=No
         if residual_at(a, grad) <= tol + gerr < math.inf:
             status = "converged"
             break
-        if infinite:
-            if rays and _separates(obj, a):
-                status = "unbounded"
-                break
-            d = _ball_model_max(cov, grad, trust)
-        else:
-            d = _ball_model_max(cov, grad + cov @ a, radius) - a
+        if rays and _separates(obj, a):
+            status = "unbounded"
+            break
+        d = _model_step(cov, grad, a, radius, trust)
         gain = float(grad @ d)
         if infinite and not gain > 0.0:
             # The model has no ascent left at float resolution.
@@ -721,10 +732,11 @@ def _report(out: _Solve, phi: FeatureMap) -> SolveReport:
 
 
 def restricted_div_primal(
-    g: FGenerator, P: Dist, Q: Dist, spec: DiscriminatorSpec, cfg: PrimalConfig | None = None,
-    *, start: np.ndarray | None = None,
+    g: FGenerator, P: Dist, Q: Dist, spec: DiscriminatorSpec | QuadraticCoefficientPenalty,
+    cfg: PrimalConfig | None = None, *, start: np.ndarray | None = None,
 ) -> SolveReport:
-    """Divergence restricted to a discriminator class, supremum side.
+    """Divergence restricted to a discriminator class or regularized by a
+    quadratic coefficient penalty, supremum side.
 
     The full space delegates to the separable variational solver. A
     linear ball runs the Newton loop: directly on a 2-ball or at infinite
@@ -733,11 +745,13 @@ def restricted_div_primal(
     infinite radius, feature means unreachable inside the support of Q
     make the objective grow along a ray, reported as status ``unbounded``
     with value +inf, and means on a face of the features' hull give a
-    supremum that is not attained (``attained`` false). ``pprime`` is the
-    conjugate-slope tilt of Q at the optimum. ``start`` (coefficients in
-    the ball) warm-starts the direct route, a smooth generator on a 2-ball
-    or at infinite radius, for a caller that solves nearby problems in
-    turn; the other routes start from 0.
+    supremum that is not attained (``attained`` false). The penalty
+    maximizes J(a) - weight ||a||_2^2, which is strongly concave: the
+    loop runs without a ball, with the penalty as its term. ``pprime`` is
+    the conjugate-slope tilt of Q at the optimum. ``start`` (coefficients
+    in the ball) warm-starts the direct route, a smooth generator on a
+    2-ball, at infinite radius or under the penalty, for a caller that
+    solves nearby problems in turn; the other routes start from 0.
     """
     cfg = cfg or PrimalConfig()
     _require_same_space(P, Q)
@@ -755,7 +769,11 @@ def restricted_div_primal(
             route="closed_form",
         )
     _require_same_space(P, spec.phi)
-    return _report(_solve(g, P, Q, spec.phi, None, spec.p, float(spec.radius), cfg, start), spec.phi)
+    if isinstance(spec, QuadraticCoefficientPenalty):
+        term, p, radius = _quadratic(spec.weight), 2.0, math.inf
+    else:
+        term, p, radius = None, spec.p, float(spec.radius)
+    return _report(_solve(g, P, Q, spec.phi, term, p, radius, cfg, start), spec.phi)
 
 
 def newton_step(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, radius: float, a: np.ndarray):
@@ -775,10 +793,7 @@ def newton_step(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, radius: float,
     """
     obj = _ReducedObjective(g, P, Q, phi)
     val, grad, cov, _, _, _ = obj.moments(a)
-    if math.isinf(radius):
-        step = _ball_model_max(cov, grad, RAY_NORM)
-    else:
-        step = _ball_model_max(cov, grad + cov @ a, radius) - a
+    step = _model_step(cov, grad, a, radius, RAY_NORM)
     gain = float(grad @ step) - 0.5 * float(step @ cov @ step)
     conjugate = obj.conjugate(a)
     w = Q.p * conjugate[2]
@@ -789,13 +804,7 @@ def newton_step(g: FGenerator, P: Dist, Q: Dist, phi: FeatureMap, radius: float,
 def regularized_div_primal(
     g: FGenerator, P: Dist, Q: Dist, reg: QuadraticCoefficientPenalty, cfg: PrimalConfig | None = None
 ) -> SolveReport:
-    """Soft-regularized divergence: maximize J(a) - weight * ||a||_2^2.
-
-    Strongly concave and unconstrained: the Newton loop runs without a
-    ball, with the penalty as its term (for total variation, on the
-    smoothed conjugate).
-    """
-    cfg = cfg or PrimalConfig()
-    _require_same_space(P, Q)
-    _require_same_space(P, reg.phi)
-    return _report(_solve(g, P, Q, reg.phi, _quadratic(reg.weight), 2.0, math.inf, cfg), reg.phi)
+    """:func:`restricted_div_primal` under the penalty ``reg``. The package
+    calls that entry for every spec; this name stays because the
+    benchmark's tracer (``fdual_bench/spans.py``) wraps it."""
+    return restricted_div_primal(g, P, Q, reg, cfg)

@@ -16,6 +16,7 @@ from fdual.cli import (
 from fdual.errors import ParseError, ValidationError
 from fdual.estimators import ExpFamily, family_member
 from fdual.space import make_dist, random_instance
+from fdual.verify import duality_instance
 
 
 @pytest.fixture
@@ -179,6 +180,29 @@ def test_gap_certified_exit_code_despite_primal_stall(tmp_path):
     assert float(results["rel_gap"]) <= 1e-4
 
 
+def test_gap_on_a_collapsed_tilt_exits_2_with_its_report(tmp_path):
+    # One primal step leaves a total-variation tilt so collapsed that its
+    # move onto the means missed a sum of 1 by 3.5e-7: the command printed
+    # "error: masses sum to ...", exited 1 and wrote no report.
+    _, P, Q, phi, _ = duality_instance(1, 11)
+    doc = {
+        "space": {"labels": list(P.space.labels)},
+        "dists": {"P": P.p.tolist(), "Q": Q.p.tolist()},
+        "features": {"phi": phi.values.tolist()},
+        "generator": "total_variation",
+        "discriminator": {"variant": "linear_ball", "features": "phi", "p": 2, "radius": "inf"},
+        "p": "P",
+        "q": "Q",
+        "primal_config": {"max_iters": 1},
+    }
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "collapsed_report.json")
+    assert main(["gap", "--instance", str(path), "--out", out]) == 2
+    results = _load(out)["results"]
+    assert (results["primal"]["status"], results["dual"]["status"]) == ("not_converged", "not_converged")
+
+
 def test_gap_below_the_primal_exits_2(tmp_path, instance_doc, monkeypatch):
     # A dual value below the primal's is a weak-duality violation: the dual
     # reads not_converged and the command exits 2, though |rel_gap| is small.
@@ -299,7 +323,7 @@ def test_parser_built_once_per_process(instance_path, tmp_path, capsys):
     assert main(["dual", "--instance", instance_path, "--out", out2]) == 0
     assert cli._build_parser() is parser
     assert _load(out1)["command"] == "primal" and "primal_config" in _load(out1)["config"]
-    assert _load(out2)["command"] == "dual" and "dual_config" in _load(out2)["config"]
+    assert _load(out2)["command"] == "dual" and "dual_config" not in _load(out2)["config"]
 
 
 def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
@@ -321,13 +345,14 @@ def test_fit_config_ignores_removed_fd_step(tmp_path, instance_doc):
 def test_solver_configs_ignore_removed_keys(tmp_path, instance_doc):
     # step_init and seed set the first step and the restarts of the ascent
     # that the Newton loop replaced, max_iters and smoothing_eps the dual's
-    # mirror descent, and nothing read dual_config's seed. An instance that
-    # still carries them solves exactly as one without them, and its report
-    # keeps the seed it names.
+    # mirror descent, and tol the dual's certification tolerance, now a
+    # constant; nothing read dual_config's seed. An instance that still
+    # carries them solves exactly as one without them, and its report keeps
+    # the seed it names.
     instance_doc["discriminator"] = {"variant": "linear_ball", "features": "phi", "p": 1, "radius": 1}
     for command, section, extra in (
         ("primal", "primal_config", {"step_init": 0.5, "seed": 7}),
-        ("dual", "dual_config", {"max_iters": 5, "smoothing_eps": 1e-3, "seed": 7}),
+        ("dual", "dual_config", {"max_iters": 5, "smoothing_eps": 1e-3, "tol": "inf", "seed": 7}),
         ("gap", "primal_config", {"step_init": 0.5, "seed": 7}),
     ):
         docs = []
@@ -532,10 +557,10 @@ def test_overflowing_radius_reads_as_infinite(tmp_path, instance_doc, capsys):
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("command, section", [("primal", "primal_config"), ("dual", "dual_config")])
+@pytest.mark.parametrize("command, section", [("primal", "primal_config")])
 def test_solver_config_with_infinite_tolerance_exits_1(tmp_path, instance_doc, capsys, command, section):
     # An infinite tol passed: the primal solve then ended not_converged
-    # (exit 2), and the dual certified any gap (exit 0).
+    # (exit 2).
     instance_doc[section] = {"tol": "inf"}
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_doc))
@@ -553,7 +578,7 @@ _DISC = {"features": "phi", "p": 2, "radius": "inf", "variant": "linear_ball"}
         (["divergence", "--p", "P", "--q", "Q", "--seed", "5"], 5, {"mode": "closed", "p": "P", "q": "Q"}),
         (["primal"], 7, {"discriminator": _DISC, "generator": "kl",
                          "primal_config": {"max_iters": 10000, "tol": "1e-08"}}),
-        (["dual"], 8, {"discriminator": _DISC, "dual_config": {"tol": "0.0001"}, "generator": "kl"}),
+        (["dual"], 8, {"discriminator": _DISC, "generator": "kl"}),
         (["gap"], 7, {"discriminator": _DISC, "generator": "kl"}),
         (["fit", "--estimator", "gmm"], 9, {"estimator": "gmm", "family": {"base": "U", "features": "phi",
                                                                           "variant": "exp_family"},
